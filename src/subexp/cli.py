@@ -246,8 +246,8 @@ def cmd_exact(args, parser) -> int:
         parser.error(f"--N must be >= 0; got {args.N}")
     if args.N > EXACT_N_WARN:
         print(
-            f"warning: N={args.N} implies ~N^2 big-integer operations; "
-            "expect a long run",
+            f"warning: N={args.N} implies ~log2(N) levels of big-integer "
+            "products over N coefficients; expect a long run",
             file=sys.stderr,
         )
     model = _exact_model(args, parser)

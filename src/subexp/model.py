@@ -156,7 +156,7 @@ class LambdaSeries:
     rational (the only mode the presets use), mpf otherwise; exact is
     the flag separating the two.  k_values[k-1] = k*Lambda_k is kept
     separately because the counting recurrence wants it division-free
-    (an integer for integer-weight multiset models).
+    (a plain int for multiset models whose j*b_j are all integers).
     """
 
     model_kind: str
@@ -173,10 +173,15 @@ class LambdaSeries:
 
 def _sieve_k_lambda(model: ModelSpec, N: int) -> list:
     # multiset base, a_j = 1: k*Lambda_k = sum_{j | k} j*b_j, via a
-    # divisor sieve in O(N log N) weight evaluations
-    acc = [Fraction(0)] * (N + 1)
-    for j in range(1, N + 1):
-        jbj = j * model.b(j)
+    # divisor sieve in O(N log N) weight evaluations; int sums when
+    # every j*b_j is integral, Fractions otherwise
+    jb = [j * model.b(j) for j in range(1, N + 1)]
+    if all(x.denominator == 1 for x in jb):
+        jb = [int(x) for x in jb]
+        acc = [0] * (N + 1)
+    else:
+        acc = [Fraction(0)] * (N + 1)
+    for j, jbj in enumerate(jb, start=1):
         if jbj == 0:
             continue
         for k in range(j, N + 1, j):
@@ -190,7 +195,7 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
         raise InvalidParametersError(f"need N >= 1; got N={N}")
     if model.base is MULTISET and model.unit_scale:
         kvals = _sieve_k_lambda(model, N)
-        vals = tuple(kv / k for k, kv in enumerate(kvals, start=1))
+        vals = tuple(Fraction(kv, k) for k, kv in enumerate(kvals, start=1))
         return LambdaSeries(model.kind, N, vals, True, tuple(kvals))
     vals = [Fraction(0)] * N
     for j in range(1, N + 1):

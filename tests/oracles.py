@@ -98,6 +98,28 @@ def divisor_k_lambda(weight, k):
     return total
 
 
+def naive_recurrence(k_lambda, N):
+    """c_0..c_N from n c_n = sum_k k_lambda[k-1] c_(n-k), term by term.
+
+    Integer k*Lambda_k only; None at the first division that leaves a
+    remainder.  Quadratic; the reference for the convolution kernel in
+    subexp.exact.
+    """
+    c = [0] * (N + 1)
+    c[0] = 1
+    for n in range(1, N + 1):
+        total = 0
+        for k in range(1, n + 1):
+            kl = k_lambda[k - 1]
+            if kl:
+                total += kl * c[n - k]
+        q, rem = divmod(total, n)
+        if rem:
+            return None
+        c[n] = q
+    return c
+
+
 def distinct_dp(N):
     """Partition counts into distinct parts by 0/1-knapsack DP."""
     c = [0] * (N + 1)

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import distinct_dp, partitions_brute
+from oracles import distinct_dp, naive_recurrence, partitions_brute
+from subexp import exact
 from subexp.errors import InvalidParametersError, UnsupportedModelError
 from subexp.exact import exact_coefficients, pentagonal_oracle, product_dp
 from subexp.model import (
@@ -10,8 +13,20 @@ from subexp.model import (
     SELECTION,
     ModelSpec,
     custom_model,
+    lambda_coeffs,
     make_preset,
 )
+
+# small integer weight tables b_1..b_N; N up to 300 crosses several
+# levels of the convolution kernel's recursion
+weight_tables = st.integers(1, 300).flatmap(
+    lambda N: st.lists(st.integers(0, 6), min_size=N, max_size=N)
+)
+
+
+def _k_lambda(model, N):
+    lam = lambda_coeffs(model, N)
+    return [int(lam.k_lambda(k)) for k in range(1, N + 1)]
 
 
 def test_pentagonal_small_values():
@@ -89,6 +104,67 @@ def test_fractional_weights_rational_path():
     # exp expansion: c_2 = Lambda_2 + Lambda_1^2/2 = 7/12 + 1/8 = 17/24
     assert series[1] == Fraction(1, 2)
     assert series[2] == Fraction(17, 24)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weight_tables)
+@example([6] * 300)
+@example([0] * 40 + [1, 0, 2] * 80)  # k*Lambda_k = 0 below k = 41
+def test_kernel_matches_naive_and_product_dp_multiset(weights):
+    model = custom_model(weights)
+    N = len(weights)
+    kl = _k_lambda(model, N)
+    want = naive_recurrence(kl, N)
+    assert want is not None
+    assert exact._recurrence_int(kl, N) == want
+    assert list(exact_coefficients(model, N).coeffs) == want
+    assert list(product_dp(model, N).coeffs) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(weight_tables)
+@example([3] * 300)
+def test_kernel_matches_naive_selection(weights):
+    # selection base: k*Lambda_k = sum_{j | k} (-1)^(k/j+1) j b_j can be < 0
+    model = custom_model(weights, base=SELECTION)
+    N = len(weights)
+    kl = _k_lambda(model, N)
+    want = naive_recurrence(kl, N)
+    assert want is not None
+    assert exact._recurrence_int(kl, N) == want
+    assert list(exact_coefficients(model, N).coeffs) == want
+
+
+@pytest.mark.parametrize("j", [2, 40])
+def test_integral_k_lambda_with_rational_coeffs_falls_back(j):
+    # b_j = 1/j keeps every k*Lambda_k integral, but
+    # f = P(z) (1 - z^j)^(1 - 1/j) has c_j = p(j) - 1 + 1/j
+    N = 100
+    weights = [1] * N
+    weights[j - 1] = Fraction(1, j)
+    model = custom_model(weights)
+    kl = _k_lambda(model, N)
+    assert exact._recurrence_int(kl, N) is None
+    assert naive_recurrence(kl, N) is None
+    t = 1 - Fraction(1, j)
+    binom = [Fraction(1)]
+    for m in range(1, N // j + 1):
+        binom.append(binom[-1] * (m - 1 - t) / m)
+    p = pentagonal_oracle(N)
+    want = [
+        sum(binom[m] * p[n - j * m] for m in range(n // j + 1)) for n in range(N + 1)
+    ]
+    series = exact_coefficients(model, N)
+    assert list(series.coeffs) == want
+    assert series[j] == p[j] - 1 + Fraction(1, j)
+
+
+def test_roots_600_matches_product_dp():
+    # c_600 is wider than two 128-bit limb planes
+    model = make_preset("roots")
+    rec = exact_coefficients(model, 600)
+    assert rec[600].bit_length() > 256
+    assert rec.coeffs == product_dp(model, 600).coeffs
 
 
 def test_product_dp_requires_integer_multiset():

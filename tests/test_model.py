@@ -75,6 +75,12 @@ def test_lambda_small_values():
     assert std.values[5] == 2  # k=6: (1+2+3+6)/6
     roots = lambda_coeffs(make_preset("roots"), 2)
     assert roots.values[1] == Fraction(13, 2)  # 3*(1/2) + 5*1
+    # the sieve sums ints when every j*b_j is integral; Lambda_k stays exact
+    assert all(type(x) is int for x in std.k_values + roots.k_values)
+    assert all(type(x) is Fraction for x in std.values + roots.values)
+    third = lambda_coeffs(custom_model([Fraction(1, 3)] * 2), 2)
+    assert third.k_values == (Fraction(1, 3), Fraction(1))
+    assert all(type(x) is Fraction for x in third.k_values)
 
 
 def test_k_lambda_is_divisor_sum():
