@@ -49,7 +49,6 @@ from .model import (
     ModelSpec,
     custom_model,
     lambda_coeffs,
-    lambda_coeffs_real,
     llt_condition_report,
     make_preset,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "kappa",
     "khintchine_lhs",
     "lambda_coeffs",
-    "lambda_coeffs_real",
     "llt_condition_report",
     "load_custom_spectrum",
     "log_estimate_explicit",

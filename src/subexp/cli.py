@@ -32,7 +32,7 @@ from .asymptotics import (
 )
 from .errors import SubexpError
 from .exact import exact_coefficients, pentagonal_oracle, product_dp
-from .model import ModelSpec, custom_model, make_preset
+from .model import custom_model, make_preset
 from .precision import set_working_precision, to_mpf
 from .spectrum import (
     INELIGIBLE,
@@ -142,12 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_model(args, parser):
-    """Model selector -> (ModelSpec or None, SpectralData, raw spec dict)."""
+    """Model selector -> (ModelSpec or None, SpectralData)."""
     if args.model == "congruent":
         if args.a is None or args.b is None:
             parser.error("--model congruent requires --a and --b")
         model = make_preset("congruent", args.a, args.b)
-        return model, derive_spectrum(model), None
+        return model, derive_spectrum(model)
     if args.model == "custom":
         if not args.spec:
             parser.error("--model custom requires --spec FILE")
@@ -157,19 +157,20 @@ def _resolve_model(args, parser):
         model = None
         if doc.get("weights") is not None:
             model = custom_model(doc["weights"])
-        return model, sd, doc
+        return model, sd
     model = make_preset(args.model)
-    return model, derive_spectrum(model), None
+    return model, derive_spectrum(model)
 
 
-def _exact_model(args, parser) -> ModelSpec:
-    model, _, _ = _resolve_model(args, parser)
+def _exact_model(args, parser):
+    """Like _resolve_model, but the model must be countable."""
+    model, sd = _resolve_model(args, parser)
     if model is None:
         raise SubexpError(
             "exact counting for a custom model needs a weights table in the "
             "spec file"
         )
-    return model
+    return model, sd
 
 
 def _parse_grid(expr: str, geometric: bool, parser) -> list:
@@ -197,7 +198,7 @@ def _parse_grid(expr: str, geometric: bool, parser) -> list:
 
 
 def cmd_spectrum(args, parser) -> int:
-    _, sd, _ = _resolve_model(args, parser)
+    _, sd = _resolve_model(args, parser)
     report = validate_spectrum(sd)
     print(f"model: {sd.label}")
     print(f"r: {sd.r}")
@@ -205,8 +206,7 @@ def cmd_spectrum(args, parser) -> int:
         print(f"pole {l}: rho = {fmt(rho)}  h = {fmt(h)}")
     print(f"A0: {fmt(sd.A0)}")
     print(f"h0: {fmt(sd.h0)}")
-    if sd.theta is not None:
-        print(f"theta: {fmt(sd.theta)}")
+    print(f"theta: {fmt(sd.theta)}")
     dneg = ", ".join(fmt(d) for d in sd.d_neg)
     print(f"D(-l), l = 1..{len(sd.d_neg)}: {dneg}")
     print(f"gap 2*rho_(r-1) - rho_r: {'n/a' if sd.gap is None else fmt(sd.gap)}")
@@ -231,7 +231,7 @@ def _print_estimate(le, log10: bool) -> None:
 def cmd_predict(args, parser) -> int:
     if args.n < 1:
         parser.error(f"--n must be >= 1; got {args.n}")
-    _, sd, _ = _resolve_model(args, parser)
+    _, sd = _resolve_model(args, parser)
     print(f"model: {sd.label}")
     print(f"n: {args.n}")
     if args.formula in (KHINTCHINE, "both"):
@@ -250,7 +250,7 @@ def cmd_exact(args, parser) -> int:
             "products over N coefficients; expect a long run",
             file=sys.stderr,
         )
-    model = _exact_model(args, parser)
+    model, _ = _exact_model(args, parser)
     series = exact_coefficients(model, args.N)
     if args.oracle:
         if model.kind == "standard":
@@ -284,22 +284,17 @@ def cmd_compare(args, parser) -> int:
         grid = _parse_grid(args.grid, False, parser)
     else:
         grid = _parse_grid(args.geom, True, parser)
-    print(CSV_HEADER)
-    if not grid:
-        return OK
-    N = max(grid)
+    N = max(grid, default=0)
     if args.N is not None:
         if args.N < N:
             parser.error(f"--N {args.N} is below the largest grid point {N}")
         N = args.N
-    model, sd, _ = _resolve_model(args, parser)
-    if model is None:
-        raise SubexpError(
-            "exact counting for a custom model needs a weights table in the "
-            "spec file"
-        )
+    model, sd = _exact_model(args, parser)
     series = exact_coefficients(model, N)
     log_scale = mp.log(10) if args.log10 else mpf(1)
+    # every row is built before the header is written, so a failure
+    # leaves stdout empty rather than holding a partial table
+    rows = [CSV_HEADER]
     for n in grid:
         exact_log = mp.log(to_mpf(series[n]))
         kh = log_estimate_khintchine(sd, n)
@@ -314,7 +309,8 @@ def cmd_compare(args, parser) -> int:
             fmt(ratio_kh),
             fmt(ratio_ex),
         ]
-        print(",".join(row))
+        rows.append(",".join(row))
+    print("\n".join(rows))
     return OK
 
 
@@ -322,16 +318,16 @@ def _verify_checks():
     """The built-in constant suite: (name, got, want, tolerance)."""
     checks = []
     pi = mp.pi
-    checks.append(("zeta(2) = pi^2/6", riemann_zeta(2).value, pi**2 / 6, mpf("1e-13")))
-    checks.append(("zeta(4) = pi^4/90", riemann_zeta(4).value, pi**4 / 90, mpf("1e-13")))
-    checks.append(("zeta(0) = -1/2", riemann_zeta(0).value, mpf(-1) / 2, mpf("1e-13")))
+    checks.append(("zeta(2) = pi^2/6", riemann_zeta(2), pi**2 / 6, mpf("1e-13")))
+    checks.append(("zeta(4) = pi^4/90", riemann_zeta(4), pi**4 / 90, mpf("1e-13")))
+    checks.append(("zeta(0) = -1/2", riemann_zeta(0), mpf(-1) / 2, mpf("1e-13")))
     checks.append(
-        ("zeta(-1) = -1/12", riemann_zeta(-1).value, mpf(-1) / 12, mpf("1e-13"))
+        ("zeta(-1) = -1/12", riemann_zeta(-1), mpf(-1) / 12, mpf("1e-13"))
     )
     checks.append(
         (
             "zeta'(0) = -log(2 pi)/2",
-            riemann_zeta_deriv(0).value,
+            riemann_zeta_deriv(0),
             -mp.log(2 * pi) / 2,
             mpf("1e-12"),
         )
@@ -339,7 +335,7 @@ def _verify_checks():
     checks.append(
         (
             "zeta'(-1) = 1/12 - log(glaisher)",
-            riemann_zeta_deriv(-1).value,
+            riemann_zeta_deriv(-1),
             mpf(1) / 12 - mp.log(mp.glaisher),
             mpf("1e-12"),
         )
@@ -349,7 +345,7 @@ def _verify_checks():
         checks.append(
             (
                 f"hurwitz zeta(0, {b}/{a}) = 1/2 - {b}/{a}",
-                hurwitz_zeta(0, q).value,
+                hurwitz_zeta(0, q),
                 mpf(1) / 2 - q,
                 mpf("1e-13"),
             )
@@ -357,13 +353,13 @@ def _verify_checks():
     checks.append(
         (
             "hurwitz zeta'(0, 1/2) = -log(2)/2",
-            hurwitz_zeta_deriv0(mpf(1) / 2).value,
+            hurwitz_zeta_deriv0(mpf(1) / 2),
             -mp.log(2) / 2,
             mpf("1e-12"),
         )
     )
     checks.append(
-        ("log_gamma(1/2) = log(pi)/2", log_gamma(mpf(1) / 2).value, mp.log(pi) / 2,
+        ("log_gamma(1/2) = log(pi)/2", log_gamma(mpf(1) / 2), mp.log(pi) / 2,
          mpf("1e-12"))
     )
 
@@ -381,7 +377,7 @@ def _verify_checks():
     checks.append(("standard: kappa = -1", kappa(sd_std), mpf(-1), mpf("1e-13")))
 
     sd_roots = derive_spectrum(roots)
-    z3 = riemann_zeta(3).value
+    z3 = riemann_zeta(3)
     checks.append(("roots: A0 = -2/3", sd_roots.A0, mpf(-2) / 3, mpf("1e-13")))
     checks.append(("roots: h_1 = zeta(2)", sd_roots.poles[0].h, pi**2 / 6, mpf("1e-13")))
     checks.append(("roots: h_2 = 2 zeta(3)", sd_roots.poles[1].h, 2 * z3, mpf("1e-13")))

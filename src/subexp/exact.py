@@ -161,16 +161,13 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     O(log N) levels of big-int multiplies, each level costing about one
     product of two N-coefficient polynomials.  Rational Lambda_k, or an
     integer table whose c_n are not all integers, fall back to a
-    Fraction loop of O(N^2) operations.  Requires the model's Lambda_k
-    to be rational (true for all presets); irrational models have no
-    exact coefficient series.
+    Fraction loop of O(N^2) operations.
     """
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
     if N == 0:
         return ExactSeries(model.kind, 0, (1,))
-    lam = lambda_coeffs(model, N)
-    kl = [lam.k_lambda(k) for k in range(1, N + 1)]
+    kl = lambda_coeffs(model, N).k_values
     if all(x.denominator == 1 for x in kl):
         kl = [int(x) for x in kl]
         c = _recurrence_int(kl, N)

@@ -12,14 +12,11 @@ single ModelSpec serves any truncation order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from mpmath import mpf
-
 from .errors import InvalidParametersError, UndefinedWeightError
-from .precision import to_mpf
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,6 @@ class ModelSpec:
     def unit_scale(self) -> bool:
         return self.scale is None
 
-    def describe(self) -> str:
-        extra = ""
-        if self.params:
-            extra = "(" + ", ".join(str(p) for p in self.params) + ")"
-        return f"{self.kind}{extra} [base {self.base.name}]"
-
 
 def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     """Build one of the three preset models.
@@ -150,25 +141,23 @@ def custom_model(
 
 @dataclass(frozen=True)
 class LambdaSeries:
-    """Log-coefficients Lambda_1..Lambda_N of a model.
+    """Log-coefficients Lambda_1..Lambda_N of a model, always exact.
 
-    values[k-1] = Lambda_k.  Entries are Fractions when every input was
-    rational (the only mode the presets use), mpf otherwise; exact is
-    the flag separating the two.  k_values[k-1] = k*Lambda_k is kept
-    separately because the counting recurrence wants it division-free
-    (a plain int for multiset models whose j*b_j are all integers).
+    k_values[k-1] = k*Lambda_k, the division-free form the counting
+    recurrence wants: a plain int for multiset models whose j*b_j are
+    all integers, a Fraction otherwise.  values[k-1] = Lambda_k is
+    derived from it.
     """
 
     model_kind: str
-    N: int
-    values: tuple
-    exact: bool
-    k_values: tuple = field(default=None)
+    k_values: tuple
+
+    @property
+    def values(self) -> tuple:
+        return tuple(Fraction(kv, k) for k, kv in enumerate(self.k_values, start=1))
 
     def k_lambda(self, k: int):
-        if self.k_values is not None:
-            return self.k_values[k - 1]
-        return k * self.values[k - 1]
+        return self.k_values[k - 1]
 
 
 def _sieve_k_lambda(model: ModelSpec, N: int) -> list:
@@ -194,9 +183,7 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
     if N < 1:
         raise InvalidParametersError(f"need N >= 1; got N={N}")
     if model.base is MULTISET and model.unit_scale:
-        kvals = _sieve_k_lambda(model, N)
-        vals = tuple(Fraction(kv, k) for k, kv in enumerate(kvals, start=1))
-        return LambdaSeries(model.kind, N, vals, True, tuple(kvals))
+        return LambdaSeries(model.kind, tuple(_sieve_k_lambda(model, N)))
     vals = [Fraction(0)] * N
     for j in range(1, N + 1):
         bj = model.b(j)
@@ -209,30 +196,8 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
             gm = Fraction(model.base.log_taylor(m))
             if gm:
                 vals[j * m - 1] += bj * gm * ajm
-    return LambdaSeries(model.kind, N, tuple(vals), True)
-
-
-def lambda_coeffs_real(model: ModelSpec, N: int) -> LambdaSeries:
-    """High-precision-real variant for models with irrational inputs.
-
-    Same triple sum as lambda_coeffs but carried in mpf; exact=False.
-    The exact-counting path refuses such a series.
-    """
-    if N < 1:
-        raise InvalidParametersError(f"need N >= 1; got N={N}")
-    vals = [mpf(0)] * N
-    for j in range(1, N + 1):
-        bj = to_mpf(model.weight(j))
-        if bj == 0:
-            continue
-        aj = to_mpf(model.scale(j)) if model.scale is not None else mpf(1)
-        ajm = mpf(1)
-        for m in range(1, N // j + 1):
-            ajm *= aj
-            gm = to_mpf(model.base.log_taylor(m))
-            if gm:
-                vals[j * m - 1] += bj * gm * ajm
-    return LambdaSeries(model.kind, N, tuple(vals), False)
+    kvals = tuple(k * v for k, v in enumerate(vals, start=1))
+    return LambdaSeries(model.kind, kvals)
 
 
 def llt_condition_report(model: ModelSpec, n_max: int, q_max: int) -> list:

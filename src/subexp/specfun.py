@@ -1,46 +1,35 @@
 """Special-function values backing the spectral computations.
 
 Riemann/Hurwitz zeta, log-Gamma and the handful of derivative values and
-constants (zeta'(0), zeta'(-1), Euler-Mascheroni, Glaisher-Kinkelin) that
-the pole/residue derivations need.  Numerical evaluation is delegated to
-mpmath at the global working precision; this module adds the domain
-contracts, the closed forms, and a uniform return type.
+constants (zeta'(0), zeta'(-1), Euler-Mascheroni) that the pole/residue
+derivations need.  Numerical evaluation is delegated to mpmath at the
+global working precision; this module adds the domain contracts and the
+closed forms.  Every function returns a finite mpf, or raises.
 
 Domains are restricted to what the residue formulas actually consume:
-real arguments, zeta on [-20, 40], Hurwitz zeta on [-10, 40] x (0, 1].
+real arguments, zeta on [-21, 40], Hurwitz zeta on [-20, 40] x (0, 1]
+(derive_spectrum with L <= 20 reaches zeta(-21) and zeta(-20, q)).
 """
-
-from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf, isfinite
 
 from .errors import DomainError, PoleError, UnsupportedPointError
-from .precision import extra_precision, to_mpf
+from .precision import to_mpf
 
 POLE_GUARD = mpf("1e-9")
 
-ZETA_MIN, ZETA_MAX = -20, 40
-HURWITZ_MIN, HURWITZ_MAX = -10, 40
+ZETA_MIN, ZETA_MAX = -21, 40
+HURWITZ_MIN, HURWITZ_MAX = -20, 40
 
 
-class RealHP(NamedTuple):
-    """A finite high-precision real plus the precision it was computed at."""
-
-    value: mpf
-    dps: int
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def _result(value) -> RealHP:
+def _result(value) -> mpf:
     if not isfinite(value):
         raise DomainError(f"evaluation produced a non-finite value: {value}")
-    return RealHP(value, mp.dps)
+    return value
 
 
-def riemann_zeta(s) -> RealHP:
-    """zeta(s) for real s in [-20, 40], s != 1."""
+def riemann_zeta(s) -> mpf:
+    """zeta(s) for real s in [-21, 40], s != 1."""
     s = to_mpf(s)
     if abs(s - 1) < POLE_GUARD:
         raise PoleError(f"zeta has a pole at s=1; got s={s}")
@@ -49,7 +38,7 @@ def riemann_zeta(s) -> RealHP:
     return _result(mp.zeta(s))
 
 
-def riemann_zeta_deriv(s) -> RealHP:
+def riemann_zeta_deriv(s) -> mpf:
     """zeta'(s) at the two points with closed forms, s = 0 and s = -1.
 
     zeta'(0) = -log(2*pi)/2 and zeta'(-1) = 1/12 - log A, with A the
@@ -63,8 +52,8 @@ def riemann_zeta_deriv(s) -> RealHP:
     raise UnsupportedPointError(f"zeta' available only at s=0 and s=-1; got s={s}")
 
 
-def hurwitz_zeta(s, q) -> RealHP:
-    """zeta(s, q) for real s in [-10, 40], s != 1, and 0 < q <= 1."""
+def hurwitz_zeta(s, q) -> mpf:
+    """zeta(s, q) for real s in [-20, 40], s != 1, and 0 < q <= 1."""
     s = to_mpf(s)
     q = to_mpf(q)
     if abs(s - 1) < POLE_GUARD:
@@ -78,7 +67,7 @@ def hurwitz_zeta(s, q) -> RealHP:
     return _result(mp.zeta(s, q))
 
 
-def hurwitz_zeta_deriv0(q) -> RealHP:
+def hurwitz_zeta_deriv0(q) -> mpf:
     """d/ds zeta(s, q) at s = 0, i.e. log Gamma(q) - log(2*pi)/2 (Lerch)."""
     q = to_mpf(q)
     if not (0 < q <= 1):
@@ -86,7 +75,7 @@ def hurwitz_zeta_deriv0(q) -> RealHP:
     return _result(mp.loggamma(q) - mp.log(2 * mp.pi) / 2)
 
 
-def log_gamma(x) -> RealHP:
+def log_gamma(x) -> mpf:
     """log Gamma(x) for real x > 0."""
     x = to_mpf(x)
     if x <= 0:
@@ -94,29 +83,6 @@ def log_gamma(x) -> RealHP:
     return _result(mp.loggamma(x))
 
 
-def euler_gamma() -> RealHP:
+def euler_gamma() -> mpf:
     """Euler-Mascheroni constant, lim (H_n - log n)."""
     return _result(+mp.euler)
-
-
-def glaisher_log() -> RealHP:
-    """log of the Glaisher-Kinkelin constant A, with zeta'(-1) = 1/12 - log A."""
-    return _result(mp.log(mp.glaisher))
-
-
-def central_derivative(f: Callable, x, step=mpf("1e-8")) -> RealHP:
-    """Central-difference derivative of a scalar function.
-
-    Fallback for derivative values with no closed form (e.g. a custom
-    weight Dirichlet series at 0).  The working precision is doubled
-    internally so the subtraction does not cancel, but the truncation
-    error of the stencil caps the accuracy near `step`**2; do not expect
-    better than ~1e-8 relative with the default step.
-    """
-    x = to_mpf(x)
-    h = to_mpf(step)
-    if h <= 0:
-        raise DomainError(f"step must be positive; got {h}")
-    with extra_precision(mp.dps):
-        val = (to_mpf(f(x + h)) - to_mpf(f(x - h))) / (2 * h)
-    return _result(val)

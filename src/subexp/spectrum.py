@@ -58,8 +58,9 @@ class SpectralData:
 
     poles are (rho_l, h_l) sorted strictly increasing in rho; A0 is
     lim_{s->0} s*D(s); h0 the zero-pole constant entering every log
-    estimate; d_neg[l-1] = D(-l).  theta (the constant term of D at 0,
-    h0 + euler_gamma*A0) is stored when known but h0 is authoritative.
+    estimate; d_neg[l-1] = D(-l).  theta, the constant term of D at 0,
+    is derived: Gamma(s) = 1/s - euler_gamma + O(s) gives
+    theta = h0 + euler_gamma*A0.
     """
 
     label: str
@@ -67,7 +68,6 @@ class SpectralData:
     A0: mpf
     h0: mpf
     d_neg: tuple
-    theta: Optional[mpf] = None
 
     @property
     def r(self) -> int:
@@ -89,8 +89,8 @@ class SpectralData:
         return 2 * self.poles[-2].rho - self.poles[-1].rho
 
     @property
-    def eligible(self) -> bool:
-        return self.r == 1 or self.gap <= GAP_TOL
+    def theta(self) -> mpf:
+        return self.h0 + euler_gamma() * self.A0
 
     def d1(self) -> mpf:
         return self.d_neg[0]
@@ -163,36 +163,35 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
         raise InvalidParametersError(f"need 1 <= L <= 20; got L={L}")
     kind = model.kind
     if kind == "standard":
-        poles = (Pole(mpf(1), riemann_zeta(2).value),)
-        A0 = riemann_zeta(0).value
-        h0 = riemann_zeta_deriv(0).value
-        db = lambda s: riemann_zeta(s).value
+        poles = (Pole(mpf(1), riemann_zeta(2)),)
+        A0 = riemann_zeta(0)
+        h0 = riemann_zeta_deriv(0)
+        db = riemann_zeta
         label = "standard"
     elif kind == "roots":
         poles = (
-            Pole(mpf(1), riemann_zeta(2).value),
-            Pole(mpf(2), 2 * riemann_zeta(3).value),
+            Pole(mpf(1), riemann_zeta(2)),
+            Pole(mpf(2), 2 * riemann_zeta(3)),
         )
-        A0 = 2 * riemann_zeta(-1).value + riemann_zeta(0).value
-        h0 = 2 * riemann_zeta_deriv(-1).value + riemann_zeta_deriv(0).value
-        db = lambda s: 2 * riemann_zeta(s - 1).value + riemann_zeta(s).value
+        A0 = 2 * riemann_zeta(-1) + riemann_zeta(0)
+        h0 = 2 * riemann_zeta_deriv(-1) + riemann_zeta_deriv(0)
+        db = lambda s: 2 * riemann_zeta(s - 1) + riemann_zeta(s)
         label = "roots"
     elif kind == "congruent":
         a, b = model.params
         q = _congruent_q(a, b)
-        poles = (Pole(mpf(1), riemann_zeta(2).value / a),)
-        A0 = hurwitz_zeta(0, q).value
-        h0 = -mp.log(a) * A0 + hurwitz_zeta_deriv0(q).value
-        db = lambda s, _a=a, _q=q: mpf(_a) ** (-s) * hurwitz_zeta(s, _q).value
+        poles = (Pole(mpf(1), riemann_zeta(2) / a),)
+        A0 = hurwitz_zeta(0, q)
+        h0 = -mp.log(a) * A0 + hurwitz_zeta_deriv0(q)
+        db = lambda s, _a=a, _q=q: mpf(_a) ** (-s) * hurwitz_zeta(s, _q)
         label = f"congruent({a},{b})"
     else:
         raise CustomModelError(
             f"no derivable spectral data for model kind {kind!r}; "
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"
         )
-    d_neg = tuple(riemann_zeta(1 - l).value * db(mpf(-l)) for l in range(1, L + 1))
-    theta = h0 + euler_gamma().value * A0
-    return SpectralData(label, poles, A0, h0, d_neg, theta)
+    d_neg = tuple(riemann_zeta(1 - l) * db(mpf(-l)) for l in range(1, L + 1))
+    return SpectralData(label, poles, A0, h0, d_neg)
 
 
 _SCHEMA_KEYS = {"poles", "A0", "h0", "d_neg", "theta", "weights", "label"}
@@ -202,10 +201,12 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     """Parse explicit spectral data from a mapping (decoded JSON).
 
     Required keys: poles (nonempty array of {rho, h}), A0, h0, d_neg
-    (nonempty array).  Optional: theta, label, weights (consumed by the
-    command layer for exact counting, ignored here).  Numbers may be
-    given as strings to survive the decimal-to-binary round trip at
-    full working precision.
+    (nonempty array).  Optional: label, weights (consumed by the
+    command layer for exact counting, ignored here) and theta, which is
+    derived from h0 and A0 and, when given, must agree with that to
+    1e-12 relative, loose enough for values rounded to JSON doubles.
+    Numbers may be given as strings to survive the decimal-to-binary
+    round trip at full working precision.
     """
     if not isinstance(document, dict):
         raise SpectrumSchemaError(f"expected a mapping, got {type(document).__name__}")
@@ -239,18 +240,21 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     if not isinstance(raw_dneg, list) or not raw_dneg:
         raise SpectrumSchemaError("d_neg must be a nonempty array")
     d_neg = tuple(_num(x, f"d_neg[{i}]") for i, x in enumerate(raw_dneg, start=1))
-    theta = None
-    if document.get("theta") is not None:
-        theta = _num(document["theta"], "theta")
+    theta = document.get("theta")
+    if theta is not None:
+        theta = _num(theta, "theta")
     sd = SpectralData(
         str(document.get("label", "custom")),
         tuple(poles),
         _num(document["A0"], "A0"),
         _num(document["h0"], "h0"),
         d_neg,
-        theta,
     )
     report = validate_spectrum(sd)
     if not report.ok:
         raise SpectrumDataError("; ".join(report.messages))
+    if theta is not None and abs(theta - sd.theta) > mpf("1e-12") * (1 + abs(theta)):
+        raise SpectrumDataError(
+            f"theta = {theta} disagrees with h0 + euler_gamma*A0 = {sd.theta}"
+        )
     return sd

@@ -43,6 +43,11 @@ def zeta_direct(s, terms=100):
     return total
 
 
+def zeta_neg_bernoulli(n, q=1):
+    """zeta(-n, q) = -B_{n+1}(q)/(n+1) for integers n >= 0, 0 < q <= 1."""
+    return -mp.bernpoly(n + 1, mpmathify(q)) / (n + 1)
+
+
 def zeta_fd_deriv(s, dps_boost=25, h=mpf("1e-12")):
     """zeta'(s) by central difference on mpmath's zeta at raised precision.
 

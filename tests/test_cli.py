@@ -124,6 +124,26 @@ def test_compare_empty_grid(capsys):
     assert out.strip() == CSV_HEADER
 
 
+def test_compare_failures_write_no_partial_table(tmp_path, capsys):
+    code, out, _ = run(capsys, "compare", "--model", "standard", "--N", "5",
+                       "--grid", "10:20:5")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "compare", "--model", "custom", "--spec",
+                       str(tmp_path / "absent.json"), "--grid", "10:20:5")
+    assert (code, out) == (3, "")
+    doc = {"poles": [{"rho": 1, "h": 1.64}], "A0": -0.5, "h0": -0.92,
+           "d_neg": [0.04]}
+    spec = tmp_path / "nw.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compare", "--model", "custom", "--spec",
+                         str(spec), "--grid", "10:20:5")
+    assert (code, out) == (3, "")
+    assert "weights" in err
+    # the Khintchine estimate has no solution for roots at n <= 5
+    code, out, _ = run(capsys, "compare", "--model", "roots", "--grid", "3:8:1")
+    assert (code, out) == (3, "")
+
+
 def test_compare_needs_exactly_one_grid(capsys):
     code, _, _ = run(capsys, "compare", "--model", "standard")
     assert code == 2

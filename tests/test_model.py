@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
 
 from oracles import divisor_k_lambda
 from subexp.errors import InvalidParametersError, UndefinedWeightError
@@ -13,7 +12,6 @@ from subexp.model import (
     ModelSpec,
     custom_model,
     lambda_coeffs,
-    lambda_coeffs_real,
     llt_condition_report,
     make_preset,
 )
@@ -123,15 +121,6 @@ def test_lambda_selection_base():
     assert lam.values[0] == 1
     assert lam.values[1] == Fraction(1) - Fraction(1, 2)
     assert lam.values[3] == Fraction(1) - Fraction(1, 2) - Fraction(1, 4)
-
-
-def test_lambda_real_matches_exact():
-    lam = lambda_coeffs(make_preset("roots"), 30)
-    lam_r = lambda_coeffs_real(make_preset("roots"), 30)
-    assert not lam_r.exact
-    for k in range(1, 31):
-        want = mpf(lam.values[k - 1].numerator) / lam.values[k - 1].denominator
-        assert abs(lam_r.values[k - 1] - want) < mpf("1e-35") * max(1, abs(want))
 
 
 def test_weight_table_exhaustion():

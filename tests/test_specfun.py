@@ -6,10 +6,7 @@ from mpmath import mp, mpf
 from oracles import zeta_direct, zeta_fd_deriv
 from subexp.errors import DomainError, PoleError, UnsupportedPointError
 from subexp.specfun import (
-    RealHP,
-    central_derivative,
     euler_gamma,
-    glaisher_log,
     hurwitz_zeta,
     hurwitz_zeta_deriv0,
     log_gamma,
@@ -20,22 +17,21 @@ from subexp.specfun import (
 
 def test_result_type_records_precision():
     r = riemann_zeta(2)
-    assert isinstance(r, RealHP)
-    assert r.dps == mp.dps
+    assert isinstance(r, mpf)
     assert float(r) == pytest.approx(1.6449340668482264)
 
 
 def test_zeta_closed_forms():
-    assert abs(riemann_zeta(2).value - mp.pi**2 / 6) < mpf("1e-13") * (mp.pi**2 / 6)
-    assert abs(riemann_zeta(4).value - mp.pi**4 / 90) < mpf("1e-13") * (mp.pi**4 / 90)
-    assert abs(riemann_zeta(0).value + mpf(1) / 2) < mpf("1e-13")
-    assert abs(riemann_zeta(-1).value + mpf(1) / 12) < mpf("1e-13")
+    assert abs(riemann_zeta(2) - mp.pi**2 / 6) < mpf("1e-13") * (mp.pi**2 / 6)
+    assert abs(riemann_zeta(4) - mp.pi**4 / 90) < mpf("1e-13") * (mp.pi**4 / 90)
+    assert abs(riemann_zeta(0) + mpf(1) / 2) < mpf("1e-13")
+    assert abs(riemann_zeta(-1) + mpf(1) / 12) < mpf("1e-13")
 
 
 def test_zeta_against_direct_summation():
     for s in (mpf(2), mpf(3), mpf("2.5"), mpf(6)):
         want = zeta_direct(s)
-        got = riemann_zeta(s).value
+        got = riemann_zeta(s)
         assert abs(got - want) < mpf("1e-14") * abs(want)
 
 
@@ -47,18 +43,18 @@ def test_zeta_pole_and_domain():
     with pytest.raises(DomainError):
         riemann_zeta(41)
     with pytest.raises(DomainError):
-        riemann_zeta(-21)
+        riemann_zeta(-22)
 
 
 def test_zeta_deriv_closed_forms_vs_finite_difference():
     want0 = zeta_fd_deriv(0)
     want1 = zeta_fd_deriv(-1)
-    assert abs(riemann_zeta_deriv(0).value - want0) < mpf("1e-18")
-    assert abs(riemann_zeta_deriv(-1).value - want1) < mpf("1e-18")
+    assert abs(riemann_zeta_deriv(0) - want0) < mpf("1e-18")
+    assert abs(riemann_zeta_deriv(-1) - want1) < mpf("1e-18")
     # and the printed forms themselves
-    assert abs(riemann_zeta_deriv(0).value + mp.log(2 * mp.pi) / 2) < mpf("1e-12")
+    assert abs(riemann_zeta_deriv(0) + mp.log(2 * mp.pi) / 2) < mpf("1e-12")
     assert abs(
-        riemann_zeta_deriv(-1).value - (mpf(1) / 12 - glaisher_log().value)
+        riemann_zeta_deriv(-1) - (mpf(1) / 12 - mp.log(mp.glaisher))
     ) < mpf("1e-12")
 
 
@@ -75,22 +71,22 @@ def test_hurwitz_reduces_to_riemann():
         s = mpf(rng.uniform(-10, 40))
         if abs(s - 1) < 0.01:
             continue
-        a = hurwitz_zeta(s, 1).value
-        b = riemann_zeta(s).value
+        a = hurwitz_zeta(s, 1)
+        b = riemann_zeta(s)
         assert abs(a - b) <= mpf("1e-12") * max(abs(b), mpf(1))
 
 
 def test_hurwitz_at_zero_is_half_minus_q():
     for i in range(1, 11):
         q = mpf(i) / 10
-        assert abs(hurwitz_zeta(0, q).value - (mpf(1) / 2 - q)) < mpf("1e-13")
+        assert abs(hurwitz_zeta(0, q) - (mpf(1) / 2 - q)) < mpf("1e-13")
 
 
 def test_hurwitz_domain():
     with pytest.raises(PoleError):
         hurwitz_zeta(1, 0.5)
     with pytest.raises(DomainError):
-        hurwitz_zeta(-11, 0.5)
+        hurwitz_zeta(-21, 0.5)
     with pytest.raises(DomainError):
         hurwitz_zeta(2, 0)
     with pytest.raises(DomainError):
@@ -99,20 +95,20 @@ def test_hurwitz_domain():
 
 def test_hurwitz_deriv0_lerch():
     for q in (mpf(1), mpf(1) / 2, mpf(1) / 3, mpf("0.77")):
-        want = log_gamma(q).value - mp.log(2 * mp.pi) / 2
-        assert abs(hurwitz_zeta_deriv0(q).value - want) < mpf("1e-12")
-    assert abs(hurwitz_zeta_deriv0(mpf(1) / 2).value + mp.log(2) / 2) < mpf("1e-12")
+        want = log_gamma(q) - mp.log(2 * mp.pi) / 2
+        assert abs(hurwitz_zeta_deriv0(q) - want) < mpf("1e-12")
+    assert abs(hurwitz_zeta_deriv0(mpf(1) / 2) + mp.log(2) / 2) < mpf("1e-12")
     with pytest.raises(DomainError):
         hurwitz_zeta_deriv0(0)
 
 
 def test_log_gamma_values_and_recurrence():
-    assert abs(log_gamma(1).value) < mpf("1e-30")
-    assert abs(log_gamma(2).value) < mpf("1e-30")
-    assert abs(log_gamma(mpf(1) / 2).value - mp.log(mp.pi) / 2) < mpf("1e-12")
+    assert abs(log_gamma(1)) < mpf("1e-30")
+    assert abs(log_gamma(2)) < mpf("1e-30")
+    assert abs(log_gamma(mpf(1) / 2) - mp.log(mp.pi) / 2) < mpf("1e-12")
     for x in (mpf("0.25"), mpf("0.5"), mpf("1.5"), mpf("3.7")):
-        lhs = mp.exp(log_gamma(x + 1).value)
-        rhs = x * mp.exp(log_gamma(x).value)
+        lhs = mp.exp(log_gamma(x + 1))
+        rhs = x * mp.exp(log_gamma(x))
         assert abs(lhs - rhs) < mpf("1e-12") * abs(rhs)
     with pytest.raises(DomainError):
         log_gamma(0)
@@ -125,18 +121,9 @@ def test_constants():
     n = 200000
     harmonic = mp.fsum(mpf(1) / k for k in range(1, n + 1))
     approx = harmonic - mp.log(n)
-    assert abs(euler_gamma().value - approx) < mpf("1e-5")
-    assert abs(euler_gamma().value - mpf("0.57721566490153286")) < mpf("1e-16")
-    # zeta'(-1) ties glaisher_log to an independent finite difference
+    assert abs(euler_gamma() - approx) < mpf("1e-5")
+    assert abs(euler_gamma() - mpf("0.57721566490153286")) < mpf("1e-16")
+    # zeta'(-1) ties log(glaisher) to an independent finite difference
     assert abs(
-        glaisher_log().value - (mpf(1) / 12 - zeta_fd_deriv(-1))
+        mp.log(mp.glaisher) - (mpf(1) / 12 - zeta_fd_deriv(-1))
     ) < mpf("1e-18")
-
-
-def test_central_derivative():
-    d = central_derivative(lambda x: x**3, 2)
-    assert abs(d.value - 12) < mpf("1e-8")
-    d = central_derivative(mp.exp, 0)
-    assert abs(d.value - 1) < mpf("1e-8")
-    with pytest.raises(DomainError):
-        central_derivative(mp.exp, 0, step=0)

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from oracles import ROOTS_H0
+from oracles import ROOTS_H0, zeta_neg_bernoulli
 from subexp.errors import (
     CustomModelError,
     InvalidParametersError,
@@ -78,7 +78,7 @@ def test_residue_reconstruction():
     ]
     for sd, residues in cases:
         for (rho, h), A in zip(sd.poles, residues):
-            want = A * riemann_zeta(rho + 1).value * mp.gamma(rho)
+            want = A * riemann_zeta(rho + 1) * mp.gamma(rho)
             assert abs(h - want) < TOL
             assert h > 0
 
@@ -89,12 +89,32 @@ def test_d_neg_identity():
     roots = derive_spectrum(make_preset("roots"), L=6)
     cong = derive_spectrum(make_preset("congruent", 2, 1), L=6)
     for l in range(1, 7):
-        z = riemann_zeta(1 - l).value
-        assert abs(std.d_neg[l - 1] - z * riemann_zeta(-l).value) < TOL
-        want = z * (2 * riemann_zeta(-l - 1).value + riemann_zeta(-l).value)
+        z = riemann_zeta(1 - l)
+        assert abs(std.d_neg[l - 1] - z * riemann_zeta(-l)) < TOL
+        want = z * (2 * riemann_zeta(-l - 1) + riemann_zeta(-l))
         assert abs(roots.d_neg[l - 1] - want) < TOL
-        want = z * mpf(2) ** l * hurwitz_zeta(-l, mpf(1) / 2).value
+        want = z * mpf(2) ** l * hurwitz_zeta(-l, mpf(1) / 2)
         assert abs(cong.d_neg[l - 1] - want) < TOL
+
+
+def test_d_neg_at_L20_matches_bernoulli():
+    # d_neg[l-1] = zeta(1-l) * D_b(-l) up to L = 20, the deepest zeta and
+    # Hurwitz zeta arguments derive_spectrum accepts, against
+    # zeta(-n, q) = -B_{n+1}(q)/(n+1)
+    z = zeta_neg_bernoulli
+    cases = [
+        (make_preset("standard"), lambda l: z(l)),
+        (make_preset("roots"), lambda l: 2 * z(l + 1) + z(l)),
+        (make_preset("congruent", 3, 1), lambda l: mpf(3) ** l * z(l, mpf(1) / 3)),
+        (make_preset("congruent", 12, 11),
+         lambda l: mpf(12) ** l * z(l, mpf(11) / 12)),
+    ]
+    for model, db in cases:
+        sd = derive_spectrum(model, L=20)
+        assert len(sd.d_neg) == 20
+        for l in range(1, 21):
+            want = z(l - 1) * db(l)
+            assert abs(sd.d_neg[l - 1] - want) <= mpf("1e-30") * abs(want)
 
 
 def test_theta_consistency():
@@ -135,7 +155,6 @@ def test_classification():
     report = validate_spectrum(inel)
     assert report.classification == INELIGIBLE
     assert abs(report.gap - 1) < TOL
-    assert not inel.eligible
 
 
 def test_validation_flags_bad_data():
@@ -160,7 +179,27 @@ def test_load_custom_roundtrip():
     assert abs(sd.A0 - ref.A0) < TOL
     assert abs(sd.h0 - ref.h0) < TOL
     assert abs(sd.d_neg[0] - ref.d_neg[0]) < TOL
-    assert sd.theta is None
+    assert abs(sd.theta - (sd.h0 + mp.euler * sd.A0)) < TOL
+
+
+def test_load_custom_checks_theta():
+    ref = derive_spectrum(make_preset("standard"), L=1)
+    doc = {
+        "poles": [{"rho": 1, "h": float(ref.poles[0].h)}],
+        "A0": float(ref.A0),
+        "h0": float(ref.h0),
+        "d_neg": [float(ref.d_neg[0])],
+        "theta": float(ref.theta),  # rounded to a double, like JSON
+    }
+    sd = load_custom_spectrum(doc)
+    assert abs(sd.theta - ref.theta) < TOL
+    assert abs(sd.theta - (sd.h0 + mp.euler * sd.A0)) < mpf("1e-30")
+    load_custom_spectrum(dict(doc, theta=str(ref.theta)))
+    load_custom_spectrum(dict(doc, theta=None))
+    with pytest.raises(SpectrumDataError, match="theta"):
+        load_custom_spectrum(dict(doc, theta=float(ref.theta) + 1e-9))
+    with pytest.raises(SpectrumSchemaError):
+        load_custom_spectrum(dict(doc, theta="abc"))
 
 
 def test_load_custom_schema_errors():
