@@ -42,7 +42,7 @@ from .spectrum import (
 )
 from .specfun import (
     hurwitz_zeta,
-    hurwitz_zeta_deriv0,
+    hurwitz_zeta_deriv,
     log_gamma,
     riemann_zeta,
     riemann_zeta_deriv,
@@ -232,12 +232,14 @@ def cmd_predict(args, parser) -> int:
     if args.n < 1:
         parser.error(f"--n must be >= 1; got {args.n}")
     _, sd = _resolve_model(args, parser)
+    formulas = (KHINTCHINE, EXPLICIT) if args.formula == "both" else (args.formula,)
+    estimators = {KHINTCHINE: log_estimate_khintchine, EXPLICIT: log_estimate_explicit}
+    # every estimate is made before the first print, so a failure prints nothing
+    estimates = [estimators[f](sd, args.n) for f in formulas]
     print(f"model: {sd.label}")
     print(f"n: {args.n}")
-    if args.formula in (KHINTCHINE, "both"):
-        _print_estimate(log_estimate_khintchine(sd, args.n), args.log10)
-    if args.formula in (EXPLICIT, "both"):
-        _print_estimate(log_estimate_explicit(sd, args.n), args.log10)
+    for le in estimates:
+        _print_estimate(le, args.log10)
     return OK
 
 
@@ -253,7 +255,7 @@ def cmd_exact(args, parser) -> int:
     model, _ = _exact_model(args, parser)
     series = exact_coefficients(model, args.N)
     if args.oracle:
-        if model.kind == "standard":
+        if args.model == "standard":
             other = pentagonal_oracle(args.N)
             oracle_name = "pentagonal recurrence"
         else:
@@ -353,7 +355,7 @@ def _verify_checks():
     checks.append(
         (
             "hurwitz zeta'(0, 1/2) = -log(2)/2",
-            hurwitz_zeta_deriv0(mpf(1) / 2),
+            hurwitz_zeta_deriv(0, mpf(1) / 2),
             -mp.log(2) / 2,
             mpf("1e-12"),
         )

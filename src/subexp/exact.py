@@ -34,8 +34,6 @@ _LIMB_BYTES = 16
 class ExactSeries:
     """Coefficients c_0..c_N, exact (ints, or Fractions when needed)."""
 
-    model_kind: str
-    N: int
     coeffs: tuple
 
     def __getitem__(self, n: int):
@@ -166,17 +164,17 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
     if N == 0:
-        return ExactSeries(model.kind, 0, (1,))
+        return ExactSeries((1,))
     kl = lambda_coeffs(model, N).k_values
     if all(x.denominator == 1 for x in kl):
         kl = [int(x) for x in kl]
         c = _recurrence_int(kl, N)
         if c is not None:
-            return ExactSeries(model.kind, N, tuple(c))
+            return ExactSeries(tuple(c))
     c = _recurrence_frac([Fraction(x) for x in kl], N)
     if all(x.denominator == 1 for x in c):
         c = [int(x) for x in c]
-    return ExactSeries(model.kind, N, tuple(c))
+    return ExactSeries(tuple(c))
 
 
 def pentagonal_oracle(N: int) -> ExactSeries:
@@ -203,7 +201,7 @@ def pentagonal_oracle(N: int) -> ExactSeries:
                 total += sign * p[n - g2]
             k += 1
         p[n] = total
-    return ExactSeries("standard", N, tuple(p))
+    return ExactSeries(tuple(p))
 
 
 def product_dp(model: ModelSpec, N: int) -> ExactSeries:
@@ -248,4 +246,4 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
                 # time; each block adds the block before it, already summed
                 for i in range(j, N + 1, j):
                     c[i : i + j] = map(add, c[i : i + j], c[i - j : i])
-    return ExactSeries(model.kind, N, tuple(c))
+    return ExactSeries(tuple(c))

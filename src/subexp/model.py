@@ -91,6 +91,28 @@ class ModelSpec:
         return self.scale is None
 
 
+@dataclass(frozen=True)
+class QuasiPolynomial:
+    """Weight rule: b_j sums c*j^i over the terms (r, i, c) with j = r mod a.
+
+    Residues r lie in 1..a.  Callable as b_j, so it serves as a ModelSpec
+    weight; derive_spectrum reads the spectrum off its terms.
+    """
+
+    a: int
+    terms: tuple  # (r, i, c)
+
+    def __post_init__(self):
+        if self.a < 1 or not all(0 < r <= self.a and i >= 0 for r, i, _ in self.terms):
+            raise InvalidParametersError(f"need a >= 1, 0 < r <= a, i >= 0; got {self}")
+
+    def __call__(self, j: int) -> Fraction:
+        return Fraction(sum(c * j**i for r, i, c in self.terms if not (j - r) % self.a))
+
+
+_PRESET_TERMS = {"standard": ((1, 0, 1),), "roots": ((1, 0, 1), (1, 1, 2))}
+
+
 def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     """Build one of the three preset models.
 
@@ -98,29 +120,22 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     roots:           b_j = 2j+1   (part j repeated (j+1)^2 - j^2 times)
     congruent(a,b):  b_j = 1 iff j = b (mod a), else 0; requires gcd(a,b)=1
 
-    All presets use the multiset base and a_j = 1.
+    All presets use the multiset base, a_j = 1 and a QuasiPolynomial weight.
     """
-    if kind == "standard":
-        return ModelSpec("standard", MULTISET, lambda j: Fraction(1))
-    if kind == "roots":
-        return ModelSpec("roots", MULTISET, lambda j: Fraction(2 * j + 1))
-    if kind == "congruent":
-        if a is None or b is None:
-            raise InvalidParametersError("congruent preset needs parameters a and b")
-        if a < 1 or b < 1:
-            raise InvalidParametersError(f"need positive a, b; got a={a}, b={b}")
-        if math.gcd(a, b) != 1:
-            raise InvalidParametersError(
-                f"congruent preset requires gcd(a,b)=1; got gcd({a},{b})={math.gcd(a, b)}"
-            )
-        res = b % a
-        return ModelSpec(
-            "congruent",
-            MULTISET,
-            lambda j, _a=a, _r=res: Fraction(1 if j % _a == _r else 0),
-            params=(a, b),
+    if kind in _PRESET_TERMS:
+        return ModelSpec(kind, MULTISET, QuasiPolynomial(1, _PRESET_TERMS[kind]))
+    if kind != "congruent":
+        raise InvalidParametersError(f"unknown preset kind: {kind!r}")
+    if a is None or b is None:
+        raise InvalidParametersError("congruent preset needs parameters a and b")
+    if a < 1 or b < 1:
+        raise InvalidParametersError(f"need positive a, b; got a={a}, b={b}")
+    if math.gcd(a, b) != 1:
+        raise InvalidParametersError(
+            f"congruent preset requires gcd(a,b)=1; got gcd({a},{b})={math.gcd(a, b)}"
         )
-    raise InvalidParametersError(f"unknown preset kind: {kind!r}")
+    rule = QuasiPolynomial(a, (((b - 1) % a + 1, 0, 1),))
+    return ModelSpec("congruent", MULTISET, rule, params=(a, b))
 
 
 def custom_model(
@@ -149,7 +164,6 @@ class LambdaSeries:
     derived from it.
     """
 
-    model_kind: str
     k_values: tuple
 
     @property
@@ -183,7 +197,7 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
     if N < 1:
         raise InvalidParametersError(f"need N >= 1; got N={N}")
     if model.base is MULTISET and model.unit_scale:
-        return LambdaSeries(model.kind, tuple(_sieve_k_lambda(model, N)))
+        return LambdaSeries(tuple(_sieve_k_lambda(model, N)))
     vals = [Fraction(0)] * N
     for j in range(1, N + 1):
         bj = model.b(j)
@@ -197,7 +211,7 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
             if gm:
                 vals[j * m - 1] += bj * gm * ajm
     kvals = tuple(k * v for k, v in enumerate(vals, start=1))
-    return LambdaSeries(model.kind, kvals)
+    return LambdaSeries(kvals)
 
 
 def llt_condition_report(model: ModelSpec, n_max: int, q_max: int) -> list:

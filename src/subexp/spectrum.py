@@ -6,15 +6,13 @@ data: the positive simple poles rho_1 < ... < rho_r of Gamma(s)D(s) with
 residues h_l, the zero-pole constants A_0 = lim s*D(s) and h_0, and the
 values D(-1), D(-2), ... feeding the correction series.
 
-For the presets D(s) factors as zeta(s+1)*D_b(s) with
-
-    standard        D_b(s) = zeta(s)
-    roots           D_b(s) = 2 zeta(s-1) + zeta(s)
-    congruent(a,b)  D_b(s) = a^(-s) zeta(s, b/a)
-
-so every pole and residue is hard-wired analytically (h_l comes out of
-h_l = A_l zeta(rho_l+1) Gamma(rho_l), never from numerical pole
-hunting).  Custom models must supply their data explicitly.
+Every preset is a multiset model with a_j = 1 and a QuasiPolynomial
+weight, b_j = sum of c*j^i over the terms (r, i, c) with j = r (mod a).
+Then D(s) = zeta(s+1)*D_b(s) with D_b(s) = sum c*a^(i-s)*zeta(s-i, r/a),
+and one rule gives all the data: degree i is the pole rho = i+1 with
+h = A*zeta(rho+1)*Gamma(rho), A = (sum of its c)/a (Meinardus);
+A_0 = D_b(0); h_0 = D_b'(0) = sum c*a^i*zeta'(-i, r/a) - log(a)*A_0;
+D(-l) = zeta(1-l)*D_b(-l).  Other models must supply their data.
 """
 
 from dataclasses import dataclass
@@ -28,15 +26,9 @@ from .errors import (
     SpectrumDataError,
     SpectrumSchemaError,
 )
-from .model import ModelSpec
+from .model import MULTISET, ModelSpec, QuasiPolynomial
 from .precision import to_mpf
-from .specfun import (
-    euler_gamma,
-    hurwitz_zeta,
-    hurwitz_zeta_deriv0,
-    riemann_zeta,
-    riemann_zeta_deriv,
-)
+from .specfun import euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta
 
 # classification tolerance on 2*rho_{r-1} - rho_r; preset poles are exact
 # small integers, so this only guards custom input
@@ -76,10 +68,6 @@ class SpectralData:
     @property
     def rho_r(self) -> mpf:
         return self.poles[-1].rho
-
-    @property
-    def h_r(self) -> mpf:
-        return self.poles[-1].h
 
     @property
     def gap(self) -> Optional[mpf]:
@@ -145,52 +133,37 @@ def validate_spectrum(sd: SpectralData) -> ValidationReport:
     return ValidationReport(ordered, positive, gap, classification, tuple(messages))
 
 
-def _congruent_q(a: int, b: int) -> mpf:
-    # canonical residue representative in [1, a] so that the part set
-    # {j >= 1 : j = b (mod a)} is exactly {a(m + q) : m >= 0}
-    b_can = ((b - 1) % a) + 1
-    return mpf(b_can) / a
-
-
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
-    """Spectral data for a preset model, with d_neg up to D(-L).
+    """Spectral data for a quasi-polynomial model, with d_neg up to D(-L).
 
     L defaults to 8: in every preset the Delta-series terms beyond that
-    are below 1e-20 for all n >= 10.  Custom models have no derivable
+    are below 1e-20 for all n >= 10.  Other models have no derivable
     data; supply it via load_custom_spectrum.
     """
     if not (1 <= L <= 20):
         raise InvalidParametersError(f"need 1 <= L <= 20; got L={L}")
-    kind = model.kind
-    if kind == "standard":
-        poles = (Pole(mpf(1), riemann_zeta(2)),)
-        A0 = riemann_zeta(0)
-        h0 = riemann_zeta_deriv(0)
-        db = riemann_zeta
-        label = "standard"
-    elif kind == "roots":
-        poles = (
-            Pole(mpf(1), riemann_zeta(2)),
-            Pole(mpf(2), 2 * riemann_zeta(3)),
-        )
-        A0 = 2 * riemann_zeta(-1) + riemann_zeta(0)
-        h0 = 2 * riemann_zeta_deriv(-1) + riemann_zeta_deriv(0)
-        db = lambda s: 2 * riemann_zeta(s - 1) + riemann_zeta(s)
-        label = "roots"
-    elif kind == "congruent":
-        a, b = model.params
-        q = _congruent_q(a, b)
-        poles = (Pole(mpf(1), riemann_zeta(2) / a),)
-        A0 = hurwitz_zeta(0, q)
-        h0 = -mp.log(a) * A0 + hurwitz_zeta_deriv0(q)
-        db = lambda s, _a=a, _q=q: mpf(_a) ** (-s) * hurwitz_zeta(s, _q)
-        label = f"congruent({a},{b})"
-    else:
+    if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET
+            and model.unit_scale):
         raise CustomModelError(
-            f"no derivable spectral data for model kind {kind!r}; "
+            f"no derivable spectral data for model kind {model.kind!r}; "
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"
         )
-    d_neg = tuple(riemann_zeta(1 - l) * db(mpf(-l)) for l in range(1, L + 1))
+    a, terms = model.weight.a, model.weight.terms
+    csum = {}  # degree i -> sum of its c over all residues
+    for _, i, c in terms:
+        csum[i] = csum.get(i, 0) + c
+    poles = tuple(Pole(mpf(i + 1), c * riemann_zeta(i + 2) * mp.factorial(i) / a)
+                  for i, c in sorted(csum.items()) if c)
+    # every Hurwitz value zeta(s-i, r/a) that D_b(0), ..., D_b(-L) need, once
+    keys = {(s - i, r) for r, i, _ in terms for s in range(-L, 1)}
+    hz = {(m, r): hurwitz_zeta(m, mpf(r) / a) for m, r in keys}
+    db = lambda s: sum(c * a ** (i - s) * hz[s - i, r] for r, i, c in terms)
+    A0 = db(0)
+    h0 = sum(c * a**i * hurwitz_zeta_deriv(-i, mpf(r) / a) for r, i, c in terms)
+    h0 -= mp.log(a) * A0
+    d_neg = tuple(riemann_zeta(1 - l) * db(-l) for l in range(1, L + 1))
+    params = ",".join(map(str, model.params))
+    label = f"{model.kind}({params})" if params else model.kind
     return SpectralData(label, poles, A0, h0, d_neg)
 
 

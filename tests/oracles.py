@@ -48,19 +48,57 @@ def zeta_neg_bernoulli(n, q=1):
     return -mp.bernpoly(n + 1, mpmathify(q)) / (n + 1)
 
 
-def zeta_fd_deriv(s, dps_boost=25, h=mpf("1e-12")):
-    """zeta'(s) by central difference on mpmath's zeta at raised precision.
+def zeta_fd_deriv(s, dps_boost=25, h=mpf("1e-12"), q=1):
+    """d/ds zeta(s, q) by central difference on mpmath's zeta at raised precision.
 
-    Independent of the closed forms (no Glaisher constant, no log(2 pi));
-    accuracy ~h^2 once the working precision absorbs the cancellation.
+    Independent of the closed forms (no Glaisher constant, no log(2 pi))
+    and of mpmath's own derivative; accuracy ~h^2 once the working
+    precision absorbs the cancellation.
     """
     old = mp.dps
     try:
         mp.dps = old + dps_boost
-        val = (mp.zeta(mpmathify(s) + h) - mp.zeta(mpmathify(s) - h)) / (2 * h)
+        s, q = mpmathify(s), mpmathify(q)
+        val = (mp.zeta(s + h, q) - mp.zeta(s - h, q)) / (2 * h)
     finally:
         mp.dps = old
     return +val
+
+
+def preset_spectrum_closed_form(kind, L, a=1, b=1):
+    """(poles, A0, h0, d_neg) of a preset from its hand-derived factorisation.
+
+    D(s) = zeta(s+1)*D_b(s) with, per preset,
+
+        standard        D_b(s) = zeta(s)
+        roots           D_b(s) = 2 zeta(s-1) + zeta(s)
+        congruent(a,b)  D_b(s) = a^(-s) zeta(s, q),  q = ((b-1) mod a + 1)/a
+
+    so the poles are (1, zeta(2)), (2, 2 zeta(3)) and (1, zeta(2)/a),
+    h0 = D_b'(0) comes from zeta'(0) = -log(2 pi)/2, zeta'(-1) = 1/12 -
+    log A and Lerch's zeta'(0, q) = log Gamma(q) - log(2 pi)/2, and
+    d_neg[l-1] = zeta(1-l) D_b(-l).
+    """
+    z = mp.zeta
+    zeta_deriv0 = -mp.log(2 * mp.pi) / 2
+    if kind == "standard":
+        poles = [(1, z(2))]
+        A0 = z(0)
+        h0 = zeta_deriv0
+        db = z
+    elif kind == "roots":
+        poles = [(1, z(2)), (2, 2 * z(3))]
+        A0 = 2 * z(-1) + z(0)
+        h0 = 2 * (mpf(1) / 12 - mp.log(mp.glaisher)) + zeta_deriv0
+        db = lambda s: 2 * z(s - 1) + z(s)
+    else:
+        q = mpf((b - 1) % a + 1) / a
+        poles = [(1, z(2) / a)]
+        A0 = z(0, q)
+        h0 = -mp.log(a) * A0 + mp.loggamma(q) + zeta_deriv0
+        db = lambda s: mpf(a) ** (-s) * z(s, q)
+    d_neg = [z(1 - l) * db(-l) for l in range(1, L + 1)]
+    return poles, A0, h0, d_neg
 
 
 def bisect_root(f, lo, hi, iters=140):

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from subexp.cli import CSV_HEADER, main
+from subexp.errors import TruncationWarning
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +62,19 @@ def test_predict_log10(capsys):
     line = [l for l in out.splitlines() if "log10" in l][0]
     val = mpf(line.split(":")[1].strip())
     assert abs(val - mpf("19.1102259117952") / mp.log(10)) < mpf("1e-10")
+
+
+def test_predict_failure_prints_nothing(capsys):
+    # delta_n >= 1 at these n: the Khintchine estimate fails, and no
+    # partial answer may reach stdout
+    for model, n in (("roots", "3"), ("standard", "1")):
+        code, out, err = run(capsys, "predict", "--model", model, "--n", n)
+        assert (code, out) == (3, "")
+        assert "0 < tau < 1" in err
+    code, out, _ = run(capsys, "predict", "--model", "roots", "--n", "3",
+                       "--formula", "explicit")
+    assert code == 0
+    assert out.startswith("model: roots\nn: 3\nexplicit log c_n: ")
 
 
 def test_predict_rejects_n_zero(capsys):
@@ -195,8 +209,10 @@ def test_custom_spectrum_file(tmp_path, capsys):
                        "--N", "10")
     assert code == 0
     assert out.strip().splitlines()[-1] == "10 42"
-    code, out, _ = run(capsys, "compare", "--model", "custom", "--spec",
-                       str(spec), "--grid", "100:100:1")
+    # one stored d_neg term cannot meet the Khintchine correction tolerance
+    with pytest.warns(TruncationWarning):
+        code, out, _ = run(capsys, "compare", "--model", "custom", "--spec",
+                           str(spec), "--grid", "100:100:1")
     assert code == 0
     assert out.splitlines()[1].startswith("100,19.0655264239274")
 

@@ -10,6 +10,7 @@ from subexp.model import (
     MULTISET,
     SELECTION,
     ModelSpec,
+    QuasiPolynomial,
     custom_model,
     lambda_coeffs,
     llt_condition_report,
@@ -45,6 +46,13 @@ def test_congruent_requires_coprime():
         make_preset("congruent", 2, 0)
     with pytest.raises(InvalidParametersError):
         make_preset("congruent")
+
+
+def test_quasi_polynomial_rejects_bad_terms():
+    # modulus below 1, residue outside 1..a, negative degree
+    for a, terms in ((0, ()), (3, ((0, 0, 1),)), (3, ((4, 0, 1),)), (1, ((1, -1, 1),))):
+        with pytest.raises(InvalidParametersError):
+            QuasiPolynomial(a, terms)
 
 
 def test_unknown_preset():

@@ -8,7 +8,7 @@ from subexp.errors import DomainError, PoleError, UnsupportedPointError
 from subexp.specfun import (
     euler_gamma,
     hurwitz_zeta,
-    hurwitz_zeta_deriv0,
+    hurwitz_zeta_deriv,
     log_gamma,
     riemann_zeta,
     riemann_zeta_deriv,
@@ -86,7 +86,7 @@ def test_hurwitz_domain():
     with pytest.raises(PoleError):
         hurwitz_zeta(1, 0.5)
     with pytest.raises(DomainError):
-        hurwitz_zeta(-21, 0.5)
+        hurwitz_zeta(-22, 0.5)
     with pytest.raises(DomainError):
         hurwitz_zeta(2, 0)
     with pytest.raises(DomainError):
@@ -96,10 +96,30 @@ def test_hurwitz_domain():
 def test_hurwitz_deriv0_lerch():
     for q in (mpf(1), mpf(1) / 2, mpf(1) / 3, mpf("0.77")):
         want = log_gamma(q) - mp.log(2 * mp.pi) / 2
-        assert abs(hurwitz_zeta_deriv0(q) - want) < mpf("1e-12")
-    assert abs(hurwitz_zeta_deriv0(mpf(1) / 2) + mp.log(2) / 2) < mpf("1e-12")
+        assert abs(hurwitz_zeta_deriv(0, q) - want) < mpf("1e-12")
+    assert abs(hurwitz_zeta_deriv(0, mpf(1) / 2) + mp.log(2) / 2) < mpf("1e-12")
     with pytest.raises(DomainError):
-        hurwitz_zeta_deriv0(0)
+        hurwitz_zeta_deriv(0, 0)
+
+
+def test_hurwitz_deriv_away_from_zero():
+    # zeta'(-1, 1) = zeta'(-1) = 1/12 - log A, the Glaisher-Kinkelin
+    # constant; the closed form agrees with mpmath's numerical derivative
+    want = mpf(1) / 12 - mp.log(mp.glaisher)
+    assert abs(hurwitz_zeta_deriv(-1, 1) - want) < mpf("1e-30")
+    assert abs(mp.zeta(-1, 1, 1) - want) < mpf("1e-30")
+    for s, q in ((-3, mpf(1) / 3), (2, mpf("0.7"))):
+        want = zeta_fd_deriv(s, q=q)
+        assert abs(hurwitz_zeta_deriv(s, q) - want) < mpf("1e-18") * abs(want)
+
+
+def test_hurwitz_deriv_shares_the_domain():
+    with pytest.raises(PoleError):
+        hurwitz_zeta_deriv(1, 0.5)
+    for s, q in ((-22, 0.5), (41, 0.5), (-1, 0), (-1, 1.5)):
+        with pytest.raises(DomainError):
+            hurwitz_zeta_deriv(s, q)
+    assert hurwitz_zeta_deriv(-21, 0.5) == mp.zeta(-21, 0.5, 1)
 
 
 def test_log_gamma_values_and_recurrence():

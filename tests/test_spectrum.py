@@ -1,14 +1,19 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from oracles import ROOTS_H0, zeta_neg_bernoulli
+from oracles import ROOTS_H0, preset_spectrum_closed_form, zeta_neg_bernoulli
 from subexp.errors import (
     CustomModelError,
     InvalidParametersError,
     SpectrumDataError,
     SpectrumSchemaError,
 )
-from subexp.model import make_preset
+from subexp.model import MULTISET, SELECTION, ModelSpec, QuasiPolynomial, make_preset
 from subexp.spectrum import (
     CRITICAL,
     INELIGIBLE,
@@ -22,6 +27,16 @@ from subexp.spectrum import (
 from subexp.specfun import hurwitz_zeta, riemann_zeta
 
 TOL = mpf("1e-12")
+# the 47 presets of the benchmark sweep, plus a = 1 and two b > a
+PRESETS = (
+    [("standard",), ("roots",)]
+    + [("congruent", a, b) for a in range(2, 13) for b in range(1, a) if gcd(a, b) == 1]
+    + [("congruent", 1, 1), ("congruent", 3, 4), ("congruent", 5, 13)]
+)
+
+
+def close(got, want, rel=mpf("1e-30")):
+    return abs(got - want) <= rel * abs(want)
 
 
 def test_standard_spectrum():
@@ -115,6 +130,68 @@ def test_d_neg_at_L20_matches_bernoulli():
         for l in range(1, 21):
             want = z(l - 1) * db(l)
             assert abs(sd.d_neg[l - 1] - want) <= mpf("1e-30") * abs(want)
+
+
+@pytest.mark.parametrize("args", PRESETS, ids=lambda args: "-".join(map(str, args)))
+def test_derive_spectrum_matches_closed_forms(args):
+    sd = derive_spectrum(make_preset(*args), L=20)
+    poles, A0, h0, d_neg = preset_spectrum_closed_form(args[0], 20, *args[1:])
+    assert [p.rho for p in sd.poles] == [rho for rho, _ in poles]
+    for p, (_, h) in zip(sd.poles, poles):
+        assert close(p.h, h)
+    assert close(sd.A0, A0)
+    assert close(sd.h0, h0)
+    assert len(sd.d_neg) == 20
+    for got, want in zip(sd.d_neg, d_neg):
+        assert close(got, want)
+
+
+SPOOFED = {
+    "standard-name-on-distinct-parts": ModelSpec("standard", SELECTION, lambda j: 1),
+    "roots-name-on-unit-weights": ModelSpec("roots", MULTISET, lambda j: 1),
+    "preset-weight-selection-base": ModelSpec(
+        "standard", SELECTION, make_preset("standard").weight),
+    "preset-weight-non-unit-scale": ModelSpec(
+        "standard", MULTISET, make_preset("standard").weight,
+        scale=lambda j: Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPOOFED))
+def test_derive_spectrum_reads_the_weights_not_the_kind(name):
+    with pytest.raises(CustomModelError):
+        derive_spectrum(SPOOFED[name])
+
+
+# (a, r, c0, c1): b_j = c0 + c1*j on the residue class r mod a
+linear_on_a_class = st.integers(1, 12).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, a), st.integers(0, 3),
+                        st.integers(0, 3))
+).filter(lambda t: t[2] or t[3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_on_a_class)
+def test_quasi_polynomial_spectrum_matches_bernoulli(params):
+    # against zeta(-n, q) = -B_{n+1}(q)/(n+1) and h = (c_i/a) zeta(i+2) i!
+    a, r, c0, c1 = params
+    model = ModelSpec("qp", MULTISET, QuasiPolynomial(a, ((r, 0, c0), (r, 1, c1))))
+    for j in range(1, 3 * a + 1):
+        assert model.b(j) == (c0 + c1 * j if j % a == r % a else 0)
+    sd = derive_spectrum(model, L=6)
+    q, z = mpf(r) / a, zeta_neg_bernoulli
+
+    def db(l):  # D_b(-l)
+        return c0 * mpf(a) ** l * z(l, q) + c1 * mpf(a) ** (l + 1) * z(l + 1, q)
+
+    assert close(sd.A0, db(0))
+    for l in range(1, 7):
+        assert close(sd.d_neg[l - 1], z(l - 1) * db(l))
+    want = [(i + 1, mpf(c) / a * mp.zeta(i + 2) * mp.factorial(i))
+            for i, c in enumerate((c0, c1)) if c]
+    assert [p.rho for p in sd.poles] == [rho for rho, _ in want]
+    for p, (_, h) in zip(sd.poles, want):
+        assert close(p.h, h)
 
 
 def test_theta_consistency():
