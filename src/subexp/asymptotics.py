@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DomainError, IneligibleSpectrumError, TruncationWarning
-from .khintchine import solve_delta
+from .khintchine import khintchine_lhs, solve_delta
 from .precision import to_mpf
 from .spectrum import CRITICAL, INELIGIBLE, SpectralData, validate_spectrum
 
@@ -128,11 +128,14 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     The Gaussian prefactor carries the local variance rho_r h_r (rho_r+1)
     of the tilted distribution; with it, the estimate and the explicit
     formula agree to o(1) (their shared derivation fixes the constant).
-    Requires delta_n < 1 for the correction series, which holds for
-    every preset once n is at least a few units.
+    Requires delta_n < 1 for the correction series; the DomainError
+    otherwise names n_min, the least n with lhs(1) < n (6 for roots).
     """
-    sol = solve_delta(sd, n)
-    delta = sol.delta
+    delta = solve_delta(sd, n).delta
+    if not delta < 1:
+        n_min = max(1, int(mp.floor(khintchine_lhs(sd, 1))) + 1)
+        raise DomainError(f"correction series needs 0 < tau < 1, so n >= {n_min}; "
+                          f"got tau = delta_n = {delta} at n = {n}")
     rho_r, h_r = sd.poles[-1]
     log_delta = mp.log(delta)
     prefactor = (rho_r / 2 + 1) * log_delta - mp.log(

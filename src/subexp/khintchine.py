@@ -4,13 +4,14 @@
 
 has a unique positive solution delta_n for every n > D(-1); z_n = 1/delta_n
 is the scale at which the generating function is tilted.  The left side is
-strictly decreasing where it matters, so we bracket the root first and run
-Newton safeguarded by bisection inside the bracket.
+close to a power law in delta, so we run Newton in log(delta) from the
+two-term expansion of z_n, safeguarded by bisection (rtsafe, Numerical
+Recipes 9.4).
 """
 
 from typing import NamedTuple
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import (
     DomainError,
@@ -28,13 +29,11 @@ BRACKET_MAX = mpf("1e12")
 
 class KhintchineSolution(NamedTuple):
     delta: mpf
-    z: mpf
     residual: mpf
     iterations: int
     bracket: tuple
     newton_steps: int
     bisection_steps: int
-    bracket_widths: tuple
 
 
 def residual_tolerance(n) -> mpf:
@@ -95,39 +94,15 @@ def initial_guess(sd: SpectralData, n) -> mpf:
     return best
 
 
-def _bracket(sd: SpectralData, n, d0):
-    # geometric expansion from the initial guess until F changes sign;
-    # F(delta) = lhs - n is positive left of the root, negative right
-    f0 = khintchine_lhs(sd, d0) - n
-    if f0 > 0:
-        lo, flo = d0, f0
-        hi = d0
-        while True:
-            hi = hi * 2
-            if hi > BRACKET_MAX:
-                raise NoBracketError(
-                    f"no sign change in [{d0}, {BRACKET_MAX}] for n={n}"
-                )
-            fhi = khintchine_lhs(sd, hi) - n
-            if fhi <= 0:
-                return lo, hi
-            lo, flo = hi, fhi
-    lo = d0
-    while True:
-        lo = lo / 2
-        if lo < BRACKET_MIN:
-            raise NoBracketError(f"no sign change in [{BRACKET_MIN}, {d0}] for n={n}")
-        flo = khintchine_lhs(sd, lo) - n
-        if flo >= 0:
-            return lo, d0
-
-
 def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
-    """Solve for delta_n to residual max(1e-10*n, 1e-12).
+    """Solve for delta_n by Newton in log(delta) from 1/initial_guess.
 
-    Newton on F(delta) = lhs(delta) - n; any step leaving the current
-    bracket is replaced by bisection, so the bracket width never grows.
-    Per-iteration widths are returned for diagnostics.
+    Iterates narrow the bracket [BRACKET_MIN, BRACKET_MAX] by the sign of
+    F = lhs - n; a step leaving it becomes the geometric bisection.  Stops at
+    |F| <= max(1e-10*n, 1e-12) with a log-step (the relative error) below
+    sqrt(eps): delta is exact to about half the working precision on any
+    path, and lo < delta < hi strictly.  iterations counts the steps taken.
+    A seed or root outside the initial bracket raises NoBracketError.
     """
     n = to_mpf(n)
     if not n >= 1:
@@ -137,40 +112,29 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
             f"no positive solution: need n > D(-1) = {sd.d1()}; got n={n}"
         )
     tol = residual_tolerance(n)
-    d0 = 1 / initial_guess(sd, n)
-    f0 = khintchine_lhs(sd, d0) - n
-    if abs(f0) <= tol:
-        return KhintchineSolution(d0, 1 / d0, f0, 0, (d0 / 2, d0 * 2), 0, 0, ())
-    lo, hi = _bracket(sd, n, d0)
-    widths = []
-    newton_steps = 0
-    bisection_steps = 0
-    x = (lo + hi) / 2
-    for it in range(1, MAX_ITER + 1):
+    lo, hi = BRACKET_MIN, BRACKET_MAX
+    x = 1 / initial_guess(sd, n)
+    if not lo < x < hi:
+        raise NoBracketError(f"seed delta={x} outside [{lo}, {hi}] for n={n}")
+    newtons = 0
+    bisections = 0
+    for it in range(MAX_ITER + 1):
         fx = khintchine_lhs(sd, x) - n
-        if abs(fx) <= tol:
-            # bracket not updated with x itself, so lo < x < hi strictly
-            return KhintchineSolution(
-                x, 1 / x, fx, it, (lo, hi), newton_steps, bisection_steps,
-                tuple(widths),
-            )
+        dfx = x * khintchine_lhs_deriv(sd, x)
+        step = -fx / dfx if dfx else mp.inf
+        if abs(fx) <= tol and abs(step) <= mp.sqrt(mp.eps):
+            return KhintchineSolution(x, fx, it, (lo, hi), newtons, bisections)
         if fx > 0:
             lo = x
         else:
             hi = x
-        widths.append(hi - lo)
-        step_ok = False
-        dfx = khintchine_lhs_deriv(sd, x)
-        if dfx != 0:
-            x_new = x - fx / dfx
-            if lo < x_new < hi:
-                step_ok = True
-        if step_ok:
-            newton_steps += 1
+        x_new = x * mp.exp(step)
+        if lo < x_new < hi:
+            newtons += 1
             x = x_new
         else:
-            bisection_steps += 1
-            x = (lo + hi) / 2
-    raise NonConvergenceError(
-        f"no convergence after {MAX_ITER} iterations (n={n}, bracket=({lo}, {hi}))"
-    )
+            bisections += 1
+            x = mp.sqrt(lo * hi)
+    if lo == BRACKET_MIN or hi == BRACKET_MAX:
+        raise NoBracketError(f"no root in [{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
+    raise NonConvergenceError(f"no convergence after {MAX_ITER} iterations for n={n}")

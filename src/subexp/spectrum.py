@@ -71,8 +71,8 @@ class SpectralData:
 
     @property
     def gap(self) -> Optional[mpf]:
-        """2*rho_{r-1} - rho_r, the eligibility gap; None when r = 1."""
-        if self.r == 1:
+        """2*rho_{r-1} - rho_r, the eligibility gap; None when r <= 1."""
+        if self.r <= 1:
             return None
         return 2 * self.poles[-2].rho - self.poles[-1].rho
 
@@ -154,6 +154,9 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
         csum[i] = csum.get(i, 0) + c
     poles = tuple(Pole(mpf(i + 1), c * riemann_zeta(i + 2) * mp.factorial(i) / a)
                   for i, c in sorted(csum.items()) if c)
+    if not poles:
+        raise InvalidParametersError(
+            f"{model.kind}: no degree has a nonzero coefficient sum, so no pole")
     # every Hurwitz value zeta(s-i, r/a) that D_b(0), ..., D_b(-L) need, once
     keys = {(s - i, r) for r, i, _ in terms for s in range(-L, 1)}
     hz = {(m, r): hurwitz_zeta(m, mpf(r) / a) for m, r in keys}

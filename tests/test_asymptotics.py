@@ -1,4 +1,5 @@
 import warnings
+from math import gcd
 
 import pytest
 from mpmath import mp, mpf
@@ -90,6 +91,29 @@ def test_q_constant_branches():
         q_constant(inel)
     with pytest.raises(IneligibleSpectrumError):
         log_estimate_explicit(inel, 100)
+
+
+def test_khintchine_domain_error_names_the_first_valid_n():
+    presets = [("standard",), ("roots",)] + [
+        ("congruent", a, b) for a in range(2, 13) for b in range(1, a) if gcd(a, b) == 1
+    ]
+    first = {}
+    for args in presets:
+        sd = derive_spectrum(make_preset(*args))
+        n, message = 1, None
+        while True:
+            try:
+                log_estimate_khintchine(sd, n)
+                break
+            except DomainError as exc:
+                message = str(exc)
+            n += 1
+        first[args] = n
+        if message is not None:
+            assert "0 < tau < 1" in message
+            assert f"n >= {n};" in message, (args, message)
+    assert first[("roots",)] == 6
+    assert first[("standard",)] == 2
 
 
 def test_khintchine_estimate_standard():

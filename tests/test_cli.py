@@ -77,6 +77,13 @@ def test_predict_failure_prints_nothing(capsys):
     assert out.startswith("model: roots\nn: 3\nexplicit log c_n: ")
 
 
+def test_predict_failure_names_the_smallest_n(capsys):
+    code, out, err = run(capsys, "predict", "--model", "roots", "--n", "5")
+    assert (code, out) == (3, "")
+    assert "0 < tau < 1" in err
+    assert "n >= 6" in err
+
+
 def test_predict_rejects_n_zero(capsys):
     code, _, _ = run(capsys, "predict", "--model", "standard", "--n", "0")
     assert code == 2

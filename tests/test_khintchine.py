@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from mpmath import mp, mpf
 
@@ -8,7 +10,7 @@ from oracles import (
     bisect_delta,
     tilt_equation_lhs,
 )
-from subexp.errors import DomainError, InvalidParametersError
+from subexp.errors import DomainError, InvalidParametersError, NoBracketError
 from subexp.khintchine import (
     initial_guess,
     khintchine_lhs,
@@ -17,12 +19,16 @@ from subexp.khintchine import (
     solve_delta,
 )
 from subexp.model import make_preset
-from subexp.spectrum import derive_spectrum
+from subexp.spectrum import Pole, SpectralData, derive_spectrum
 
 STD = derive_spectrum(make_preset("standard"))
 ROOTS = derive_spectrum(make_preset("roots"))
 CONG = derive_spectrum(make_preset("congruent", 2, 1))
 PRESETS = (STD, ROOTS, CONG)
+# the 47 presets of the benchmark sweep
+ALL_PRESETS = [("standard",), ("roots",)] + [
+    ("congruent", a, b) for a in range(2, 13) for b in range(1, a) if gcd(a, b) == 1
+]
 
 
 def test_lhs_standard_at_one():
@@ -147,9 +153,6 @@ def test_solver_diagnostics():
             assert lo < sol.delta < hi
             assert sol.iterations <= 200
             assert sol.newton_steps + sol.bisection_steps <= sol.iterations
-            widths = sol.bracket_widths
-            assert all(w2 <= w1 for w1, w2 in zip(widths, widths[1:]))
-            assert abs(sol.z * sol.delta - 1) < mpf("1e-30")
 
 
 def test_solve_delta_preconditions():
@@ -158,3 +161,43 @@ def test_solve_delta_preconditions():
     # n must exceed D(-1); D(-1)=1/24 for the standard model, so n >= 1 passes
     sol = solve_delta(STD, 1)
     assert sol.delta > 0
+
+
+def test_solve_delta_is_polished_to_half_precision():
+    # the residual tolerance alone left delta off by ~5e-12 relative here
+    for args, n in ((("roots",), 1000), (("congruent", 3, 1), 810)):
+        sd = derive_spectrum(make_preset(*args))
+        want = bisect_delta([(p.rho, p.h) for p in sd.poles], sd.A0, sd.d_neg[0], n)
+        assert abs(solve_delta(sd, n).delta / want - 1) < mpf("1e-18")
+
+
+@pytest.mark.parametrize("dps", (15, 20, 38, 60))
+def test_newton_from_the_seed_needs_no_bisection(dps):
+    with mp.workdps(dps):
+        for args in ALL_PRESETS:
+            sd = derive_spectrum(make_preset(*args))
+            for n in [*range(2, 60), *(10**k for k in range(2, 9))]:
+                sol = solve_delta(sd, n)
+                assert sol.bisection_steps == 0, (args, n)
+                assert sol.iterations <= 7, (args, n)
+                assert abs(sol.residual) <= residual_tolerance(n), (args, n)
+
+
+def _one_pole(h, A0, d1):
+    return SpectralData("one pole", (Pole(mpf(1), mpf(h)),), mpf(A0), mpf(0), (mpf(d1),))
+
+
+def test_root_outside_the_bracket_raises():
+    # root and seed at delta = 1e-15
+    with pytest.raises(NoBracketError):
+        solve_delta(_one_pole("1e-30", 0, 0), 1)
+    # seed at delta = 1, root near A0/(n - D(-1)) = 1e13
+    with pytest.raises(NoBracketError):
+        solve_delta(_one_pole(1, "1e-7", 1 - mpf("1e-20")), 1)
+
+
+def test_flat_seed_falls_back_to_bisection():
+    # lhs = delta^-2 - 2/delta has zero slope at the seed delta = 1
+    sol = solve_delta(_one_pole(1, -2, 0), 1)
+    assert sol.bisection_steps >= 1
+    assert abs(sol.delta - (mp.sqrt(2) - 1)) < mpf("1e-18")

@@ -215,6 +215,22 @@ def test_derive_spectrum_rejects_custom():
         derive_spectrum(custom_model([1, 2, 3]))
 
 
+def test_derive_spectrum_rejects_weights_without_a_pole():
+    # b_j = 0, and b_j = (-1)^(j+1): no degree has a nonzero coefficient sum
+    for weight in (QuasiPolynomial(1, ((1, 0, 0),)),
+                   QuasiPolynomial(2, ((1, 0, 1), (2, 0, -1)))):
+        with pytest.raises(InvalidParametersError):
+            derive_spectrum(ModelSpec("no pole", MULTISET, weight))
+
+
+def test_validation_reports_no_poles():
+    empty = SpectralData("empty", (), mpf(0), mpf(0), (mpf(0),))
+    assert empty.gap is None
+    report = validate_spectrum(empty)
+    assert not report.ok
+    assert "no poles" in report.messages
+
+
 def test_classification():
     assert validate_spectrum(derive_spectrum(make_preset("standard"))).classification == SUBCRITICAL
     report = validate_spectrum(derive_spectrum(make_preset("roots")))
