@@ -1,38 +1,48 @@
 """Watch the saddle-point equation being solved as n grows.
 
 The tilt delta = -log z balances the expected size of a random weighted
-partition against the target n.  Newton in log(delta) from a power-law
-initial guess converges in a handful of steps, with no bisection; the
-residual stays far below the max(1e-10 n, 1e-12) contract.
+partition against the target n.  solve_delta first runs Newton on
+log lhs - log n in Python floats, from the power law
+(rho_r h_r / n)^(1/(rho_r+1)); that lands within float rounding of the
+root, so the polish by Newton in log(delta) at the working precision
+needs one or two evaluations of the equation.  When floats cannot reach
+the root (overflow, underflow, lhs <= 0, an iterate outside the
+bracket), the same loop starts from the two-term expansion of 1/delta
+instead and bisects wherever a Newton step would leave its bracket.  The
+residual stays far below the max(1e-10 n, 1e-12) contract either way.
 """
 
-from mpmath import mp
+from mpmath import mp, mpf
 
-from subexp import derive_spectrum, initial_guess, make_preset, solve_delta
+from subexp import Pole, SpectralData, derive_spectrum, initial_guess, make_preset, solve_delta
 
 sd = derive_spectrum(make_preset("standard"))
 
-print("n, delta, residual, iterations, newton/bisection steps, relative guess error")
+print("n, delta, residual, evaluations at 38 digits, newton/bisection steps, "
+      "two-term expansion error")
 for k in range(1, 9):
     n = 10**k
     sol = solve_delta(sd, n)
     z = 1 / sol.delta
     guess_err = abs(z - initial_guess(sd, n)) / z
     print(f"  1e{k}: delta={mp.nstr(sol.delta, 12)}  res={mp.nstr(sol.residual, 3)}  "
-          f"it={sol.iterations} steps={sol.newton_steps}/{sol.bisection_steps}  "
-          f"guess off by {mp.nstr(guess_err, 3)}")
+          f"evals={sol.iterations + 1} steps={sol.newton_steps}/{sol.bisection_steps}  "
+          f"expansion off by {mp.nstr(guess_err, 3)}")
 
-# the iterates narrow the bracket, which stays strictly around the root
-sol = solve_delta(sd, 100)
+# the float seed leaves less to polish at lower precision
+print()
+for dps in (15, 20, 38, 60):
+    with mp.workdps(dps):
+        sol = solve_delta(derive_spectrum(make_preset("roots")), 1000)
+        print(f"roots n=1000 at {dps} digits: delta={mp.nstr(sol.delta, 12)} "
+              f"after {sol.iterations + 1} evaluation(s)")
+
+# lhs = delta^-2 - 2/delta is -1 at the float seed delta = 1, so the float
+# phase hands over; the fallback loop narrows its bracket around the root
+flat = SpectralData("flat", (Pole(mpf(1), mpf(1)),), mpf(-2), mpf(0), (mpf(0),))
+sol = solve_delta(flat, 1)
 lo, hi = sol.bracket
 print()
-print(f"n=100 final bracket: {mp.nstr(lo, 20)} < {mp.nstr(sol.delta, 20)} "
-      f"< {mp.nstr(hi, 20)} after {sol.iterations} steps")
-
-# two-pole model: the secondary pole perturbs the first guess; its
-# correction term keeps the seed close enough for pure Newton
-sd2 = derive_spectrum(make_preset("roots"))
-for n in (10, 1000, 100000):
-    sol = solve_delta(sd2, n)
-    print(f"roots n={n}: delta={mp.nstr(sol.delta, 12)} in "
-          f"{sol.iterations} iterations ({sol.bisection_steps} bisections)")
+print(f"fallback: delta={mp.nstr(sol.delta, 20)} (sqrt(2) - 1) in "
+      f"{sol.iterations} steps, {sol.bisection_steps} bisections; "
+      f"final bracket {mp.nstr(lo, 6)} < delta < {mp.nstr(hi, 6)}")

@@ -15,6 +15,7 @@ sum is exactly the returned log value.
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -116,6 +117,34 @@ def q_constant(sd: SpectralData) -> mpf:
     return sd.h0
 
 
+def _half_log_variance(sd: SpectralData) -> mpf:
+    """(1/2) log(2 pi rho_r h_r (rho_r+1)), the Gaussian prefactor's log."""
+    rho_r, h_r = sd.poles[-1]
+    return mp.log(2 * mp.pi * rho_r * h_r * (rho_r + 1)) / 2
+
+
+class _ExplicitConstants(NamedTuple):
+    prefactor: mpf
+    kappa: mpf
+    Q: mpf
+    powers: tuple  # (coefficient, exponent) of each n^(rho_l/(rho_r+1)) term
+
+
+def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
+    """Everything in the explicit formula but n, built once per spectrum
+    (SpectralData.memo); raises IneligibleSpectrumError through q_constant."""
+    Q = q_constant(sd)
+    rho_r, h_r = sd.poles[-1]
+    rh = rho_r * h_r
+    prefactor = -mp.log(2 * mp.pi * rh * (rho_r + 1)) / 2 + (
+        (rho_r + 2 - 2 * sd.A0) / (2 * (rho_r + 1))
+    ) * mp.log(rh)
+    powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r / (rho_r + 1))]
+    for rho, h in sd.poles[:-1]:
+        powers.append((h * rh ** (-rho / (rho_r + 1)), rho / (rho_r + 1)))
+    return _ExplicitConstants(prefactor, kappa(sd), Q, tuple(powers))
+
+
 def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     """Khintchine-form estimate of log c_n at the solved delta_n.
 
@@ -136,11 +165,8 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
         n_min = max(1, int(mp.floor(khintchine_lhs(sd, 1))) + 1)
         raise DomainError(f"correction series needs 0 < tau < 1, so n >= {n_min}; "
                           f"got tau = delta_n = {delta} at n = {n}")
-    rho_r, h_r = sd.poles[-1]
     log_delta = mp.log(delta)
-    prefactor = (rho_r / 2 + 1) * log_delta - mp.log(
-        2 * mp.pi * rho_r * h_r * (rho_r + 1)
-    ) / 2
+    prefactor = (sd.rho_r / 2 + 1) * log_delta - sd.memo(_half_log_variance)
     power = -sd.A0 * log_delta
     exponent = n * delta
     for rho, h in sd.poles:
@@ -165,28 +191,20 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
         + sum_{l=1}^{r-1} h_l (rho_r h_r)^(-rho_l/(rho_r+1)) n^(rho_l/(rho_r+1))
 
     Only valid for subcritical or critical spectra (q_constant raises
-    otherwise).
+    otherwise).  Everything but n is built once per spectrum and working
+    precision and kept on sd (SpectralData.memo).
     """
     if n < 1:
         raise DomainError(f"need n >= 1; got n={n}")
-    Q = q_constant(sd)
-    rho_r, h_r = sd.poles[-1]
-    rh = rho_r * h_r
+    c = sd.memo(_explicit_constants)
     nn = to_mpf(n)
-    prefactor = -mp.log(2 * mp.pi * rh * (rho_r + 1)) / 2 + (
-        (rho_r + 2 - 2 * sd.A0) / (2 * (rho_r + 1))
-    ) * mp.log(rh)
-    power = kappa(sd) * mp.log(nn)
-    exponent = (1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)) * nn ** (
-        rho_r / (rho_r + 1)
-    )
-    for rho, h in sd.poles[:-1]:
-        exponent += h * rh ** (-rho / (rho_r + 1)) * nn ** (rho / (rho_r + 1))
+    power = c.kappa * mp.log(nn)
+    exponent = sum(coef * nn**e for coef, e in c.powers)
     terms = {
-        "prefactor_log": prefactor,
+        "prefactor_log": c.prefactor,
         "power_log": power,
         "exponent_sum": exponent,
-        "Q_or_delta": Q,
+        "Q_or_delta": c.Q,
     }
     return LogEstimate(EXPLICIT, int(n), sum(terms.values()), terms)
 

@@ -4,11 +4,17 @@
 
 has a unique positive solution delta_n for every n > D(-1); z_n = 1/delta_n
 is the scale at which the generating function is tilted.  The left side is
-close to a power law in delta, so we run Newton in log(delta) from the
-two-term expansion of z_n, safeguarded by bisection (rtsafe, Numerical
-Recipes 9.4).
+close to a power law in delta, so log(lhs) is close to linear in
+u = log(delta).  The solver runs Newton on log lhs(e^u) - log n in Python
+floats from the leading term (rho_r h_r / n)^(1/(rho_r+1)), then polishes
+that root by Newton in log(delta) at the working precision, safeguarded by
+bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
+root, the same safeguarded loop starts instead from the two-term expansion
+of z_n (initial_guess).
 """
 
+import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -25,6 +31,11 @@ from .spectrum import SpectralData
 MAX_ITER = 200
 BRACKET_MIN = mpf("1e-12")
 BRACKET_MAX = mpf("1e12")
+# the float phase: its step cap, its convergence threshold on the log-step
+# (far below float rounding once squared), and its bracket
+FLOAT_MAX_ITER = 16
+FLOAT_STEP_TOL = 1e-12
+_FLOAT_BRACKET = (float(BRACKET_MIN), float(BRACKET_MAX))
 
 
 class KhintchineSolution(NamedTuple):
@@ -36,10 +47,18 @@ class KhintchineSolution(NamedTuple):
     bisection_steps: int
 
 
+@lru_cache(maxsize=None)
+def _stop_constants(prec: int) -> tuple:
+    """1e-10, 1e-12 and sqrt(eps) at a precision of prec bits."""
+    with mp.workprec(prec):
+        return mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)
+
+
 def residual_tolerance(n) -> mpf:
     # lhs grows like n, so a pure absolute tolerance is unattainable at
     # large n in fixed precision
-    return max(mpf("1e-10") * n, mpf("1e-12"))
+    rel, floor, _ = _stop_constants(mp.prec)
+    return max(rel * n, floor)
 
 
 def khintchine_lhs(sd: SpectralData, delta) -> mpf:
@@ -94,15 +113,81 @@ def initial_guess(sd: SpectralData, n) -> mpf:
     return best
 
 
-def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
-    """Solve for delta_n by Newton in log(delta) from 1/initial_guess.
+def _pole_factors(sd: SpectralData) -> tuple:
+    """(h rho, -rho-1, rho+1) per pole, the constants of _lhs_and_slope."""
+    return tuple((h * rho, -rho - 1, rho + 1) for rho, h in sd.poles)
 
-    Iterates narrow the bracket [BRACKET_MIN, BRACKET_MAX] by the sign of
-    F = lhs - n; a step leaving it becomes the geometric bisection.  Stops at
-    |F| <= max(1e-10*n, 1e-12) with a log-step (the relative error) below
-    sqrt(eps): delta is exact to about half the working precision on any
-    path, and lo < delta < hi strictly.  iterations counts the steps taken.
-    A seed or root outside the initial bracket raises NoBracketError.
+
+def _lhs_and_slope(sd: SpectralData, x):
+    """lhs(x) and x*lhs'(x) together, with one power per pole."""
+    a0 = sd.A0 / x
+    lhs = sd.d1() + a0
+    slope = -a0
+    for c, e, k in sd.memo(_pole_factors):
+        t = c * x**e
+        lhs += t
+        slope -= k * t
+    return lhs, slope
+
+
+def _as_float(v) -> float:
+    f = float(v)
+    if not math.isfinite(f) or (f == 0 and v != 0):
+        raise OverflowError(f"{v} is out of float range")
+    return f
+
+
+def _float_root(sd: SpectralData, n) -> "float | None":
+    """delta_n by Newton on log lhs(e^u) - log n in floats, from the leading
+    term (rho_r h_r / n)^(1/(rho_r+1)).
+
+    None when floats cannot reach the root: a value overflows, underflows or
+    is not finite, lhs <= 0, an iterate leaves [BRACKET_MIN, BRACKET_MAX], or
+    FLOAT_MAX_ITER steps do not converge.
+    """
+    try:
+        nf, a0, d1 = _as_float(n), _as_float(sd.A0), _as_float(sd.d1())
+        poles = [(_as_float(rho), _as_float(h)) for rho, h in sd.poles]
+        rho_r, h_r = poles[-1]
+        x = (rho_r * h_r / nf) ** (1 / (rho_r + 1))
+        lo, hi = _FLOAT_BRACKET
+        for _ in range(FLOAT_MAX_ITER):
+            if not lo < x < hi:
+                return None
+            lhs = d1 + a0 / x
+            slope = -a0 / x
+            for rho, h in poles:
+                t = h * rho * x ** (-rho - 1)
+                if t == 0:
+                    return None
+                lhs += t
+                slope -= (rho + 1) * t
+            if not (lhs > 0 and math.isfinite(lhs) and math.isfinite(slope)):
+                return None
+            step = -math.log(lhs / nf) * lhs / slope
+            x *= math.exp(step)
+            if abs(step) <= FLOAT_STEP_TOL:
+                return x if lo < x < hi else None
+    except (OverflowError, ZeroDivisionError, ValueError):
+        pass
+    return None
+
+
+def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
+    """Solve for delta_n: a float root polished by Newton in log(delta).
+
+    The seed is the float-phase root (_float_root) or, when floats cannot
+    reach it, 1/initial_guess.  Each step evaluates lhs and delta*lhs'
+    together; iterates narrow the bracket [BRACKET_MIN, BRACKET_MAX] by the
+    sign of F = lhs - n, and a step leaving it becomes the geometric
+    bisection.  Where lhs > 0 the step is Newton's on log lhs - log n, which
+    moves as fast far from the root as near it.  Stops at
+    |F| <= max(1e-10*n, 1e-12) with a log-step -F/(delta*lhs') (the relative
+    error) below sqrt(eps): delta is exact to about half the working
+    precision on any path, and lo < delta < hi strictly.  iterations counts
+    the working-precision steps taken, so the loop evaluates lhs
+    iterations + 1 times.  A seed or root outside the initial bracket raises
+    NoBracketError.
     """
     n = to_mpf(n)
     if not n >= 1:
@@ -112,22 +197,26 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
             f"no positive solution: need n > D(-1) = {sd.d1()}; got n={n}"
         )
     tol = residual_tolerance(n)
+    step_tol = _stop_constants(mp.prec)[2]
     lo, hi = BRACKET_MIN, BRACKET_MAX
-    x = 1 / initial_guess(sd, n)
+    x = _float_root(sd, n)
+    x = 1 / initial_guess(sd, n) if x is None else mpf(x)
     if not lo < x < hi:
         raise NoBracketError(f"seed delta={x} outside [{lo}, {hi}] for n={n}")
     newtons = 0
     bisections = 0
     for it in range(MAX_ITER + 1):
-        fx = khintchine_lhs(sd, x) - n
-        dfx = x * khintchine_lhs_deriv(sd, x)
-        step = -fx / dfx if dfx else mp.inf
-        if abs(fx) <= tol and abs(step) <= mp.sqrt(mp.eps):
+        lhs, slope = _lhs_and_slope(sd, x)
+        fx = lhs - n
+        step = -fx / slope if slope else mp.inf
+        if abs(fx) <= tol and abs(step) <= step_tol:
             return KhintchineSolution(x, fx, it, (lo, hi), newtons, bisections)
         if fx > 0:
             lo = x
         else:
             hi = x
+        if lhs > 0 and slope:
+            step = -mp.log(lhs / n) * lhs / slope
         x_new = x * mp.exp(step)
         if lo < x_new < hi:
             newtons += 1

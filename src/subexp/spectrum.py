@@ -83,6 +83,22 @@ class SpectralData:
     def d1(self) -> mpf:
         return self.d_neg[0]
 
+    def memo(self, build):
+        """build(self), computed once per working precision and kept on
+        this instance, so it goes when the instance goes.
+
+        For values derived from the fields only: ==, hash and repr read the
+        fields alone, and a change of mp.prec rebuilds.  A build that raises
+        stores nothing.
+        """
+        # a frozen instance's __dict__ is writable, as for cached_property
+        slot = self.__dict__.setdefault("_memo", {})
+        prec, value = slot.get(build, (None, None))
+        if prec != mp.prec:
+            value = build(self)
+            slot[build] = (mp.prec, value)
+        return value
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from math import gcd
 
@@ -91,6 +92,40 @@ def test_q_constant_branches():
         q_constant(inel)
     with pytest.raises(IneligibleSpectrumError):
         log_estimate_explicit(inel, 100)
+
+
+def test_estimate_constants_follow_the_working_precision():
+    sd = derive_spectrum(make_preset("roots"))
+    at38 = [f(sd, 1000) for f in (log_estimate_explicit, log_estimate_khintchine)]
+    with mp.workdps(60):
+        got = [f(sd, 1000) for f in (log_estimate_explicit, log_estimate_khintchine)]
+        fresh = dataclasses.replace(sd)
+        want = [f(fresh, 1000) for f in (log_estimate_explicit, log_estimate_khintchine)]
+    for g, w, old in zip(got, want, at38):
+        assert g.log_value == w.log_value and g.terms == w.terms
+        assert g.log_value != old.log_value
+
+
+def test_estimate_constants_leave_equality_hash_and_repr_alone():
+    sd = derive_spectrum(make_preset("roots"))
+    twin = dataclasses.replace(sd)
+    before = hash(sd), repr(sd)
+    log_estimate_explicit(sd, 100)
+    log_estimate_khintchine(sd, 100)
+    assert sd.__dict__["_memo"]
+    assert sd == twin
+    assert hash(sd) == hash(twin) == before[0]
+    assert repr(sd) == repr(twin) == before[1]
+
+
+def test_ineligible_spectrum_raises_on_every_call():
+    inel = SpectralData(
+        "inel", (Pole(mpf("1.5"), mpf(1)), Pole(mpf(2), mpf(1))), mpf(0), mpf(0),
+        (mpf(0),),
+    )
+    for _ in range(3):
+        with pytest.raises(IneligibleSpectrumError):
+            log_estimate_explicit(inel, 100)
 
 
 def test_khintchine_domain_error_names_the_first_valid_n():

@@ -1,6 +1,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from oracles import (
@@ -10,8 +12,10 @@ from oracles import (
     bisect_delta,
     tilt_equation_lhs,
 )
+from subexp import khintchine
 from subexp.errors import DomainError, InvalidParametersError, NoBracketError
 from subexp.khintchine import (
+    _float_root,
     initial_guess,
     khintchine_lhs,
     khintchine_lhs_deriv,
@@ -19,7 +23,8 @@ from subexp.khintchine import (
     solve_delta,
 )
 from subexp.model import make_preset
-from subexp.spectrum import Pole, SpectralData, derive_spectrum
+from subexp.precision import to_mpf
+from subexp.spectrum import INELIGIBLE, Pole, SpectralData, derive_spectrum, validate_spectrum
 
 STD = derive_spectrum(make_preset("standard"))
 ROOTS = derive_spectrum(make_preset("roots"))
@@ -183,21 +188,115 @@ def test_newton_from_the_seed_needs_no_bisection(dps):
                 assert abs(sol.residual) <= residual_tolerance(n), (args, n)
 
 
-def _one_pole(h, A0, d1):
-    return SpectralData("one pole", (Pole(mpf(1), mpf(h)),), mpf(A0), mpf(0), (mpf(d1),))
+@pytest.mark.parametrize("dps, evals", ((15, 1), (20, 1), (38, 2), (60, 3)))
+def test_float_seed_needs_few_working_precision_evaluations(dps, evals):
+    with mp.workdps(dps):
+        for args in ALL_PRESETS:
+            sd = derive_spectrum(make_preset(*args))
+            for n in [*range(2, 60), *(10**k for k in range(2, 9)),
+                      *(3 * 10**k for k in range(2, 9))]:
+                assert solve_delta(sd, n).iterations + 1 <= evals, (args, n)
 
 
-def test_root_outside_the_bracket_raises():
+def _one_pole(h, A0, d1, rho=1):
+    return SpectralData("one pole", (Pole(mpf(rho), mpf(h)),), mpf(A0), mpf(0), (mpf(d1),))
+
+
+def _solve_via_fallback(monkeypatch, sd, n):
+    """solve_delta, asserting that the float phase handed over: only the
+    fallback seeds the working-precision loop from initial_guess."""
+    seeds = []
+
+    def spy(sd, n):
+        seeds.append(n)
+        return initial_guess(sd, n)
+
+    assert _float_root(sd, to_mpf(n)) is None
+    monkeypatch.setattr(khintchine, "initial_guess", spy)
+    sol = solve_delta(sd, n)
+    assert len(seeds) == 1
+    return sol
+
+
+def _assert_power_law_root(sol, sd, n):
+    # A0 = D(-1) = 0 and one pole: delta_n = (rho h / n)^(1/(rho+1))
+    (rho, h), = sd.poles
+    want = (rho * h / to_mpf(n)) ** (1 / (rho + 1))
+    assert abs(sol.delta / want - 1) < mpf("1e-18")
+    assert abs(sol.residual) <= residual_tolerance(n)
+
+
+def test_float_phase_hands_over_when_a_residue_is_out_of_float_range(monkeypatch):
+    # h rounds to 0.0 (roots near 1.9e-10) or to inf (near 4.5e9) as a float
+    for h, n in (("1e-400", 1), ("1e400", 10**6)):
+        sd = _one_pole(h, 0, 0, rho=40)
+        _assert_power_law_root(_solve_via_fallback(monkeypatch, sd, n), sd, n)
+
+
+def test_float_phase_hands_over_when_n_is_out_of_float_range(monkeypatch):
+    sd = _one_pole(1, 0, 0, rho=40)
+    _assert_power_law_root(_solve_via_fallback(monkeypatch, sd, 10**400), sd, 10**400)
+
+
+def test_float_phase_hands_over_on_overflow(monkeypatch):
+    # the slope (rho+1) h rho delta^(-rho-1) ~ 4e308 overflows at the root
+    sd = _one_pole(1, 0, 0, rho=40)
+    _assert_power_law_root(_solve_via_fallback(monkeypatch, sd, 10**307), sd, 10**307)
+
+
+def test_float_phase_hands_over_when_it_does_not_converge(monkeypatch):
+    want = solve_delta(ROOTS, 1000).delta
+    monkeypatch.setattr(khintchine, "FLOAT_MAX_ITER", 1)
+    sol = _solve_via_fallback(monkeypatch, ROOTS, 1000)
+    assert abs(sol.delta / want - 1) < mpf("1e-18")
+
+
+def test_root_outside_the_bracket_raises(monkeypatch):
     # root and seed at delta = 1e-15
     with pytest.raises(NoBracketError):
-        solve_delta(_one_pole("1e-30", 0, 0), 1)
-    # seed at delta = 1, root near A0/(n - D(-1)) = 1e13
+        _solve_via_fallback(monkeypatch, _one_pole("1e-30", 0, 0), 1)
+    # seed at delta = 1, root near A0/(n - D(-1)) = 1e13: the float iterates
+    # leave the bracket
     with pytest.raises(NoBracketError):
-        solve_delta(_one_pole(1, "1e-7", 1 - mpf("1e-20")), 1)
+        _solve_via_fallback(monkeypatch, _one_pole(1, "1e-7", 1 - mpf("1e-20")), 1)
 
 
-def test_flat_seed_falls_back_to_bisection():
-    # lhs = delta^-2 - 2/delta has zero slope at the seed delta = 1
-    sol = solve_delta(_one_pole(1, -2, 0), 1)
+def test_flat_seed_falls_back_to_bisection(monkeypatch):
+    # lhs = delta^-2 - 2/delta is -1 at the float seed delta = 1, and has
+    # zero slope there
+    sol = _solve_via_fallback(monkeypatch, _one_pole(1, -2, 0), 1)
     assert sol.bisection_steps >= 1
+    assert sol.iterations <= 20
     assert abs(sol.delta - (mp.sqrt(2) - 1)) < mpf("1e-18")
+
+
+@st.composite
+def eligible_spectra(draw):
+    """1-3 poles with 2 rho_{r-1} <= rho_r, positive residues, A0 >= 0 (so
+    lhs decreases) and |D(-1)| <= 1; roots stay inside bisect_delta's
+    [1e-6, 10] for 10 <= n <= 1e6."""
+    r = draw(st.integers(1, 3))
+    rhos = [draw(st.floats(0.5, 4))]
+    for shrink in ((0.1, 0.5), (0.1, 0.9))[: r - 1]:
+        rhos.insert(0, rhos[0] * draw(st.floats(*shrink)))
+    poles = tuple(Pole(mpf(rho), mpf(draw(st.floats(0.1, 10)))) for rho in rhos)
+    A0, d1 = draw(st.floats(0, 2)), draw(st.floats(-1, 1))
+    return SpectralData("drawn", poles, mpf(A0), mpf(0), (mpf(d1),))
+
+
+@pytest.mark.parametrize("dps", (15, 38, 60))
+@settings(max_examples=20, deadline=None)
+@given(sd=eligible_spectra())
+def test_random_spectra_meet_the_solver_contract(dps, sd):
+    assert validate_spectrum(sd).classification != INELIGIBLE
+    ns = (10, 100, 10**4, 10**6)
+    with mp.workdps(dps):
+        deltas = [solve_delta(sd, n) for n in ns]
+        for n, sol in zip(ns, deltas):
+            assert abs(sol.residual) <= residual_tolerance(n), n
+        assert all(a.delta > b.delta for a, b in zip(deltas, deltas[1:]))
+        if dps == 38:
+            poles = [(p.rho, p.h) for p in sd.poles]
+            for n, sol in zip(ns, deltas):
+                want = bisect_delta(poles, sd.A0, sd.d1(), n)
+                assert abs(sol.delta / want - 1) < mpf("1e-18"), n
