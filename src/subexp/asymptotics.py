@@ -49,6 +49,16 @@ class LogEstimate:
         return self.log_value - sum(self.terms.values())
 
 
+def _correction_coefficients(sd: SpectralData) -> tuple:
+    """(-1)^l D(-l) / l! for l = 1, 2, ..., the series' tau-free factors."""
+    coefficients = []
+    fact = mpf(1)
+    for l, d in enumerate(sd.d_neg, start=1):
+        fact *= l
+        coefficients.append((-1) ** l * to_mpf(d) / fact)
+    return tuple(coefficients)
+
+
 def remainder_delta(sd: SpectralData, tau, tol=DELTA_SERIES_TOL) -> mpf:
     """Correction series Delta(tau) = sum_{l>=1} (-1)^l D(-l) tau^l / l!.
 
@@ -65,14 +75,10 @@ def remainder_delta(sd: SpectralData, tau, tol=DELTA_SERIES_TOL) -> mpf:
     if not tol > 0:
         raise DomainError(f"tol must be positive; got {tol}")
     partial = mpf(0)
-    sign = 1
     tau_pow = mpf(1)
-    fact = mpf(1)
-    for l, d in enumerate(sd.d_neg, start=1):
-        sign = -sign
+    for c in sd.memo(_correction_coefficients):
         tau_pow *= tau
-        fact *= l
-        term = sign * to_mpf(d) * tau_pow / fact
+        term = c * tau_pow
         if abs(term) < tol * (1 + abs(partial)):
             return partial
         partial += term
