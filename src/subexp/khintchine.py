@@ -47,7 +47,7 @@ class KhintchineSolution(NamedTuple):
     bisection_steps: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _stop_constants(prec: int) -> tuple:
     """1e-10, 1e-12 and sqrt(eps) at a precision of prec bits."""
     with mp.workprec(prec):
@@ -61,23 +61,34 @@ def residual_tolerance(n) -> mpf:
     return max(rel * n, floor)
 
 
+def _pole_factors(sd: SpectralData) -> tuple:
+    """(h rho, -rho-1, rho+1) per pole, the constants of _lhs_and_slope."""
+    return tuple((h * rho, -rho - 1, rho + 1) for rho, h in sd.poles)
+
+
+def _lhs_and_slope(sd: SpectralData, x):
+    """lhs(x) and x*lhs'(x) together, with one power per pole."""
+    a0 = sd.A0 / x
+    lhs = sd.d1() + a0
+    slope = -a0
+    for c, e, k in sd.memo(_pole_factors):
+        t = c * x**e
+        lhs += t
+        slope -= k * t
+    return lhs, slope
+
+
 def khintchine_lhs(sd: SpectralData, delta) -> mpf:
     """Left side of the equation at a given delta > 0."""
     delta = to_mpf(delta)
     if not delta > 0:
         raise DomainError(f"delta must be positive; got {delta}")
-    total = sd.d1() + sd.A0 / delta
-    for rho, h in sd.poles:
-        total += h * rho * delta ** (-rho - 1)
-    return total
+    return _lhs_and_slope(sd, delta)[0]
 
 
 def khintchine_lhs_deriv(sd: SpectralData, delta) -> mpf:
     delta = to_mpf(delta)
-    total = -sd.A0 / delta**2
-    for rho, h in sd.poles:
-        total += -h * rho * (rho + 1) * delta ** (-rho - 2)
-    return total
+    return _lhs_and_slope(sd, delta)[1] / delta
 
 
 def initial_guess(sd: SpectralData, n) -> mpf:
@@ -111,23 +122,6 @@ def initial_guess(sd: SpectralData, n) -> mpf:
         if err < best_err:
             best, best_err = cand, err
     return best
-
-
-def _pole_factors(sd: SpectralData) -> tuple:
-    """(h rho, -rho-1, rho+1) per pole, the constants of _lhs_and_slope."""
-    return tuple((h * rho, -rho - 1, rho + 1) for rho, h in sd.poles)
-
-
-def _lhs_and_slope(sd: SpectralData, x):
-    """lhs(x) and x*lhs'(x) together, with one power per pole."""
-    a0 = sd.A0 / x
-    lhs = sd.d1() + a0
-    slope = -a0
-    for c, e, k in sd.memo(_pole_factors):
-        t = c * x**e
-        lhs += t
-        slope -= k * t
-    return lhs, slope
 
 
 def _as_float(v) -> float:
