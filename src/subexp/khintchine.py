@@ -31,8 +31,8 @@ from .spectrum import SpectralData
 MAX_ITER = 200
 BRACKET_MIN = mpf("1e-12")
 BRACKET_MAX = mpf("1e12")
-# the float phase: its step cap, its convergence threshold on the log-step
-# (far below float rounding once squared), and its bracket
+# the float phase: its step cap, and its convergence threshold on the
+# log-step (Newton's next error is near its square, far below float rounding)
 FLOAT_MAX_ITER = 16
 FLOAT_STEP_TOL = 1e-12
 _FLOAT_BRACKET = (float(BRACKET_MIN), float(BRACKET_MAX))
@@ -125,6 +125,7 @@ def initial_guess(sd: SpectralData, n) -> mpf:
 
 
 def _as_float(v) -> float:
+    """v as a finite float; OverflowError when it overflows or underflows."""
     f = float(v)
     if not math.isfinite(f) or (f == 0 and v != 0):
         raise OverflowError(f"{v} is out of float range")
