@@ -23,6 +23,29 @@ weight_tables = st.integers(1, 300).flatmap(
     lambda N: st.lists(st.integers(0, 6), min_size=N, max_size=N)
 )
 
+# signed entries of 0 to 700 bits: 1 to 6 limb planes, mixed signs
+signed_entries = st.integers(0, 700).flatmap(
+    lambda b: st.integers(-(2**b) + 1, 2**b - 1)
+)
+# lengths 1 to 70 with a run of leading zeros, so limb planes start at
+# odd and even indices
+int_polys = st.integers(1, 70).flatmap(
+    lambda n: st.integers(0, n - 1).flatmap(
+        lambda z: st.lists(signed_entries, min_size=n - z, max_size=n - z).map(
+            lambda body: [0] * z + body
+        )
+    )
+)
+
+
+@st.composite
+def middle_product_cases(draw):
+    x = draw(int_polys)
+    y = draw(int_polys)
+    hi = draw(st.integers(1, len(x) + len(y)))
+    lo = draw(st.integers(0, hi - 1))
+    return x, y, lo, hi
+
 
 def _k_lambda(model, N):
     lam = lambda_coeffs(model, N)
@@ -133,6 +156,19 @@ def test_kernel_matches_naive_selection(weights):
     assert want is not None
     assert exact._recurrence_int(kl, N) == want
     assert list(exact_coefficients(model, N).coeffs) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(middle_product_cases())
+@example(([7], [-(2**700) + 1], 0, 1))  # length 1: no odd-indexed chunks
+@example(([0, 0, 0, 2**300], [0, -5, 2**200, -(2**600)], 0, 8))
+def test_middle_product_matches_schoolbook(case):
+    x, y, lo, hi = case
+    want = [
+        sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
+        for k in range(lo, hi)
+    ]
+    assert exact._middle_product(x, y, lo, hi) == want
 
 
 @pytest.mark.parametrize("j", [2, 40])
