@@ -78,16 +78,21 @@ def _lhs_and_slope(sd: SpectralData, x):
     return lhs, slope
 
 
-def khintchine_lhs(sd: SpectralData, delta) -> mpf:
-    """Left side of the equation at a given delta > 0."""
+def _positive(delta) -> mpf:
     delta = to_mpf(delta)
     if not delta > 0:
         raise DomainError(f"delta must be positive; got {delta}")
-    return _lhs_and_slope(sd, delta)[0]
+    return delta
+
+
+def khintchine_lhs(sd: SpectralData, delta) -> mpf:
+    """Left side of the equation at a given delta > 0."""
+    return _lhs_and_slope(sd, _positive(delta))[0]
 
 
 def khintchine_lhs_deriv(sd: SpectralData, delta) -> mpf:
-    delta = to_mpf(delta)
+    """Derivative of the left side in delta, at a given delta > 0."""
+    delta = _positive(delta)
     return _lhs_and_slope(sd, delta)[1] / delta
 
 
