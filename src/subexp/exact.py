@@ -115,15 +115,14 @@ def _middle_product(x: list, y: list, lo: int, hi: int) -> list:
             z_minus = (x_even - x_odd) * (y_even - y_odd)
             shift = 8 * (x_off + y_off)
             negative = x_sign != y_sign
+            first = max(lo, start)
             # P's coefficient start + 2j + parity sits in slot j of half
             for parity, half in (
                 (0, (z_plus + z_minus) >> 1),
                 (1, (z_plus - z_minus) >> (s + 1)),
             ):
                 buf = half.to_bytes((half.bit_length() + 7) // 8, "little")
-                first = max(lo, start)
-                first += (first - start - parity) % 2
-                for k in range(first, hi, 2):
+                for k in range(first + (first - start - parity) % 2, hi, 2):
                     i = (k - start) // 2 * slot
                     v = int.from_bytes(buf[i : i + slot], "little") << shift
                     out[k - lo] += -v if negative else v

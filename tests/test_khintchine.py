@@ -68,11 +68,6 @@ def test_lhs_rejects_nonpositive_delta():
         khintchine_lhs(STD, 0)
     with pytest.raises(DomainError):
         khintchine_lhs(STD, -1)
-
-
-def test_lhs_deriv_rejects_nonpositive_delta():
-    # at 0 the slope's 1/delta divided by zero; below 0 it returned a
-    # finite value for a point outside the equation's domain
     with pytest.raises(DomainError):
         khintchine_lhs_deriv(ROOTS, 0)
     with pytest.raises(DomainError):
