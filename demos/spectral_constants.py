@@ -9,6 +9,7 @@ models, plus the derived decay exponent kappa and constant term Q.
 from mpmath import mp
 
 from subexp import derive_spectrum, kappa, make_preset, q_constant, validate_spectrum
+from subexp.spectrum import INELIGIBLE
 
 for kind, args in (("standard", ()), ("roots", ()), ("congruent", (3, 2))):
     model = make_preset(kind, *args)
@@ -21,7 +22,7 @@ for kind, args in (("standard", ()), ("roots", ()), ("congruent", (3, 2))):
     print(f"  h0    = {mp.nstr(sd.h0, 20)}")
     print(f"  theta = {mp.nstr(sd.theta, 20)}")
     print(f"  class = {report.classification}")
-    if report.ok:
+    if report.classification != INELIGIBLE:
         print(f"  kappa = {mp.nstr(kappa(sd), 20)}")
         print(f"  Q     = {mp.nstr(q_constant(sd), 20)}")
     print()

@@ -7,9 +7,11 @@ log lhs - log n in Python floats, from the power law
 root, so the polish by Newton in log(delta) at the working precision
 needs one or two evaluations of the equation.  When floats cannot reach
 the root (overflow, underflow, lhs <= 0, an iterate outside the
-bracket), the same loop starts from the two-term expansion of 1/delta
-instead and bisects wherever a Newton step would leave its bracket.  The
-residual stays far below the max(1e-10 n, 1e-12) contract either way.
+bracket), the same loop starts from that power law at the working
+precision instead and bisects wherever a Newton step would leave its
+bracket.  The residual stays far below the max(1e-10 n, 1e-12) contract
+either way.  initial_guess, the two-term expansion of 1/delta, serves
+only as a cross-check here.
 """
 
 from mpmath import mp, mpf

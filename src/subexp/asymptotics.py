@@ -107,10 +107,7 @@ def q_constant(sd: SpectralData) -> mpf:
     """
     report = validate_spectrum(sd)
     if report.classification == INELIGIBLE:
-        raise IneligibleSpectrumError(
-            f"2*rho_{{r-1}} - rho_r = {report.gap} > 0: the explicit formula "
-            "does not apply"
-        )
+        raise IneligibleSpectrumError(report.messages[0])
     if report.classification == CRITICAL:
         rho_r, h_r = sd.poles[-1]
         rho_p, h_p = sd.poles[-2]
@@ -142,7 +139,7 @@ def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
     Q = q_constant(sd)
     rho_r, h_r = sd.poles[-1]
     rh = rho_r * h_r
-    prefactor = -mp.log(2 * mp.pi * rh * (rho_r + 1)) / 2 + (
+    prefactor = -sd.memo(_half_log_variance) + (
         (rho_r + 2 - 2 * sd.A0) / (2 * (rho_r + 1))
     ) * mp.log(rh)
     powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r / (rho_r + 1))]

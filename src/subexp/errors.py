@@ -34,7 +34,7 @@ class SpectrumSchemaError(SubexpError, ValueError):
 
 
 class SpectrumDataError(SubexpError, ValueError):
-    """Spectral data violates ordering or positivity requirements."""
+    """Spectral data violates the ordering, positivity or finiteness contract."""
 
 
 class NoBracketError(SubexpError, RuntimeError):

@@ -9,8 +9,8 @@ u = log(delta).  The solver runs Newton on log lhs(e^u) - log n in Python
 floats from the leading term (rho_r h_r / n)^(1/(rho_r+1)), then polishes
 that root by Newton in log(delta) at the working precision, safeguarded by
 bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
-root, the same safeguarded loop starts instead from the two-term expansion
-of z_n (initial_guess).
+root, the same safeguarded loop starts instead from that leading term,
+computed at the working precision.
 """
 
 import math
@@ -41,10 +41,13 @@ _FLOAT_BRACKET = (float(BRACKET_MIN), float(BRACKET_MAX))
 class KhintchineSolution(NamedTuple):
     delta: mpf
     residual: mpf
-    iterations: int
     bracket: tuple
     newton_steps: int
     bisection_steps: int
+
+    @property
+    def iterations(self) -> int:
+        return self.newton_steps + self.bisection_steps
 
 
 @lru_cache(maxsize=8)
@@ -97,8 +100,8 @@ def khintchine_lhs_deriv(sd: SpectralData, delta) -> mpf:
 
 
 def initial_guess(sd: SpectralData, n) -> mpf:
-    """Two-term asymptotic expansion of z_n = 1/delta_n, used to seed
-    the solver and to cross-check the solved root.
+    """Two-term asymptotic expansion of z_n = 1/delta_n, a cross-check
+    on the solved root (the solver seeds from the leading term alone).
 
     Leading term (n/(rho_r h_r))^(1/(rho_r+1)); the r >= 2 correction has
     magnitude M (rho_r h_r)^(-e) n^e with e = (rho_{r-1}-rho_r+1)/(rho_r+1)
@@ -177,17 +180,17 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     """Solve for delta_n: a float root polished by Newton in log(delta).
 
     The seed is the float-phase root (_float_root) or, when floats cannot
-    reach it, 1/initial_guess.  Each step evaluates lhs and delta*lhs'
-    together; iterates narrow the bracket [BRACKET_MIN, BRACKET_MAX] by the
-    sign of F = lhs - n, and a step leaving it becomes the geometric
-    bisection.  Where lhs > 0 the step is Newton's on log lhs - log n, which
-    moves as fast far from the root as near it.  Stops at
-    |F| <= max(1e-10*n, 1e-12) with a log-step -F/(delta*lhs') (the relative
-    error) below sqrt(eps): delta is exact to about half the working
-    precision on any path, and lo < delta < hi strictly.  iterations counts
-    the working-precision steps taken, so the loop evaluates lhs
-    iterations + 1 times.  A seed or root outside the initial bracket raises
-    NoBracketError.
+    reach it, the same leading term (rho_r h_r / n)^(1/(rho_r+1)) in mpmath.
+    Each step evaluates lhs and delta*lhs' together; iterates narrow the
+    bracket [BRACKET_MIN, BRACKET_MAX] by the sign of F = lhs - n, and a
+    step leaving it becomes the geometric bisection.  Where lhs > 0 the
+    step is Newton's on log lhs - log n, which moves as fast far from the
+    root as near it.  Stops at |F| <= max(1e-10*n, 1e-12) with a log-step
+    -F/(delta*lhs') (the relative error) below sqrt(eps): delta is exact to
+    about half the working precision on any path, and lo < delta < hi
+    strictly.  iterations counts the working-precision steps taken (Newton
+    plus bisection), so the loop evaluates lhs iterations + 1 times.  A seed
+    or root outside the initial bracket raises NoBracketError.
     """
     n = to_mpf(n)
     if not n >= 1:
@@ -200,17 +203,20 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     step_tol = _stop_constants(mp.prec)[2]
     lo, hi = BRACKET_MIN, BRACKET_MAX
     x = _float_root(sd, n)
-    x = 1 / initial_guess(sd, n) if x is None else mpf(x)
+    if x is None:
+        rho_r, h_r = sd.poles[-1]
+        x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
+    x = mpf(x)
     if not lo < x < hi:
         raise NoBracketError(f"seed delta={x} outside [{lo}, {hi}] for n={n}")
     newtons = 0
     bisections = 0
-    for it in range(MAX_ITER + 1):
+    for _ in range(MAX_ITER + 1):
         lhs, slope = _lhs_and_slope(sd, x)
         fx = lhs - n
         step = -fx / slope if slope else mp.inf
         if abs(fx) <= tol and abs(step) <= step_tol:
-            return KhintchineSolution(x, fx, it, (lo, hi), newtons, bisections)
+            return KhintchineSolution(x, fx, (lo, hi), newtons, bisections)
         if fx > 0:
             lo = x
         else:

@@ -53,6 +53,10 @@ class SpectralData:
     estimate; d_neg[l-1] = D(-l).  theta, the constant term of D at 0,
     is derived: Gamma(s) = 1/s - euler_gamma + O(s) gives
     theta = h0 + euler_gamma*A0.
+
+    Construction enforces the contract every estimate relies on (a pole,
+    0 < rho_1 < ... < rho_r, h_l > 0, nonempty d_neg, all numbers finite)
+    and raises SpectrumDataError naming each violation.
     """
 
     label: str
@@ -60,6 +64,25 @@ class SpectralData:
     A0: mpf
     h0: mpf
     d_neg: tuple
+
+    def __post_init__(self):
+        problems = [] if self.poles else ["no poles"]
+        if not self.d_neg:
+            problems.append("d_neg empty")
+        numbers = [("A0", self.A0), ("h0", self.h0)]
+        prev = 0
+        for l, (rho, h) in enumerate(self.poles, start=1):
+            if not rho > prev:
+                problems.append(f"pole {l}: rho={rho} not greater than {prev}")
+            if not h > 0:
+                problems.append(f"pole {l}: residue h={h} not positive")
+            numbers += [(f"pole {l}: rho", rho), (f"pole {l}: h", h)]
+            prev = rho
+        numbers += [(f"D(-{l})", d) for l, d in enumerate(self.d_neg, start=1)]
+        problems += [f"{name}={x} not finite" for name, x in numbers
+                     if not mp.isfinite(x)]
+        if problems:
+            raise SpectrumDataError("; ".join(problems))
 
     @property
     def r(self) -> int:
@@ -102,51 +125,24 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ordered: bool
-    positive: bool
     gap: Optional[mpf]
     classification: str
     messages: tuple
 
-    @property
-    def ok(self) -> bool:
-        return self.ordered and self.positive
-
 
 def validate_spectrum(sd: SpectralData) -> ValidationReport:
-    """Structural checks plus the critical/subcritical classification.
+    """The critical/subcritical classification of a spectrum.
 
+    SpectralData checks its structure when built, so this only classifies.
     r = 1 counts as subcritical (the two-pole condition is vacuous).
-    Never raises; callers that need a hard failure inspect the report.
     """
-    messages = []
-    ordered = True
-    positive = True
-    if sd.r < 1:
-        ordered = False
-        messages.append("no poles")
-    prev = mpf(0)
-    for l, (rho, h) in enumerate(sd.poles, start=1):
-        if not rho > prev:
-            ordered = False
-            messages.append(f"pole {l}: rho={rho} not greater than previous {prev}")
-        prev = rho
-        if not h > 0:
-            positive = False
-            messages.append(f"pole {l}: residue h={h} not positive")
-    if len(sd.d_neg) < 1:
-        messages.append("d_neg empty")
     gap = sd.gap
-    if sd.r <= 1:
-        classification = SUBCRITICAL
-    elif abs(gap) <= GAP_TOL:
-        classification = CRITICAL
-    elif gap < 0:
-        classification = SUBCRITICAL
-    else:
-        classification = INELIGIBLE
-        messages.append(f"2*rho_{{r-1}} - rho_r = {gap} > 0: no explicit formula")
-    return ValidationReport(ordered, positive, gap, classification, tuple(messages))
+    if sd.r <= 1 or gap < -GAP_TOL:
+        return ValidationReport(gap, SUBCRITICAL, ())
+    if gap <= GAP_TOL:
+        return ValidationReport(gap, CRITICAL, ())
+    return ValidationReport(gap, INELIGIBLE, (
+        f"2*rho_{{r-1}} - rho_r = {gap} > 0: the explicit formula does not apply",))
 
 
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
@@ -246,9 +242,6 @@ def load_custom_spectrum(document: dict) -> SpectralData:
         _num(document["h0"], "h0"),
         d_neg,
     )
-    report = validate_spectrum(sd)
-    if not report.ok:
-        raise SpectrumDataError("; ".join(report.messages))
     if theta is not None and abs(theta - sd.theta) > mpf("1e-12") * (1 + abs(theta)):
         raise SpectrumDataError(
             f"theta = {theta} disagrees with h0 + euler_gamma*A0 = {sd.theta}"

@@ -249,6 +249,17 @@ def test_custom_spectrum_schema_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("A0", ("nan", float("nan")), ids=("string", "literal"))
+def test_custom_spectrum_nan_fails_before_output(tmp_path, capsys, A0):
+    doc = {"poles": [{"rho": 1, "h": 1.64}], "A0": A0, "h0": -0.92, "d_neg": [0.04]}
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps(doc))  # a float NaN becomes the literal NaN
+    for argv in (("spectrum",), ("predict", "--n", "100", "--formula", "explicit")):
+        code, out, err = run(capsys, *argv, "--model", "custom", "--spec", str(spec))
+        assert (code, out) == (3, ""), argv
+        assert "A0=nan not finite" in err
+
+
 def test_require_eligible(tmp_path, capsys):
     doc = {
         "poles": [{"rho": 1.5, "h": 1.0}, {"rho": 2.0, "h": 1.0}],

@@ -207,19 +207,21 @@ def _one_pole(h, A0, d1, rho=1):
 
 
 def _solve_via_fallback(monkeypatch, sd, n):
-    """solve_delta, asserting that the float phase handed over: only the
-    fallback seeds the working-precision loop from initial_guess."""
-    seeds = []
+    """solve_delta, asserting that the float phase hands over and that the
+    fallback seeds from the leading term without a khintchine_lhs call
+    (as a sign choice between two-term expansions would make)."""
+    calls = []
 
-    def spy(sd, n):
-        seeds.append(n)
-        return initial_guess(sd, n)
+    def spy(sd, delta):
+        calls.append(delta)
+        return khintchine_lhs(sd, delta)
 
     assert _float_root(sd, to_mpf(n)) is None
-    monkeypatch.setattr(khintchine, "initial_guess", spy)
-    sol = solve_delta(sd, n)
-    assert len(seeds) == 1
-    return sol
+    monkeypatch.setattr(khintchine, "khintchine_lhs", spy)
+    try:
+        return solve_delta(sd, n)
+    finally:
+        assert calls == []
 
 
 def _assert_power_law_root(sol, sd, n):

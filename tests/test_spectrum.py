@@ -223,40 +223,55 @@ def test_derive_spectrum_rejects_weights_without_a_pole():
             derive_spectrum(ModelSpec("no pole", MULTISET, weight))
 
 
-def test_validation_reports_no_poles():
-    empty = SpectralData("empty", (), mpf(0), mpf(0), (mpf(0),))
-    assert empty.gap is None
-    report = validate_spectrum(empty)
-    assert not report.ok
-    assert "no poles" in report.messages
+def _spectrum(poles=((1, 1), (3, 1)), A0=0, h0=0, d_neg=(0, 0)):
+    return SpectralData("x", tuple(Pole(mpf(rho), mpf(h)) for rho, h in poles),
+                        mpf(A0), mpf(h0), tuple(mpf(d) for d in d_neg))
+
+
+# id -> (fields that break the contract, what the error must name)
+BAD_SPECTRA = {
+    "no-poles": ({"poles": ()}, "no poles"),
+    "rho-unsorted": ({"poles": ((2, 1), (1, 1))}, "pole 2: rho=1.0 not greater than 2.0"),
+    "rho-repeated": ({"poles": ((1, 1), (1, 1))}, "pole 2: rho=1.0 not greater"),
+    "rho-zero": ({"poles": ((0, 1),)}, "pole 1: rho=0.0 not greater than 0"),
+    "rho-negative": ({"poles": ((-1, 1), (1, 1))}, "pole 1: rho=-1.0 not greater"),
+    "h-negative": ({"poles": ((1, -1),)}, "pole 1: residue h=-1.0 not positive"),
+    "h-zero": ({"poles": ((1, 1), (3, 0))}, "pole 2: residue h=0.0 not positive"),
+    "d_neg-empty": ({"d_neg": ()}, "d_neg empty"),
+    "every-problem": ({"poles": ((1, -1),), "A0": "nan", "d_neg": ()},
+                      "d_neg empty; pole 1: residue h=-1.0 not positive; A0=nan not finite"),
+}
+for bad in ("nan", "+inf", "-inf"):
+    BAD_SPECTRA.update({
+        f"A0={bad}": ({"A0": bad}, f"A0={bad} not finite"),
+        f"h0={bad}": ({"h0": bad}, f"h0={bad} not finite"),
+        f"rho1={bad}": ({"poles": ((bad, 1), (3, 1))}, f"pole 1: rho={bad} not finite"),
+        f"rho2={bad}": ({"poles": ((1, 1), (bad, 1))}, f"pole 2: rho={bad} not finite"),
+        f"h1={bad}": ({"poles": ((1, bad), (3, 1))}, f"pole 1: h={bad} not finite"),
+        f"h2={bad}": ({"poles": ((1, 1), (3, bad))}, f"pole 2: h={bad} not finite"),
+        f"D(-1)={bad}": ({"d_neg": (bad, 0)}, f"D(-1)={bad} not finite"),
+        f"D(-2)={bad}": ({"d_neg": (0, bad)}, f"D(-2)={bad} not finite"),
+    })
+
+
+@pytest.mark.parametrize("name", BAD_SPECTRA)
+def test_spectral_data_rejects_bad_shapes(name):
+    fields, problem = BAD_SPECTRA[name]
+    with pytest.raises(SpectrumDataError) as info:
+        _spectrum(**fields)
+    assert problem in str(info.value)
 
 
 def test_classification():
+    assert derive_spectrum(make_preset("standard")).gap is None
     assert validate_spectrum(derive_spectrum(make_preset("standard"))).classification == SUBCRITICAL
     report = validate_spectrum(derive_spectrum(make_preset("roots")))
     assert report.classification == CRITICAL
     assert abs(report.gap) < TOL
-    sub = SpectralData(
-        "sub", (Pole(mpf(1), mpf(1)), Pole(mpf(3), mpf(1))), mpf(0), mpf(0),
-        (mpf(0),),
-    )
-    assert validate_spectrum(sub).classification == SUBCRITICAL
-    inel = SpectralData(
-        "inel", (Pole(mpf("1.5"), mpf(1)), Pole(mpf(2), mpf(1))), mpf(0), mpf(0),
-        (mpf(0),),
-    )
-    report = validate_spectrum(inel)
+    assert validate_spectrum(_spectrum()).classification == SUBCRITICAL
+    report = validate_spectrum(_spectrum(poles=(("1.5", 1), (2, 1))))
     assert report.classification == INELIGIBLE
     assert abs(report.gap - 1) < TOL
-
-
-def test_validation_flags_bad_data():
-    unsorted = SpectralData(
-        "x", (Pole(mpf(2), mpf(1)), Pole(mpf(1), mpf(1))), mpf(0), mpf(0), (mpf(0),)
-    )
-    assert not validate_spectrum(unsorted).ordered
-    negative = SpectralData("x", (Pole(mpf(1), mpf(-1)),), mpf(0), mpf(0), (mpf(0),))
-    assert not validate_spectrum(negative).positive
 
 
 def test_load_custom_roundtrip():
