@@ -176,6 +176,13 @@ def _float_root(sd: SpectralData, n) -> "float | None":
     return None
 
 
+def _no_bracket(sd: SpectralData, n, message: str) -> NoBracketError:
+    # delta_n < BRACKET_MIN exactly when n >= lhs(BRACKET_MIN): name that bound
+    bound = _lhs_and_slope(sd, BRACKET_MIN)[0]
+    return NoBracketError(f"delta_n < {BRACKET_MIN} at n = {n}: the Khintchine "
+                          f"equation needs n < {bound}" if n >= bound else message)
+
+
 def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     """Solve for delta_n: a float root polished by Newton in log(delta).
 
@@ -208,7 +215,7 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
         x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
     x = mpf(x)
     if not lo < x < hi:
-        raise NoBracketError(f"seed delta={x} outside [{lo}, {hi}] for n={n}")
+        raise _no_bracket(sd, n, f"seed delta={x} outside [{lo}, {hi}] for n={n}")
     newtons = 0
     bisections = 0
     for _ in range(MAX_ITER + 1):
@@ -231,5 +238,5 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
             bisections += 1
             x = mp.sqrt(lo * hi)
     if lo == BRACKET_MIN or hi == BRACKET_MAX:
-        raise NoBracketError(f"no root in [{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
+        raise _no_bracket(sd, n, f"no root in [{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
     raise NonConvergenceError(f"no convergence after {MAX_ITER} iterations for n={n}")

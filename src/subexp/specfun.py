@@ -5,13 +5,16 @@ the constants (zeta'(0), zeta'(-1), Euler-Mascheroni) that the
 pole/residue derivations need.  Numerical evaluation is delegated to
 mpmath at the global working precision; this module adds the domain
 contracts and the closed forms.  Every function returns a finite mpf, or
-raises.
+raises; hurwitz_zeta_exact returns a Bernoulli value as an exact Fraction.
 
 Domains are restricted to what the residue formulas actually consume:
 real arguments, zeta on [-21, 40], Hurwitz zeta and its derivative on
-[-21, 40] x (0, 1] (derive_spectrum with L <= 20 reaches zeta(-21) and,
-for roots, zeta(-21, 1)).
+[-21, 40] x (0, 1] (derive_spectrum with L <= 20 reaches the exact
+zeta(-21, 1) for roots).
 """
+
+from fractions import Fraction
+from math import comb, lcm
 
 from mpmath import mp, mpf, isfinite
 
@@ -22,6 +25,15 @@ POLE_GUARD = mpf("1e-9")
 
 ZETA_MIN, ZETA_MAX = -21, 40
 HURWITZ_MIN, HURWITZ_MAX = -21, 40
+
+
+# B_n(x) = sum C(n, k) B_k x^(n-k), n = 1..22, times _DEN, the lcm of the
+# denominators of B_0..B_22, has integer coefficients; listed from x^n to x^0
+_B = [mp.bernfrac(k) for k in range(2 - HURWITZ_MIN)]
+_DEN = lcm(*(q for _, q in _B))
+_BERNOULLI = {n: tuple(comb(n, k) * p * (_DEN // q)
+                       for k, (p, q) in enumerate(_B[:n + 1]))
+              for n in range(1, 2 - HURWITZ_MIN)}
 
 
 def _result(value) -> mpf:
@@ -72,6 +84,20 @@ def hurwitz_zeta(s, q) -> mpf:
     """zeta(s, q) for real s in [-21, 40], s != 1, and 0 < q <= 1."""
     s, q = _hurwitz_args(s, q)
     return _result(mp.zeta(s, q))
+
+
+def hurwitz_zeta_exact(m: int, q) -> Fraction:
+    """zeta(m, q) = -B_{1-m}(q)/(1-m), exactly, for an int m in [-21, 0] and
+    a rational 0 < q <= 1 (an int or a Fraction); q = 1 gives zeta(m)."""
+    if not (isinstance(m, int) and HURWITZ_MIN <= m <= 0
+            and isinstance(q, (int, Fraction)) and 0 < q <= 1):
+        raise DomainError(f"exact zeta(m, q) needs an int m in [{HURWITZ_MIN}, 0] and "
+                          f"a rational 0 < q <= 1; got m={m!r}, q={q!r}")
+    n, (p, d) = 1 - m, Fraction(q).as_integer_ratio()
+    total = 0  # _DEN * d^n * B_n(p/d), by Horner in p
+    for k, c in enumerate(_BERNOULLI[n]):
+        total = total * p + c * d**k
+    return Fraction(-total, n * _DEN * d**n)
 
 
 def hurwitz_zeta_deriv(s, q) -> mpf:

@@ -12,10 +12,13 @@ Then D(s) = zeta(s+1)*D_b(s) with D_b(s) = sum c*a^(i-s)*zeta(s-i, r/a),
 and one rule gives all the data: degree i is the pole rho = i+1 with
 h = A*zeta(rho+1)*Gamma(rho), A = (sum of its c)/a (Meinardus);
 A_0 = D_b(0); h_0 = D_b'(0) = sum c*a^i*zeta'(-i, r/a) - log(a)*A_0;
-D(-l) = zeta(1-l)*D_b(-l).  Other models must supply their data.
+D(-l) = zeta(1-l)*D_b(-l).  As zeta(-m, q) = -B_{m+1}(q)/(m+1), A_0 and
+every D(-l) are rationals, computed exactly and rounded once, to nearest.
+Other models must supply their data.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .model import MULTISET, ModelSpec, QuasiPolynomial
 from .precision import to_mpf
-from .specfun import euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta
+from .specfun import euler_gamma, hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
 
 # classification tolerance on 2*rho_{r-1} - rho_r; preset poles are exact
 # small integers, so this only guards custom input
@@ -148,6 +151,8 @@ def validate_spectrum(sd: SpectralData) -> ValidationReport:
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     """Spectral data for a quasi-polynomial model, with d_neg up to D(-L).
 
+    A0 and D(-l) are exact rationals (Bernoulli polynomial values) rounded
+    once, to nearest; the residues and h0 are evaluated in mpmath.
     L defaults to 8.  Over standard, roots and the coprime congruent(a, b)
     with a <= 12, the largest Delta-series term beyond l=8 at the solved
     tau (derived with L=20) is 2.6e-9 at n=10 (congruent(12,1); roots
@@ -175,15 +180,17 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
             f"{model.kind}: no degree has a nonzero coefficient sum, so no pole")
     # every Hurwitz value zeta(s-i, r/a) that D_b(0), ..., D_b(-L) need, once
     keys = {(s - i, r) for r, i, _ in terms for s in range(-L, 1)}
-    hz = {(m, r): hurwitz_zeta(m, mpf(r) / a) for m, r in keys}
-    db = lambda s: sum(c * a ** (i - s) * hz[s - i, r] for r, i, c in terms)
-    A0 = db(0)
+    hz = {(m, r): hurwitz_zeta_exact(m, Fraction(r, a)) for m, r in keys}
+    db = lambda s: sum(Fraction(c) * a ** (i - s) * hz[s - i, r] for r, i, c in terms)
+    exact = [db(0)] + [hurwitz_zeta_exact(1 - l, 1) * db(-l) for l in range(1, L + 1)]
+    # each rounded once, to nearest (mpf(Fraction) rounds toward zero, and
+    # mpf(p)/q twice once p outgrows mp.prec)
+    A0, *d_neg = (mp.fdiv(x.numerator, x.denominator) for x in exact)
     h0 = sum(c * a**i * hurwitz_zeta_deriv(-i, mpf(r) / a) for r, i, c in terms)
     h0 -= mp.log(a) * A0
-    d_neg = tuple(riemann_zeta(1 - l) * db(-l) for l in range(1, L + 1))
     params = ",".join(map(str, model.params))
     label = f"{model.kind}({params})" if params else model.kind
-    return SpectralData(label, poles, A0, h0, d_neg)
+    return SpectralData(label, poles, A0, h0, tuple(d_neg))
 
 
 _SCHEMA_KEYS = {"poles", "A0", "h0", "d_neg", "theta", "weights", "label"}

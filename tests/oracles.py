@@ -6,6 +6,8 @@ DP, plain bisection) so that agreement with the library is meaningful.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from mpmath import mp, mpf, mpmathify
 
@@ -46,6 +48,22 @@ def zeta_direct(s, terms=100):
 def zeta_neg_bernoulli(n, q=1):
     """zeta(-n, q) = -B_{n+1}(q)/(n+1) for integers n >= 0, 0 < q <= 1."""
     return -mp.bernpoly(n + 1, mpmathify(q)) / (n + 1)
+
+
+@lru_cache(maxsize=None)
+def bernoulli_number(n):
+    """B_n as a Fraction (B_1 = -1/2), from sum_{k<=m} C(m+1, k) B_k = 0."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, k) * bernoulli_number(k) for k in range(n)) / (n + 1)
+
+
+def zeta_neg_exact(n, q=Fraction(1)):
+    """zeta(-n, q) = -B_{n+1}(q)/(n+1) as a Fraction, for integers n >= 0 and
+    rational 0 < q <= 1, with B_N(x) = sum C(N, k) B_k x^(N-k)."""
+    N = n + 1
+    return -sum(comb(N, k) * bernoulli_number(k) * q ** (N - k)
+                for k in range(N + 1)) / N
 
 
 def zeta_fd_deriv(s, dps_boost=25, h=mpf("1e-12"), q=1):
@@ -99,6 +117,20 @@ def preset_spectrum_closed_form(kind, L, a=1, b=1):
         db = lambda s: mpf(a) ** (-s) * z(s, q)
     d_neg = [z(1 - l) * db(-l) for l in range(1, L + 1)]
     return poles, A0, h0, d_neg
+
+
+def preset_exact_constants(kind, L, a=1, b=1):
+    """(A0, [D(-1), ..., D(-L)]) of a preset as exact Fractions, from the
+    factorisation of preset_spectrum_closed_form and zeta_neg_exact."""
+    z = zeta_neg_exact
+    if kind == "standard":
+        db = lambda l: z(l)
+    elif kind == "roots":
+        db = lambda l: 2 * z(l + 1) + z(l)
+    else:
+        q = Fraction((b - 1) % a + 1, a)
+        db = lambda l: a**l * z(l, q)
+    return db(0), [z(l - 1) * db(l) for l in range(1, L + 1)]
 
 
 def bisect_root(f, lo, hi, iters=140):

@@ -84,6 +84,13 @@ def test_predict_failure_names_the_smallest_n(capsys):
     assert "n >= 6" in err
 
 
+def test_predict_failure_names_the_largest_n(capsys):
+    # delta_n < 1e-12 above n = lhs(1e-12) = 1.645e24 for standard
+    code, out, err = run(capsys, "predict", "--model", "standard", "--n", str(10**25))
+    assert (code, out) == (3, "")
+    assert "needs n < 1644934066847726436472415.2" in err
+
+
 def test_predict_rejects_n_zero(capsys):
     code, _, _ = run(capsys, "predict", "--model", "standard", "--n", "0")
     assert code == 2

@@ -172,6 +172,20 @@ def test_solve_delta_preconditions():
     assert sol.delta > 0
 
 
+@pytest.mark.parametrize("args", ALL_PRESETS, ids=lambda args: "-".join(map(str, args)))
+def test_n_beyond_the_bracket_names_the_bound(args):
+    # delta_n < BRACKET_MIN = 1e-12 once n >= lhs(1e-12): 1.645e24 for
+    # standard, 4.808e36 for roots, 5.483e23 for congruent(3,1)
+    sd = derive_spectrum(make_preset(*args))
+    bound = tilt_equation_lhs([tuple(p) for p in sd.poles], sd.A0, sd.d1(),
+                              khintchine.BRACKET_MIN)
+    assert solve_delta(sd, bound * mpf("0.999")).delta > khintchine.BRACKET_MIN
+    with pytest.raises(NoBracketError, match="needs n < ") as info:
+        solve_delta(sd, bound * mpf("1.001"))
+    named = mpf(str(info.value).split("needs n < ")[1])
+    assert abs(named / bound - 1) < mpf("1e-30")
+
+
 def test_solve_delta_is_polished_to_half_precision():
     # the residual tolerance alone left delta off by ~5e-12 relative here
     for args, n in ((("roots",), 1000), (("congruent", 3, 1), 810)):

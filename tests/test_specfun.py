@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
@@ -8,6 +9,7 @@ from subexp.errors import DomainError, PoleError, UnsupportedPointError
 from subexp.specfun import (
     euler_gamma,
     hurwitz_zeta,
+    hurwitz_zeta_exact,
     hurwitz_zeta_deriv,
     log_gamma,
     riemann_zeta,
@@ -91,6 +93,36 @@ def test_hurwitz_domain():
         hurwitz_zeta(2, 0)
     with pytest.raises(DomainError):
         hurwitz_zeta(2, 1.5)
+
+
+def test_exact_hurwitz_matches_mpmath():
+    # every m in [-21, 0] and q = r/a with 1 <= r <= a <= 12; B_N(q) = 0
+    # exactly at q = 1/2 for odd N and at q = 1 for odd N >= 3
+    with mp.workdps(60):
+        for m in range(-21, 1):
+            N = 1 - m
+            for a in range(1, 13):
+                for r in range(1, a + 1):
+                    q = Fraction(r, a)
+                    got = hurwitz_zeta_exact(m, q)
+                    assert isinstance(got, Fraction)
+                    if N % 2 and (q == Fraction(1, 2) or (q == 1 and N >= 3)):
+                        assert got == 0
+                        continue
+                    want = mp.zeta(m, mpf(r) / a)
+                    err = mpf(got.numerator) / got.denominator - want
+                    assert abs(err) <= mpf("1e-35") * abs(want)
+
+
+def test_exact_hurwitz_domain():
+    for m in (1, 5, -22, -1.0, -0.5, mpf(-1), Fraction(-1)):
+        with pytest.raises(DomainError):
+            hurwitz_zeta_exact(m, Fraction(1, 2))
+    for q in (0, -1, Fraction(-1, 2), Fraction(3, 2), 2, 0.5, mpf("0.5")):
+        with pytest.raises(DomainError):
+            hurwitz_zeta_exact(-1, q)
+    assert hurwitz_zeta_exact(-1, 1) == Fraction(-1, 12)
+    assert hurwitz_zeta_exact(0, Fraction(1, 3)) == Fraction(1, 6)
 
 
 def test_hurwitz_deriv0_lerch():

@@ -1,12 +1,20 @@
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from oracles import ROOTS_H0, preset_spectrum_closed_form, zeta_neg_bernoulli
+import oracles
+from oracles import (
+    ROOTS_H0,
+    preset_exact_constants,
+    preset_spectrum_closed_form,
+    zeta_neg_bernoulli,
+)
 from subexp.errors import (
     CustomModelError,
     InvalidParametersError,
@@ -146,6 +154,72 @@ def test_derive_spectrum_matches_closed_forms(args):
         assert close(got, want)
 
 
+def _rounded_to_nearest(got, x):
+    """got is the rational x rounded to nearest at mp.prec: within half an
+    ulp of x, read off got's mantissa and exponent with exact arithmetic."""
+    if x == 0:
+        return got == 0
+    man, exp = got.man_exp  # |got| = man * 2^exp
+    half_ulp = Fraction(2) ** (exp + man.bit_length() - mp.prec - 1)
+    return abs(int(mp.sign(got)) * man * Fraction(2) ** exp - x) <= half_ulp
+
+
+@pytest.mark.parametrize("args", PRESETS, ids=lambda args: "-".join(map(str, args)))
+def test_constants_are_exact_rationals_rounded_once(args):
+    # A0 and D(-l) against the exact Fractions: equal to mpf(p)/q bit for bit
+    # at the default precision, where p fits the mantissa, and the nearest
+    # float at 15 digits too, where mpf(p)/q would round twice
+    for L in (8, 20):
+        A0, d_neg = preset_exact_constants(args[0], L, *args[1:])
+        sd = derive_spectrum(make_preset(*args), L)
+        for got, x in zip((sd.A0,) + sd.d_neg, [A0] + d_neg):
+            assert x.numerator.bit_length() <= mp.prec
+            assert got == mpf(x.numerator) / x.denominator
+            assert _rounded_to_nearest(got, x)
+        with mp.workdps(15):
+            sd = derive_spectrum(make_preset(*args), L)
+            for got, x in zip((sd.A0,) + sd.d_neg, [A0] + d_neg):
+                assert _rounded_to_nearest(got, x)
+
+
+def test_float_and_fraction_coefficients_derive_exactly():
+    # b_j = 1 written as 1.0, and as 1/2 + 1/2 on one residue
+    standard = derive_spectrum(make_preset("standard"), L=20)
+    for terms in (((1, 0, 1.0),), ((1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))):
+        sd = derive_spectrum(ModelSpec("qp", MULTISET, QuasiPolynomial(1, terms)), L=20)
+        assert (sd.A0, sd.d_neg) == (standard.A0, standard.d_neg)
+
+
+def test_derivation_calls_no_zeta_value_at_a_nonpositive_integer(monkeypatch):
+    # A0 and D(-l) come from Bernoulli polynomials; mp.zeta is left with the
+    # poles' zeta(i+2) and, for h0 off q = 1, the derivative zeta'(-i, q)
+    calls = []
+    zeta = mp.zeta
+
+    def spy(s, a=1, derivative=0, **kwargs):
+        calls.append((s, derivative))
+        return zeta(s, a, derivative, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", spy)
+    qp = ModelSpec("qp", MULTISET, QuasiPolynomial(3, ((1, 0, 1), (2, 1, 1))))
+    for model in [make_preset(*args) for args in PRESETS] + [qp]:
+        derive_spectrum(model, L=20)
+    assert calls
+    assert not [(s, d) for s, d in calls if not d and s <= 0 and s == int(s)]
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported
+    assert not [name for name in imported if name.split(".")[0] == "subexp"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+
+
 SPOOFED = {
     "standard-name-on-distinct-parts": ModelSpec("standard", SELECTION, lambda j: 1),
     "roots-name-on-unit-weights": ModelSpec("roots", MULTISET, lambda j: 1),
@@ -172,6 +246,7 @@ linear_on_a_class = st.integers(1, 12).flatmap(
 
 @settings(max_examples=40, deadline=None)
 @given(linear_on_a_class)
+@example((6, 4, 1, 1))  # A0 = (1/2 - 2/3) + 6*(1/36) = 0 exactly
 def test_quasi_polynomial_spectrum_matches_bernoulli(params):
     # against zeta(-n, q) = -B_{n+1}(q)/(n+1) and h = (c_i/a) zeta(i+2) i!
     a, r, c0, c1 = params
@@ -179,14 +254,23 @@ def test_quasi_polynomial_spectrum_matches_bernoulli(params):
     for j in range(1, 3 * a + 1):
         assert model.b(j) == (c0 + c1 * j if j % a == r % a else 0)
     sd = derive_spectrum(model, L=6)
-    q, z = mpf(r) / a, zeta_neg_bernoulli
+    z = zeta_neg_bernoulli
 
-    def db(l):  # D_b(-l)
-        return c0 * mpf(a) ** l * z(l, q) + c1 * mpf(a) ** (l + 1) * z(l + 1, q)
+    def want(l):
+        # zeta(1-l)*D_b(-l) (D_b(0) at l = 0) and its largest summand's size,
+        # at 80 digits so that a cancelling sum is told from an exact zero
+        with mp.workdps(80):
+            q, zl = mpf(r) / a, z(l - 1) if l else 1
+            parts = (zl * c0 * mpf(a) ** l * z(l, q),
+                     zl * c1 * mpf(a) ** (l + 1) * z(l + 1, q))
+            return mp.fsum(parts), max(map(abs, parts))
 
-    assert close(sd.A0, db(0))
-    for l in range(1, 7):
-        assert close(sd.d_neg[l - 1], z(l - 1) * db(l))
+    for l, got in enumerate((sd.A0,) + sd.d_neg):
+        value, scale = want(l)
+        if abs(value) <= mpf("1e-60") * scale:
+            assert got == 0
+        else:
+            assert close(got, value)
     want = [(i + 1, mpf(c) / a * mp.zeta(i + 2) * mp.factorial(i))
             for i, c in enumerate((c0, c1)) if c]
     assert [p.rho for p in sd.poles] == [rho for rho, _ in want]
