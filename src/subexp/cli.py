@@ -30,7 +30,7 @@ from .asymptotics import (
     q_constant,
     to_decimal,
 )
-from .errors import SubexpError
+from .errors import DomainError, SubexpError
 from .exact import exact_coefficients, pentagonal_oracle, product_dp
 from .model import custom_model, make_preset
 from .precision import set_working_precision, to_mpf
@@ -254,6 +254,11 @@ def cmd_exact(args, parser) -> int:
         )
     model, _ = _exact_model(args, parser)
     series = exact_coefficients(model, args.N)
+    try:  # every line is built before the oracle and the first print
+        lines = [f"{n} {series[n]}" for n in range(args.N + 1)]
+    except ValueError:  # a c_n longer than sys.get_int_max_str_digits()
+        raise DomainError(f"a c_n has over {sys.get_int_max_str_digits()} digits, "
+                          "the int-to-str limit (PYTHONINTMAXSTRDIGITS)") from None
     if args.oracle:
         if args.model == "standard":
             other = pentagonal_oracle(args.N)
@@ -268,8 +273,7 @@ def cmd_exact(args, parser) -> int:
             )
             return VERIFY_FAILURE
         print(f"oracle check passed: {oracle_name}, N={args.N}", file=sys.stderr)
-    for n in range(args.N + 1):
-        print(f"{n} {series[n]}")
+    print("\n".join(lines))
     return OK
 
 

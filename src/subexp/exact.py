@@ -8,12 +8,11 @@ which serves every base function uniformly through the Lambda_k.  When
 every k*Lambda_k is an integer (which covers the integer-weight multiset
 presets) it runs in int arithmetic as a divide-and-conquer online
 convolution; otherwise it runs term by term in Fractions.  Each block
-product of the convolution is cut into limb planes, and each pair of
-planes costs two half-length big-int multiplies by two-point Kronecker
-substitution (evaluation at +2^s and -2^s, Harvey's KS2).  A plane
-product's coefficients are packed into slots of 8*slot bits, with slot
-wide enough that every coefficient is below 2^(8*slot), so none carries
-into its neighbour.
+product is one Kronecker substitution, with slots wide enough that no
+coefficient carries: short blocks as ints in binary limb planes by
+two-point substitution (at +2^s and -2^s, Harvey's KS2) under CPython's
+Karatsuba, long ones as Decimals at 10^S by libmpdec's number-theoretic
+transform.
 
 Two independent verifiers back it: the classical pentagonal-number
 recurrence (ordinary partitions only) and a direct truncated-product
@@ -33,6 +32,19 @@ _LEAF = 32
 # wide coefficients are cut into limb planes of this many bytes, so a
 # narrow operand is not padded to the wide one's slot width
 _LIMB_BYTES = 16
+# block products at least this long go to _decimal_product, shorter ones to
+# KS2.  Crossover, min of 15 runs on roots and standard at N = 5008 (2-core
+# x86-64 VM, Python 3.11, libmpdec 2.5.1): the decimal kernel takes 1.0-1.6x
+# KS2's time at length 512-1024, 0.85-1.35x at 1024-1536, 0.65-0.9x at 2000+
+_DECIMAL_MIN_LEN = 1024
+# digits per decimal product, which bounds libmpdec's transform scratch
+_DIGIT_CAP = 500_000
+try:  # libmpdec; the pure-Python decimal module goes through str(int)
+    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+    from _decimal import Inexact, Rounded
+    _CTX = Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+except ImportError:
+    _CTX = None
 
 
 @dataclass(frozen=True)
@@ -81,24 +93,40 @@ def _solve(a: list, c: list, acc: list, l: int, r: int) -> bool:
 def _middle_product(x: list, y: list, lo: int, hi: int) -> list:
     """Coefficients lo..hi-1 of the product of int polynomials x and y.
 
-    Two-point Kronecker substitution (KS2; Harvey 2009, "Faster
-    polynomial multiplication via multipoint Kronecker substitution").
-    For each pair of limb planes, X(z) = Xe(z^2) + z Xo(z^2) is split
-    into its even- and odd-indexed chunks, each packed into one int at
-    z^2 = 2^(8*slot), with slots wide enough that no coefficient of the
-    plane product P = X Y reaches 2^(8*slot).  The two products
-    P(2^s) = X(2^s) Y(2^s) and P(-2^s) = X(-2^s) Y(-2^s), s = 4*slot
-    bits, are each half as long as the one product P(2^(8*slot)) of
-    plain Kronecker substitution;
-    Pe(2^(8*slot)) = (P(2^s) + P(-2^s)) / 2 and
-    Po(2^(8*slot)) = (P(2^s) - P(-2^s)) / 2^(s+1) hold the even- and
-    odd-indexed coefficients of P in their slots, which are read back,
-    shifted to the planes' place and summed.
+    Entries at index >= hi only reach coefficients >= hi.  Each pair of
+    the operands' positive and negative parts goes to one kernel.
     """
     out = [0] * (hi - lo)
+    kernel = _decimal_product if _CTX and hi >= _DECIMAL_MIN_LEN else _ks2_product
+    y_parts = _signed_parts(y[:hi])
+    for x_sign, x_part in _signed_parts(x[:hi]):
+        for y_sign, y_part in y_parts:
+            kernel(x_part, y_part, lo, hi, out, x_sign != y_sign)
+    return out
+
+
+def _signed_parts(x: list) -> list:
+    # (sign, nonnegative part) pairs with x = sum of sign * part
+    if min(x) >= 0:
+        return [(1, x)]
+    return [(1, [v if v > 0 else 0 for v in x]), (-1, [-v if v < 0 else 0 for v in x])]
+
+
+def _ks2_product(x: list, y: list, lo: int, hi: int, out: list, negative: bool):
+    """Add (or, if negative, subtract) coefficients lo..hi-1 of x*y to out.
+
+    x, y >= 0.  Two-point Kronecker substitution (KS2; Harvey 2009, "Faster
+    polynomial multiplication via multipoint Kronecker substitution"): for
+    each pair of limb planes, X(z) = Xe(z^2) + z Xo(z^2) has its even- and
+    odd-indexed chunks packed into ints at z^2 = 2^(8*slot), so wide that no
+    coefficient of P = X Y reaches 2^(8*slot).  P(+-2^s) = X(+-2^s) Y(+-2^s),
+    s = 4*slot bits, are two half-length products; (P(2^s) + P(-2^s))/2 and
+    (P(2^s) - P(-2^s))/2^(s+1) hold P's even- and odd-indexed coefficients
+    in their slots, which are read back, shifted to the planes' place and summed.
+    """
     y_planes = _planes(y)
-    for x_sign, x_off, x_start, x_width, x_chunks in _planes(x):
-        for y_sign, y_off, y_start, y_width, y_chunks in y_planes:
+    for x_off, x_start, x_width, x_chunks in _planes(x):
+        for y_off, y_start, y_width, y_chunks in y_planes:
             start = x_start + y_start
             if start >= hi:
                 continue
@@ -114,7 +142,6 @@ def _middle_product(x: list, y: list, lo: int, hi: int) -> list:
             z_plus = (x_even + x_odd) * (y_even + y_odd)
             z_minus = (x_even - x_odd) * (y_even - y_odd)
             shift = 8 * (x_off + y_off)
-            negative = x_sign != y_sign
             first = max(lo, start)
             # P's coefficient start + 2j + parity sits in slot j of half
             for parity, half in (
@@ -126,7 +153,6 @@ def _middle_product(x: list, y: list, lo: int, hi: int) -> list:
                     i = (k - start) // 2 * slot
                     v = int.from_bytes(buf[i : i + slot], "little") << shift
                     out[k - lo] += -v if negative else v
-    return out
 
 
 def _pack(chunks: list, width: int, slot: int) -> int:
@@ -136,33 +162,55 @@ def _pack(chunks: list, width: int, slot: int) -> int:
 
 
 def _planes(x: list) -> list:
-    """Nonnegative limb planes of the int list x, as packing input.
+    """Limb planes of the nonnegative int list x, as packing input.
 
-    x = sum of sign * 2^(8*offset) * plane over the returned tuples
-    (sign, offset, start, width, chunks): the plane's entry for index
+    x = sum of 2^(8*offset) * plane over the returned tuples
+    (offset, start, width, chunks): the plane's entry for index
     start + i is the little-endian chunk chunks[i], width bytes long.
-    Signed lists are split into positive and negative parts; an all-zero
-    part gives no planes, and entries below start, which are zero in the
-    plane, are dropped.
+    An all-zero list gives no planes, and entries below start, which
+    are zero in the plane, are dropped.
     """
-    if min(x) >= 0:
-        parts = [(1, x)]
-    else:
-        parts = [
-            (1, [v if v > 0 else 0 for v in x]),
-            (-1, [-v if v < 0 else 0 for v in x]),
-        ]
+    bits = [v.bit_length() for v in x]
+    total = (max(bits) + 7) // 8
+    raw = [v.to_bytes(total, "little") for v in x]
     planes = []
-    for sign, part in parts:
-        bits = [v.bit_length() for v in part]
-        total = (max(bits) + 7) // 8
-        raw = [v.to_bytes(total, "little") for v in part]
-        for off in range(0, total, _LIMB_BYTES):
-            start = next(i for i, b in enumerate(bits) if b > 8 * off)
-            width = min(_LIMB_BYTES, total - off)
-            chunks = [b[off : off + width] for b in raw[start:]]
-            planes.append((sign, off, start, width, chunks))
+    for off in range(0, total, _LIMB_BYTES):
+        start = next(i for i, b in enumerate(bits) if b > 8 * off)
+        width = min(_LIMB_BYTES, total - off)
+        planes.append((off, start, width, [b[off : off + width] for b in raw[start:]]))
     return planes
+
+
+def _decimal_product(x: list, y: list, lo: int, hi: int, out: list, negative: bool):
+    """Like _ks2_product, by Kronecker substitution at 10^S in Decimals.
+
+    libmpdec multiplies long Decimals by a number-theoretic transform in
+    O(n log n).  S = w + widest y + digits of the term count, so no slot
+    carries, and x (the c_n, in the recurrence) is cut into as few decimal
+    planes of w digits as keep each product under _DIGIT_CAP digits, with
+    w >= S - w.  Ints and digits meet only in Decimal or in int() on at most
+    640 digits (sys.int_info.str_digits_check_threshold), so no limit applies.
+    """
+    xs = [str(Decimal(v)) for v in reversed(x)]
+    ys = [str(Decimal(v)) for v in reversed(y)]
+    x_width = max(map(len, xs))
+    rest = max(map(len, ys)) + len(str(min(len(xs), len(ys))))
+    planes = -(-x_width // max(rest, _DIGIT_CAP // (len(xs) + len(ys)) - rest))
+    w = -(-x_width // planes)
+    S = w + rest
+    y_dec = Decimal("".join(v.zfill(S) for v in ys))
+    xs = [v.zfill(planes * w) for v in xs]
+    read = int if S <= 640 else (lambda v: int(Decimal(v)))
+    for p in range(planes):
+        i = (planes - 1 - p) * w
+        x_dec = Decimal("".join(v[i : i + w].zfill(S) for v in xs))
+        z = str(_CTX.multiply(x_dec, y_dec)).zfill(S * hi)
+        # slots hi-1 down to lo of plane p, whose digits sit w*p places up
+        z = z[len(z) - S * hi : len(z) - S * lo]
+        scale = 10 ** (w * p)
+        for k, j in enumerate(range(len(z) - S, -1, -S)):
+            v = read(z[j : j + S]) * scale
+            out[k] += -v if negative else v
 
 
 def _recurrence_frac(k_lambda: list, N: int):
@@ -182,12 +230,12 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     """c_0..c_N by the log-derivative recurrence, exact.
 
     With integer k*Lambda_k and integer c_n the convolution is carried by
-    O(log N) levels of big-int multiplies, each level costing about one
-    product of two N-coefficient polynomials.  Each block product takes
-    two multiplies of half its Kronecker length per pair of limb planes
-    (see _middle_product), about 0.67 of one full-length multiply under
-    CPython's Karatsuba.  Rational Lambda_k, or an
-    integer table whose c_n are not all integers, fall back to a
+    O(log N) levels of big-number multiplies, each level costing about one
+    product of two N-coefficient polynomials: blocks shorter than
+    _DECIMAL_MIN_LEN take two half-length int multiplies per pair of limb
+    planes (_ks2_product, under CPython's O(n^1.585) Karatsuba), longer ones
+    O(n log n) Decimal multiplies (_decimal_product).  Rational Lambda_k, or
+    an integer table whose c_n are not all integers, fall back to a
     Fraction loop of O(N^2) operations.
     """
     if N < 0:

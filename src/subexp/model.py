@@ -142,7 +142,15 @@ def custom_model(
     weights: Sequence, base: BaseFunction = MULTISET, kind: str = "custom"
 ) -> ModelSpec:
     """Model from an explicit weight table b_1..b_N (undefined beyond N)."""
-    table = [Fraction(w) for w in weights]
+    if isinstance(weights, str) or not isinstance(weights, Sequence):
+        raise InvalidParametersError(f"weights must be a list; got {weights!r}")
+    table = []
+    for i, w in enumerate(weights):
+        try:
+            table.append(Fraction(w))
+        except (TypeError, ValueError, OverflowError):
+            msg = f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number"
+            raise InvalidParametersError(msg) from None
 
     def rule(j: int, _t=tuple(table)) -> Fraction:
         if j > len(_t):

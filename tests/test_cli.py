@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from mpmath import mp, mpf
@@ -244,6 +245,47 @@ def test_custom_spectrum_without_weights_cannot_count(tmp_path, capsys):
                        "--N", "5")
     assert code == 3
     assert "weights" in err
+
+
+def test_exact_over_int_str_limit_prints_nothing(tmp_path, capsys):
+    # c_37 of this table has over 4300 digits, the default int-to-str limit
+    doc = {"poles": [{"rho": 1, "h": 1.64}], "A0": -0.5, "h0": -0.92,
+           "d_neg": [0.04], "weights": [10**120] * 60}
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(doc))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for oracle in ((), ("--oracle",)):
+            code, out, err = run(capsys, "exact", "--model", "custom", "--spec",
+                                 str(spec), "--N", "50", *oracle)
+            assert (code, out) == (3, "")
+            assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+            assert "oracle" not in err  # it fails before the oracle runs
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "exact", "--model", "custom", "--spec",
+                           str(spec), "--N", "50")
+        assert code == 0
+        assert len(out.splitlines()) == 51
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "weights, named",
+    [(["abc", 1], "weights[0] = 'abc'"), ([1, None], "weights[1] = None"),
+     ({"a": 1}, "weights must be a list"), ("12", "weights must be a list")],
+    ids=("string", "null", "object", "digits"),
+)
+def test_malformed_weights_fail_before_output(tmp_path, capsys, weights, named):
+    doc = {"poles": [{"rho": 1, "h": 1.64}], "A0": -0.5, "h0": -0.92,
+           "d_neg": [0.04], "weights": weights}
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    for argv in (("exact", "--N", "5"), ("compare", "--grid", "2:4:1")):
+        code, out, err = run(capsys, *argv, "--model", "custom", "--spec", str(spec))
+        assert (code, out) == (3, ""), argv
+        assert named in err
 
 
 def test_custom_spectrum_schema_error(tmp_path, capsys):

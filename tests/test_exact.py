@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,25 +25,28 @@ weight_tables = st.integers(1, 300).flatmap(
     lambda N: st.lists(st.integers(0, 6), min_size=N, max_size=N)
 )
 
-# signed entries of 0 to 700 bits: 1 to 6 limb planes, mixed signs
-signed_entries = st.integers(0, 700).flatmap(
-    lambda b: st.integers(-(2**b) + 1, 2**b - 1)
-)
-# lengths 1 to 70 with a run of leading zeros, so limb planes start at
-# odd and even indices
-int_polys = st.integers(1, 70).flatmap(
-    lambda n: st.integers(0, n - 1).flatmap(
-        lambda z: st.lists(signed_entries, min_size=n - z, max_size=n - z).map(
-            lambda body: [0] * z + body
+
+def int_polys(max_bits: int, max_len: int):
+    """Int lists of length 1..max_len: a run of leading zeros, so limb
+    planes start at odd and even indices, then signed entries of 0 to
+    max_bits bits."""
+    entries = st.integers(0, max_bits).flatmap(
+        lambda b: st.integers(-(2**b) + 1, 2**b - 1)
+    )
+    return st.integers(1, max_len).flatmap(
+        lambda n: st.integers(0, n - 1).flatmap(
+            lambda z: st.lists(entries, min_size=n - z, max_size=n - z).map(
+                lambda body: [0] * z + body
+            )
         )
     )
-)
 
 
 @st.composite
-def middle_product_cases(draw):
-    x = draw(int_polys)
-    y = draw(int_polys)
+def middle_product_cases(draw, max_bits=700, max_len=70):
+    # 700 bits: 1 to 6 limb planes
+    x = draw(int_polys(max_bits, max_len))
+    y = draw(int_polys(max_bits, max_len))
     hi = draw(st.integers(1, len(x) + len(y)))
     lo = draw(st.integers(0, hi - 1))
     return x, y, lo, hi
@@ -169,6 +174,71 @@ def test_middle_product_matches_schoolbook(case):
         for k in range(lo, hi)
     ]
     assert exact._middle_product(x, y, lo, hi) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # up to 753 digits, over the 640-digit int-to-str floor
+    middle_product_cases(2500, 40),
+    st.sampled_from([exact._DIGIT_CAP, 20_000, 2_000]),
+)
+@example(([2**2500 - 1] * 3, [-(2**2500) + 1] * 2, 0, 5), 2_000)
+@example(([2**2500 - 1] * 30, [5, -7] * 10, 3, 40), 2_000)  # 21 planes
+def test_decimal_product_matches_schoolbook(case, cap):
+    # every block goes to the decimal kernel, under the lowest int-to-str
+    # limit Python allows; small caps cut x into several planes
+    x, y, lo, hi = case
+    want = [
+        sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
+        for k in range(lo, hi)
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with mock.patch.object(exact, "_DECIMAL_MIN_LEN", 1), mock.patch.object(
+            exact, "_DIGIT_CAP", cap
+        ):
+            got = exact._middle_product(x, y, lo, hi)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_preset("roots"),
+        custom_model([4 if j % 2 == 0 else 1 for j in range(2100)], base=SELECTION),
+    ],
+    ids=("roots", "selection"),
+)
+def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
+    # at N = 2100 the blocks of length 2101 and 1050-1051 reach the decimal
+    # kernel and shorter ones KS2; the selection table has k*Lambda_k < 0
+    # at every even k.
+    # _recurrence_int, not exact_coefficients, whose Fraction fallback
+    # would hide a wrong product that makes a division inexact
+    kl = _k_lambda(model, 2100)
+    with mock.patch.object(
+        exact, "_decimal_product", wraps=exact._decimal_product
+    ) as spy:
+        got = exact._recurrence_int(kl, 2100)
+        assert spy.call_count >= 3
+        monkeypatch.setattr(exact, "_DECIMAL_MIN_LEN", 10**9)
+        spy.reset_mock()
+        assert got is not None
+        assert got == exact._recurrence_int(kl, 2100)
+        assert spy.call_count == 0
+
+
+def test_decimal_kernel_standard_matches_pentagonal():
+    kl = _k_lambda(make_preset("standard"), 2100)
+    with mock.patch.object(
+        exact, "_decimal_product", wraps=exact._decimal_product
+    ) as spy:
+        got = exact._recurrence_int(kl, 2100)
+    assert spy.call_count >= 3
+    assert got == list(pentagonal_oracle(2100).coeffs)
 
 
 @pytest.mark.parametrize("j", [2, 40])
