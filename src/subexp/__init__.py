@@ -20,6 +20,7 @@ from .asymptotics import (
 from .errors import (
     CustomModelError,
     DomainError,
+    InexactDivisionError,
     IneligibleSpectrumError,
     InvalidParametersError,
     NoBracketError,
@@ -53,7 +54,6 @@ from .model import (
     make_preset,
 )
 from .precision import (
-    extra_precision,
     set_working_precision,
     to_mpf,
     working_precision,
@@ -75,6 +75,7 @@ __all__ = [
     "DomainError",
     "EXPONENTIAL",
     "ExactSeries",
+    "InexactDivisionError",
     "IneligibleSpectrumError",
     "InvalidParametersError",
     "KhintchineSolution",
@@ -99,7 +100,6 @@ __all__ = [
     "custom_model",
     "derive_spectrum",
     "exact_coefficients",
-    "extra_precision",
     "initial_guess",
     "kappa",
     "khintchine_lhs",

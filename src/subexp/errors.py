@@ -53,5 +53,9 @@ class UnsupportedModelError(SubexpError):
     """Algorithm preconditions (base, scales, weight integrality) not met."""
 
 
+class InexactDivisionError(SubexpError, ArithmeticError):
+    """Exact counting of an integer-coefficient model met an inexact division."""
+
+
 class TruncationWarning(UserWarning):
     """A truncated series ran out of terms before meeting its tolerance."""

@@ -5,14 +5,14 @@ Primary algorithm: the log-derivative recurrence
     n c_n = sum_{k=1}^n (k Lambda_k) c_{n-k},   c_0 = 1,
 
 which serves every base function uniformly through the Lambda_k.  When
-every k*Lambda_k is an integer (which covers the integer-weight multiset
-presets) it runs in int arithmetic as a divide-and-conquer online
-convolution; otherwise it runs term by term in Fractions.  Each block
-product is one Kronecker substitution, with slots wide enough that no
-coefficient carries: short blocks as ints in binary limb planes by
-two-point substitution (at +2^s and -2^s, Harvey's KS2) under CPython's
-Karatsuba, long ones as Decimals at 10^S by libmpdec's number-theoretic
-transform.
+f has integer coefficients (multiset or selection base, a_j = 1 and
+integer b_j, the models for which lambda_coeffs gives int k*Lambda_k) it
+runs in int arithmetic as a divide-and-conquer online convolution;
+otherwise it runs term by term in Fractions.  Each block product is one
+Kronecker substitution, with slots wide enough that no coefficient
+carries: short blocks as ints in binary limb planes by two-point
+substitution (at +2^s and -2^s, Harvey's KS2) under CPython's Karatsuba,
+long ones as Decimals at 10^S by libmpdec's number-theoretic transform.
 
 Two independent verifiers back it: the classical pentagonal-number
 recurrence (ordinary partitions only) and a direct truncated-product
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .errors import InvalidParametersError, UnsupportedModelError
+from .errors import InexactDivisionError, InvalidParametersError, UnsupportedModelError
 from .model import MULTISET, ModelSpec, lambda_coeffs
 
 # blocks of the online convolution at most this long run the direct sum
@@ -49,7 +49,7 @@ except ImportError:
 
 @dataclass(frozen=True)
 class ExactSeries:
-    """Coefficients c_0..c_N, exact (ints, or Fractions when needed)."""
+    """Coefficients c_0..c_N: ints exactly when f has integer coefficients."""
 
     coeffs: tuple
 
@@ -61,8 +61,8 @@ class ExactSeries:
 
 
 def _recurrence_int(k_lambda: list, N: int):
-    # all k*Lambda_k integral; returns None at the first non-exact
-    # division, which cannot happen for integer-coefficient f
+    # int k*Lambda_k; returns None at the first inexact division, which
+    # for integer-coefficient f means a wrong block product
     a = [0, *k_lambda]
     c = [1] + [0] * N
     acc = [0] * (N + 1)
@@ -229,28 +229,27 @@ def _recurrence_frac(k_lambda: list, N: int):
 def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     """c_0..c_N by the log-derivative recurrence, exact.
 
-    With integer k*Lambda_k and integer c_n the convolution is carried by
+    When f has integer coefficients the convolution is carried by
     O(log N) levels of big-number multiplies, each level costing about one
     product of two N-coefficient polynomials: blocks shorter than
     _DECIMAL_MIN_LEN take two half-length int multiplies per pair of limb
     planes (_ks2_product, under CPython's O(n^1.585) Karatsuba), longer ones
-    O(n log n) Decimal multiplies (_decimal_product).  Rational Lambda_k, or
-    an integer table whose c_n are not all integers, fall back to a
-    Fraction loop of O(N^2) operations.
+    O(n log n) Decimal multiplies (_decimal_product).  Every other model,
+    told apart by its Fraction k*Lambda_k, takes a Fraction loop of O(N^2)
+    operations.  On the int path an inexact division means a wrong block
+    product, and raises InexactDivisionError.
     """
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
     if N == 0:
         return ExactSeries((1,))
     kl = lambda_coeffs(model, N).k_values
-    if all(x.denominator == 1 for x in kl):
-        kl = [int(x) for x in kl]
-        c = _recurrence_int(kl, N)
-        if c is not None:
-            return ExactSeries(tuple(c))
-    c = _recurrence_frac([Fraction(x) for x in kl], N)
-    if all(x.denominator == 1 for x in c):
-        c = [int(x) for x in c]
+    if type(kl[0]) is not int:
+        return ExactSeries(tuple(_recurrence_frac(kl, N)))
+    c = _recurrence_int(kl, N)
+    if c is None:
+        msg = f"inexact division counting model '{model.kind}' to N={N}"
+        raise InexactDivisionError(msg)
     return ExactSeries(tuple(c))
 
 

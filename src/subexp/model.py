@@ -167,9 +167,10 @@ class LambdaSeries:
     """Log-coefficients Lambda_1..Lambda_N of a model, always exact.
 
     k_values[k-1] = k*Lambda_k, the division-free form the counting
-    recurrence wants: a plain int for multiset models whose j*b_j are
-    all integers, a Fraction otherwise.  values[k-1] = Lambda_k is
-    derived from it.
+    recurrence wants: all ints exactly when f has integer coefficients
+    (a multiset or selection base, a_j = 1 and every b_j an integer, so
+    each factor (1 - z^j)^(-b_j) or (1 + z^j)^(b_j) has them), all
+    Fractions otherwise.  values[k-1] = Lambda_k is derived from it.
     """
 
     k_values: tuple
@@ -182,21 +183,21 @@ class LambdaSeries:
         return self.k_values[k - 1]
 
 
-def _sieve_k_lambda(model: ModelSpec, N: int) -> list:
-    # multiset base, a_j = 1: k*Lambda_k = sum_{j | k} j*b_j, via a
-    # divisor sieve in O(N log N) weight evaluations; int sums when
-    # every j*b_j is integral, Fractions otherwise
-    jb = [j * model.b(j) for j in range(1, N + 1)]
-    if all(x.denominator == 1 for x in jb):
-        jb = [int(x) for x in jb]
-        acc = [0] * (N + 1)
-    else:
-        acc = [Fraction(0)] * (N + 1)
-    for j, jbj in enumerate(jb, start=1):
-        if jbj == 0:
+def _sieve_k_lambda(b: list, selection: bool) -> list:
+    # a_j = 1: k*Lambda_k = sum_{j | k} j*b_j * m*g_m with m = k/j, where
+    # m*g_m is 1 (multiset) or (-1)^(m+1) (selection).  A divisor sieve of
+    # O(N log N) additions in the type of the b_j, int or Fraction
+    N = len(b)
+    acc = [type(b[0])()] * (N + 1)
+    for j, bj in enumerate(b, start=1):
+        if bj == 0:
             continue
+        jbj = j * bj
         for k in range(j, N + 1, j):
             acc[k] += jbj
+        if selection:
+            for k in range(2 * j, N + 1, 2 * j):
+                acc[k] -= 2 * jbj
     return acc[1:]
 
 
@@ -204,11 +205,13 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
     """Lambda_k = sum_{j*m=k} b_j g_m a_j^m for k = 1..N, exact rational."""
     if N < 1:
         raise InvalidParametersError(f"need N >= 1; got N={N}")
-    if model.base is MULTISET and model.unit_scale:
-        return LambdaSeries(tuple(_sieve_k_lambda(model, N)))
+    b = [model.b(j) for j in range(1, N + 1)]
+    if model.unit_scale and model.base in (MULTISET, SELECTION):
+        if all(x.denominator == 1 for x in b):
+            b = [int(x) for x in b]
+        return LambdaSeries(tuple(_sieve_k_lambda(b, model.base is SELECTION)))
     vals = [Fraction(0)] * N
-    for j in range(1, N + 1):
-        bj = model.b(j)
+    for j, bj in enumerate(b, start=1):
         if bj == 0:
             continue
         aj = model.a(j)

@@ -8,8 +8,6 @@ themselves.  Set the precision once, before any parallel use; every
 function here is otherwise pure.
 """
 
-from contextlib import contextmanager
-
 from mpmath import mp, mpmathify
 
 DEFAULT_DPS = 38
@@ -26,17 +24,6 @@ def set_working_precision(dps: int) -> None:
 
 def working_precision() -> int:
     return mp.dps
-
-
-@contextmanager
-def extra_precision(extra_dps: int):
-    """Temporarily raise the working precision by `extra_dps` digits."""
-    saved = mp.dps
-    mp.dps = saved + extra_dps
-    try:
-        yield
-    finally:
-        mp.dps = saved
 
 
 def to_mpf(x):

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import distinct_dp, naive_recurrence, partitions_brute
 from subexp import exact
-from subexp.errors import InvalidParametersError, UnsupportedModelError
+from subexp.errors import (
+    InexactDivisionError,
+    InvalidParametersError,
+    UnsupportedModelError,
+)
 from subexp.exact import exact_coefficients, pentagonal_oracle, product_dp
 from subexp.model import (
     EXPONENTIAL,
@@ -215,9 +219,8 @@ def test_decimal_product_matches_schoolbook(case, cap):
 def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
     # at N = 2100 the blocks of length 2101 and 1050-1051 reach the decimal
     # kernel and shorter ones KS2; the selection table has k*Lambda_k < 0
-    # at every even k.
-    # _recurrence_int, not exact_coefficients, whose Fraction fallback
-    # would hide a wrong product that makes a division inexact
+    # at every even k.  A wrong product that makes a division inexact gives
+    # None here, as exact_coefficients gives InexactDivisionError
     kl = _k_lambda(model, 2100)
     with mock.patch.object(
         exact, "_decimal_product", wraps=exact._decimal_product
@@ -263,6 +266,42 @@ def test_integral_k_lambda_with_rational_coeffs_falls_back(j):
     series = exact_coefficients(model, N)
     assert list(series.coeffs) == want
     assert series[j] == p[j] - 1 + Fraction(1, j)
+
+
+def test_wrong_block_product_raises(monkeypatch):
+    # a KS2 that adds where it should subtract makes some division inexact
+    # on a selection table (k*Lambda_k < 0 at every even k); the integer
+    # path must fail, not hand the model to the Fraction loop
+    ks2 = exact._ks2_product
+
+    def ks2_always_adding(x, y, lo, hi, out, negative):
+        ks2(x, y, lo, hi, out, False)
+
+    monkeypatch.setattr(exact, "_ks2_product", ks2_always_adding)
+    model = custom_model([4 if j % 2 == 0 else 1 for j in range(300)], base=SELECTION)
+    with pytest.raises(InexactDivisionError, match="N=300"):
+        exact_coefficients(model, 300)
+
+
+@pytest.mark.parametrize(
+    "model, N, want",
+    [
+        # b_2 = 1/2: f = (1 - z)^(-1) (1 - z^2)^(-1/2), k*Lambda_k integral
+        (custom_model([1, Fraction(1, 2)]), 2, [1, 1, Fraction(3, 2)]),
+        (
+            ModelSpec("sets", EXPONENTIAL, lambda j: Fraction(1)),
+            3,
+            [1, 1, Fraction(3, 2), Fraction(13, 6)],
+        ),
+    ],
+    ids=("rational-weights", "exponential"),
+)
+def test_rational_models_skip_the_int_path(model, N, want):
+    with mock.patch.object(
+        exact, "_recurrence_int", wraps=exact._recurrence_int
+    ) as spy:
+        assert list(exact_coefficients(model, N).coeffs) == want
+    assert spy.call_count == 0
 
 
 def test_roots_600_matches_product_dp():

@@ -81,12 +81,23 @@ def test_lambda_small_values():
     assert std.values[5] == 2  # k=6: (1+2+3+6)/6
     roots = lambda_coeffs(make_preset("roots"), 2)
     assert roots.values[1] == Fraction(13, 2)  # 3*(1/2) + 5*1
-    # the sieve sums ints when every j*b_j is integral; Lambda_k stays exact
-    assert all(type(x) is int for x in std.k_values + roots.k_values)
-    assert all(type(x) is Fraction for x in std.values + roots.values)
+    # k*Lambda_k are ints exactly when f has integer coefficients (multiset
+    # or selection base, a_j = 1, integer b_j); Lambda_k stays exact
+    # f = (1 + z)^3 (1 + z^2): 2*Lambda_2 = -3 + 2
+    sel = lambda_coeffs(custom_model([3, 1], base=SELECTION), 2)
+    assert sel.k_values == (3, -1)
+    for lam in (std, roots, sel):
+        assert all(type(x) is int for x in lam.k_values)
+        assert all(type(x) is Fraction for x in lam.values)
     third = lambda_coeffs(custom_model([Fraction(1, 3)] * 2), 2)
     assert third.k_values == (Fraction(1, 3), Fraction(1))
-    assert all(type(x) is Fraction for x in third.k_values)
+    # b_j = 1/j and e^z have integral k*Lambda_k but rational c_n
+    inverse = lambda_coeffs(custom_model([1, Fraction(1, 2)]), 2)
+    assert inverse.k_values == (1, 2)
+    sets = lambda_coeffs(ModelSpec("sets", EXPONENTIAL, lambda j: 1), 3)
+    assert sets.k_values == (1, 2, 3)
+    for lam in (third, inverse, sets):
+        assert all(type(x) is Fraction for x in lam.k_values)
 
 
 def test_k_lambda_is_divisor_sum():

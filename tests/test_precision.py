@@ -5,7 +5,6 @@ from mpmath import mp, mpf
 
 from subexp.precision import (
     DEFAULT_DPS,
-    extra_precision,
     set_working_precision,
     to_mpf,
     working_precision,
@@ -33,21 +32,6 @@ def test_set_working_precision_roundtrip():
 def test_set_working_precision_rejects_low():
     with pytest.raises(ValueError):
         set_working_precision(10)
-
-
-def test_extra_precision_restores():
-    before = mp.dps
-    with extra_precision(20):
-        assert mp.dps == before + 20
-    assert mp.dps == before
-
-
-def test_extra_precision_restores_on_error():
-    before = mp.dps
-    with pytest.raises(RuntimeError):
-        with extra_precision(10):
-            raise RuntimeError("boom")
-    assert mp.dps == before
 
 
 def test_to_mpf_conversions():
