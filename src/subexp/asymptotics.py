@@ -45,9 +45,6 @@ class LogEstimate:
     log_value: mpf
     terms: dict
 
-    def breakdown_gap(self) -> mpf:
-        return self.log_value - sum(self.terms.values())
-
 
 def _correction_coefficients(sd: SpectralData) -> tuple:
     """(-1)^l D(-l) / l! for l = 1, 2, ..., the series' tau-free factors."""
@@ -107,7 +104,8 @@ def q_constant(sd: SpectralData) -> mpf:
     """
     report = validate_spectrum(sd)
     if report.classification == INELIGIBLE:
-        raise IneligibleSpectrumError(report.messages[0])
+        raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {report.gap} > 0: "
+                                      "the explicit formula does not apply")
     if report.classification == CRITICAL:
         rho_r, h_r = sd.poles[-1]
         rho_p, h_p = sd.poles[-2]

@@ -16,7 +16,6 @@ digits; logs are natural unless --log10 is passed.
 
 import argparse
 import json
-import os
 import sys
 
 from mpmath import mp, mpf
@@ -71,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         metavar="DIGITS",
-        help="working precision in significant decimal digits "
-        "(default 38; SUBEXP_PRECISION overrides the default)",
+        help="working precision in significant decimal digits (default 38)",
     )
     selector = argparse.ArgumentParser(add_help=False)
     selector.add_argument(
@@ -469,15 +467,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    env = os.environ.get("SUBEXP_PRECISION")
-    try:
-        if args.precision is not None:
+    if args.precision is not None:
+        try:
             set_working_precision(args.precision)
-        elif env:
-            set_working_precision(int(env))
-    except ValueError as exc:
-        print(f"bad precision: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        except ValueError as exc:
+            print(f"bad precision: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     try:
         return args.func(args, parser)
     except SystemExit as exc:

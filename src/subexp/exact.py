@@ -60,16 +60,16 @@ class ExactSeries:
         return len(self.coeffs)
 
 
-def _recurrence_int(k_lambda: list, N: int):
-    # int k*Lambda_k; returns None at the first inexact division, which
-    # for integer-coefficient f means a wrong block product
+def _recurrence_int(k_lambda: list, N: int) -> list:
+    # int k*Lambda_k; an inexact division, which for integer-coefficient f
+    # means a wrong block product, raises InexactDivisionError
     a = [0, *k_lambda]
     c = [1] + [0] * N
-    acc = [0] * (N + 1)
-    return c if _solve(a, c, acc, 0, N + 1) else None
+    _solve(a, c, [0] * (N + 1), 0, N + 1)
+    return c
 
 
-def _solve(a: list, c: list, acc: list, l: int, r: int) -> bool:
+def _solve(a: list, c: list, acc: list, l: int, r: int):
     # Online convolution over [l, r).  On entry acc[n] holds
     # sum_{i<l} c_i a_{n-i} for every n in [l, r).  Module-level rather
     # than a closure, so no reference cycle keeps acc alive after return.
@@ -79,15 +79,14 @@ def _solve(a: list, c: list, acc: list, l: int, r: int) -> bool:
             acc[n] = 0
             q, rem = divmod(total, n)
             if rem:
-                return False
+                raise InexactDivisionError(f"inexact division at n={n}")
             c[n] = q
-        return True
+        return
     m = (l + r) // 2
-    if not _solve(a, c, acc, l, m):
-        return False
+    _solve(a, c, acc, l, m)
     for n, v in enumerate(_middle_product(c[l:m], a[: r - l], m - l, r - l), m):
         acc[n] += v
-    return _solve(a, c, acc, m, r)
+    _solve(a, c, acc, m, r)
 
 
 def _middle_product(x: list, y: list, lo: int, hi: int) -> list:
@@ -237,7 +236,7 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     O(n log n) Decimal multiplies (_decimal_product).  Every other model,
     told apart by its Fraction k*Lambda_k, takes a Fraction loop of O(N^2)
     operations.  On the int path an inexact division means a wrong block
-    product, and raises InexactDivisionError.
+    product, and raises InexactDivisionError naming n, the model kind and N.
     """
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
@@ -246,11 +245,11 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     kl = lambda_coeffs(model, N).k_values
     if type(kl[0]) is not int:
         return ExactSeries(tuple(_recurrence_frac(kl, N)))
-    c = _recurrence_int(kl, N)
-    if c is None:
-        msg = f"inexact division counting model '{model.kind}' to N={N}"
-        raise InexactDivisionError(msg)
-    return ExactSeries(tuple(c))
+    try:
+        return ExactSeries(tuple(_recurrence_int(kl, N)))
+    except InexactDivisionError as exc:
+        msg = f"{exc} counting model '{model.kind}' to N={N}"
+        raise InexactDivisionError(msg) from None
 
 
 def pentagonal_oracle(N: int) -> ExactSeries:
@@ -297,7 +296,7 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
         raise UnsupportedModelError(
             f"product evaluation needs the multiset base; model has {model.base.name}"
         )
-    if not model.unit_scale:
+    if model.scale is not None:
         raise UnsupportedModelError("product evaluation needs a_j = 1")
     c = [0] * (N + 1)
     c[0] = 1

@@ -81,34 +81,26 @@ def _lhs_and_slope(sd: SpectralData, x):
     return lhs, slope
 
 
-def _positive(delta) -> mpf:
+def khintchine_lhs(sd: SpectralData, delta) -> mpf:
+    """Left side of the equation at a given delta > 0."""
     delta = to_mpf(delta)
     if not delta > 0:
         raise DomainError(f"delta must be positive; got {delta}")
-    return delta
-
-
-def khintchine_lhs(sd: SpectralData, delta) -> mpf:
-    """Left side of the equation at a given delta > 0."""
-    return _lhs_and_slope(sd, _positive(delta))[0]
-
-
-def khintchine_lhs_deriv(sd: SpectralData, delta) -> mpf:
-    """Derivative of the left side in delta, at a given delta > 0."""
-    delta = _positive(delta)
-    return _lhs_and_slope(sd, delta)[1] / delta
+    return _lhs_and_slope(sd, delta)[0]
 
 
 def initial_guess(sd: SpectralData, n) -> mpf:
     """Two-term asymptotic expansion of z_n = 1/delta_n, a cross-check
     on the solved root (the solver seeds from the leading term alone).
 
-    Leading term (n/(rho_r h_r))^(1/(rho_r+1)); the r >= 2 correction has
-    magnitude M (rho_r h_r)^(-e) n^e with e = (rho_{r-1}-rho_r+1)/(rho_r+1)
-    and M = rho_{r-1} h_{r-1} / ((rho_r+1) rho_r h_r).  The expansion's
-    printed sign does not balance the equation, so the sign is chosen
-    adaptively: whichever candidate brings the equation's left side
-    closer to n (the numeric solve stays authoritative).
+    The leading term z0 = (n/(rho_r h_r))^(1/(rho_r+1)) balances the top
+    pole alone.  For r >= 2, balancing the two largest terms,
+    rho_r h_r z^(rho_r+1) + rho_{r-1} h_{r-1} z^(rho_{r-1}+1) = n, at
+    z = z0 (1 + eps) gives eps = -rho_{r-1} h_{r-1} z0^(rho_{r-1}+1) /
+    ((rho_r+1) n) to first order: the second pole adds to the left side,
+    so z shrinks.  Hence z = z0 - w with w = M (rho_r h_r)^(-e) n^e,
+    e = (rho_{r-1}-rho_r+1)/(rho_r+1) and
+    M = rho_{r-1} h_{r-1} / ((rho_r+1) rho_r h_r); z0 where z0 - w <= 0.
     """
     n = to_mpf(n)
     if not n >= 1:
@@ -120,16 +112,8 @@ def initial_guess(sd: SpectralData, n) -> mpf:
     rho_p, h_p = sd.poles[-2]
     e = (rho_p - rho_r + 1) / (rho_r + 1)
     M = rho_p * h_p / ((rho_r + 1) * rho_r * h_r)
-    w = M * (rho_r * h_r) ** (-e) * n**e
-    best = z0
-    best_err = abs(khintchine_lhs(sd, 1 / z0) - n)
-    for cand in (z0 - w, z0 + w):
-        if cand <= 0:
-            continue
-        err = abs(khintchine_lhs(sd, 1 / cand) - n)
-        if err < best_err:
-            best, best_err = cand, err
-    return best
+    z = z0 - M * (rho_r * h_r) ** (-e) * n**e
+    return z if z > 0 else z0
 
 
 def _as_float(v) -> float:

@@ -86,10 +86,6 @@ class ModelSpec:
             raise InvalidParametersError(f"a_{j} = {aj} outside (0, 1]")
         return aj
 
-    @property
-    def unit_scale(self) -> bool:
-        return self.scale is None
-
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
@@ -147,6 +143,8 @@ def custom_model(
     table = []
     for i, w in enumerate(weights):
         try:
+            if isinstance(w, bool):  # Fraction(True) == 1
+                raise TypeError
             table.append(Fraction(w))
         except (TypeError, ValueError, OverflowError):
             msg = f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number"
@@ -206,7 +204,7 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
     if N < 1:
         raise InvalidParametersError(f"need N >= 1; got N={N}")
     b = [model.b(j) for j in range(1, N + 1)]
-    if model.unit_scale and model.base in (MULTISET, SELECTION):
+    if model.scale is None and model.base in (MULTISET, SELECTION):
         if all(x.denominator == 1 for x in b):
             b = [int(x) for x in b]
         return LambdaSeries(tuple(_sieve_k_lambda(b, model.base is SELECTION)))

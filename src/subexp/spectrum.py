@@ -130,7 +130,6 @@ class SpectralData:
 class ValidationReport:
     gap: Optional[mpf]
     classification: str
-    messages: tuple
 
 
 def validate_spectrum(sd: SpectralData) -> ValidationReport:
@@ -141,11 +140,10 @@ def validate_spectrum(sd: SpectralData) -> ValidationReport:
     """
     gap = sd.gap
     if sd.r <= 1 or gap < -GAP_TOL:
-        return ValidationReport(gap, SUBCRITICAL, ())
+        return ValidationReport(gap, SUBCRITICAL)
     if gap <= GAP_TOL:
-        return ValidationReport(gap, CRITICAL, ())
-    return ValidationReport(gap, INELIGIBLE, (
-        f"2*rho_{{r-1}} - rho_r = {gap} > 0: the explicit formula does not apply",))
+        return ValidationReport(gap, CRITICAL)
+    return ValidationReport(gap, INELIGIBLE)
 
 
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
@@ -164,7 +162,7 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     if not (1 <= L <= 20):
         raise InvalidParametersError(f"need 1 <= L <= 20; got L={L}")
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET
-            and model.unit_scale):
+            and model.scale is None):
         raise CustomModelError(
             f"no derivable spectral data for model kind {model.kind!r}; "
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"

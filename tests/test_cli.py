@@ -274,8 +274,9 @@ def test_exact_over_int_str_limit_prints_nothing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "weights, named",
     [(["abc", 1], "weights[0] = 'abc'"), ([1, None], "weights[1] = None"),
-     ({"a": 1}, "weights must be a list"), ("12", "weights must be a list")],
-    ids=("string", "null", "object", "digits"),
+     ({"a": 1}, "weights must be a list"), ("12", "weights must be a list"),
+     ([True, 1], "weights[0] = True")],
+    ids=("string", "null", "object", "digits", "boolean"),
 )
 def test_malformed_weights_fail_before_output(tmp_path, capsys, weights, named):
     doc = {"poles": [{"rho": 1, "h": 1.64}], "A0": -0.5, "h0": -0.92,
@@ -337,16 +338,10 @@ def test_precision_flag(capsys):
     code, _, _ = run(capsys, "predict", "--model", "standard", "--n", "100",
                      "--precision", "5")
     assert code == 2
-
-
-def test_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("SUBEXP_PRECISION", "44")
-    code, _, _ = run(capsys, "verify")
+    code, out, _ = run(capsys, "verify", "--precision", "44")
     assert code == 0
     assert mp.dps == 44
-    monkeypatch.setenv("SUBEXP_PRECISION", "not-a-number")
-    code, _, _ = run(capsys, "verify")
-    assert code == 2
+    assert out.endswith("checks passed\n")
 
 
 def test_unknown_command(capsys):

@@ -219,8 +219,8 @@ def test_decimal_product_matches_schoolbook(case, cap):
 def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
     # at N = 2100 the blocks of length 2101 and 1050-1051 reach the decimal
     # kernel and shorter ones KS2; the selection table has k*Lambda_k < 0
-    # at every even k.  A wrong product that makes a division inexact gives
-    # None here, as exact_coefficients gives InexactDivisionError
+    # at every even k.  A wrong product that makes a division inexact
+    # raises InexactDivisionError here
     kl = _k_lambda(model, 2100)
     with mock.patch.object(
         exact, "_decimal_product", wraps=exact._decimal_product
@@ -229,7 +229,6 @@ def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
         assert spy.call_count >= 3
         monkeypatch.setattr(exact, "_DECIMAL_MIN_LEN", 10**9)
         spy.reset_mock()
-        assert got is not None
         assert got == exact._recurrence_int(kl, 2100)
         assert spy.call_count == 0
 
@@ -245,15 +244,17 @@ def test_decimal_kernel_standard_matches_pentagonal():
 
 
 @pytest.mark.parametrize("j", [2, 40])
-def test_integral_k_lambda_with_rational_coeffs_falls_back(j):
+def test_integral_k_lambda_with_rational_coeffs_names_n(j):
     # b_j = 1/j keeps every k*Lambda_k integral, but
-    # f = P(z) (1 - z^j)^(1 - 1/j) has c_j = p(j) - 1 + 1/j
+    # f = P(z) (1 - z^j)^(1 - 1/j) has c_j = p(j) - 1 + 1/j, so the int
+    # recurrence first fails at n = j; the model itself counts in Fractions
     N = 100
     weights = [1] * N
     weights[j - 1] = Fraction(1, j)
     model = custom_model(weights)
     kl = _k_lambda(model, N)
-    assert exact._recurrence_int(kl, N) is None
+    with pytest.raises(InexactDivisionError, match=rf"\bn={j}\b"):
+        exact._recurrence_int(kl, N)
     assert naive_recurrence(kl, N) is None
     t = 1 - Fraction(1, j)
     binom = [Fraction(1)]
@@ -279,7 +280,7 @@ def test_wrong_block_product_raises(monkeypatch):
 
     monkeypatch.setattr(exact, "_ks2_product", ks2_always_adding)
     model = custom_model([4 if j % 2 == 0 else 1 for j in range(300)], base=SELECTION)
-    with pytest.raises(InexactDivisionError, match="N=300"):
+    with pytest.raises(InexactDivisionError, match=r"\bn=\d+ .*N=300"):
         exact_coefficients(model, 300)
 
 

@@ -1,4 +1,5 @@
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from subexp.khintchine import (
     _float_root,
     initial_guess,
     khintchine_lhs,
-    khintchine_lhs_deriv,
     residual_tolerance,
     solve_delta,
 )
@@ -68,20 +68,17 @@ def test_lhs_rejects_nonpositive_delta():
         khintchine_lhs(STD, 0)
     with pytest.raises(DomainError):
         khintchine_lhs(STD, -1)
-    with pytest.raises(DomainError):
-        khintchine_lhs_deriv(ROOTS, 0)
-    with pytest.raises(DomainError):
-        khintchine_lhs_deriv(ROOTS, -1)
 
 
 def test_lhs_deriv_matches_difference_quotient():
+    # the slope Newton uses, delta*lhs'(delta), over delta
     h = mpf("1e-12")
     for sd in PRESETS:
         for delta in (mpf("0.1"), mpf("0.8")):
             fd = (khintchine_lhs(sd, delta + h) - khintchine_lhs(sd, delta - h)) / (
                 2 * h
             )
-            got = khintchine_lhs_deriv(sd, delta)
+            got = khintchine._lhs_and_slope(sd, delta)[1] / delta
             assert abs(got - fd) < mpf("1e-8") * abs(got)
 
 
@@ -99,11 +96,25 @@ def test_initial_guess_roots_two_terms():
     # correction is order n^0; the leading term alone is off by O(1)
     assert abs(z - z1) < 1
     assert abs(z - z1) > mpf("0.01")
-    # the adaptive sign must not lose to the plain leading term
+    # the derived sign must not lose to the plain leading term
     n = 1000
     err_guess = abs(khintchine_lhs(ROOTS, 1 / z) - n)
     err_leading = abs(khintchine_lhs(ROOTS, 1 / z1) - n)
     assert err_guess < err_leading
+
+
+def test_initial_guess_evaluates_nothing():
+    # roots: rho = (1, 2), h = (zeta(2), 2 zeta(3)).  Balancing both poles
+    # at z = z0 (1 + eps) gives eps = -rho_1 h_1 z0^2 / ((rho_2+1) n)
+    n = mpf(1000)
+    rho, h = (1, 2), (mp.zeta(2), 2 * mp.zeta(3))
+    z0 = (n / (rho[1] * h[1])) ** (mpf(1) / (rho[1] + 1))
+    want = z0 * (1 - rho[0] * h[0] * z0 ** (rho[0] + 1) / ((rho[1] + 1) * n))
+    with mock.patch.object(khintchine, "khintchine_lhs",
+                           wraps=khintchine.khintchine_lhs) as spy:
+        z = initial_guess(ROOTS, n)
+    assert spy.call_count == 0
+    assert abs(z - want) < mpf("1e-30")
 
 
 def test_solve_delta_against_bisection_oracle():
