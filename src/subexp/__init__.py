@@ -2,7 +2,7 @@
 multiplicative structures (weighted integer partitions).
 
 The pipeline: a ModelSpec fixes the generating function
-f(z) = prod_j S(a_j z^j)^{b_j}; its log-coefficients Lambda_k give exact
+f(z) = prod_j S(z^j)^{b_j}; its log-coefficients Lambda_k give exact
 counts c_n by recurrence; the spectral data of the associated Dirichlet
 series gives two asymptotic log-estimates of c_n, tied together by the
 solution of the Khintchine equation.

@@ -158,9 +158,11 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     The Gaussian prefactor carries the local variance rho_r h_r (rho_r+1)
     of the tilted distribution; with it, the estimate and the explicit
     formula agree to o(1) (their shared derivation fixes the constant).
-    Requires delta_n < 1 for the correction series; the DomainError
-    otherwise names n_min, the least n with lhs(1) < n (6 for roots).
+    Requires a whole n, and delta_n < 1 for the correction series (that
+    DomainError names n_min, the least n with lhs(1) < n: 6 for roots).
     """
+    if n % 1:  # also true at inf and nan
+        raise DomainError(f"need a whole n; got n={n}")
     delta = solve_delta(sd, n).delta
     if not delta < 1:
         n_min = max(1, int(mp.floor(khintchine_lhs(sd, 1))) + 1)
@@ -191,12 +193,12 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
         + (1+rho_r) h_r (rho_r h_r)^(-rho_r/(rho_r+1)) n^(rho_r/(rho_r+1))
         + sum_{l=1}^{r-1} h_l (rho_r h_r)^(-rho_l/(rho_r+1)) n^(rho_l/(rho_r+1))
 
-    Only valid for subcritical or critical spectra (q_constant raises
-    otherwise).  Everything but n is built once per spectrum and working
-    precision and kept on sd (SpectralData.memo).
+    Needs a whole n >= 1 and a subcritical or critical spectrum
+    (q_constant raises otherwise).  Everything but n is built once per
+    spectrum and working precision and kept on sd (SpectralData.memo).
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1; got n={n}")
+    if n < 1 or n % 1:
+        raise DomainError(f"need a whole n >= 1; got n={n}")
     c = sd.memo(_explicit_constants)
     nn = to_mpf(n)
     power = c.kappa * mp.log(nn)

@@ -50,7 +50,7 @@ class IneligibleSpectrumError(SubexpError):
 
 
 class UnsupportedModelError(SubexpError):
-    """Algorithm preconditions (base, scales, weight integrality) not met."""
+    """Algorithm preconditions (base, weight integrality) not met."""
 
 
 class InexactDivisionError(SubexpError, ArithmeticError):

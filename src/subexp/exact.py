@@ -5,10 +5,10 @@ Primary algorithm: the log-derivative recurrence
     n c_n = sum_{k=1}^n (k Lambda_k) c_{n-k},   c_0 = 1,
 
 which serves every base function uniformly through the Lambda_k.  When
-f has integer coefficients (multiset or selection base, a_j = 1 and
-integer b_j, the models for which lambda_coeffs gives int k*Lambda_k) it
-runs in int arithmetic as a divide-and-conquer online convolution;
-otherwise it runs term by term in Fractions.  Each block product is one
+f has integer coefficients (multiset or selection base and integer b_j,
+the models for which lambda_coeffs gives int k*Lambda_k) it runs in int
+arithmetic as a divide-and-conquer online convolution; otherwise it runs
+term by term in Fractions.  Each block product is one
 Kronecker substitution, with slots wide enough that no coefficient
 carries: short blocks as ints in binary limb planes by two-point
 substitution (at +2^s and -2^s, Harvey's KS2) under CPython's Karatsuba,
@@ -287,17 +287,15 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     b_j <= N // j is applied as b_j prefix-sum passes (one per
     1/(1-z^j)); a heavier one as a single descending pass with the
     binomial weights C(b_j+m-1, m) of (1-z^j)^(-b_j).  Only
-    integer-weight multiset models with a_j = 1 qualify; exists purely
+    integer-weight multiset models qualify; exists purely
     as an independent verifier for exact_coefficients.
     """
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
     if model.base is not MULTISET:
         raise UnsupportedModelError(
-            f"product evaluation needs the multiset base; model has {model.base.name}"
+            f"product evaluation needs the multiset base; model has {model.base.value}"
         )
-    if model.scale is not None:
-        raise UnsupportedModelError("product evaluation needs a_j = 1")
     c = [0] * (N + 1)
     c[0] = 1
     for j in range(1, N + 1):

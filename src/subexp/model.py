@@ -1,53 +1,39 @@
 """Multiplicative generating-function models.
 
-A model is f(z) = prod_{j>=1} S(a_j z^j)^{b_j} with base function S,
-scale sequence a_j in (0,1] and weight sequence b_j >= 0.  Everything
-downstream consumes the model only through the log-coefficients
+A model is f(z) = prod_{j>=1} S(z^j)^{b_j} with base function S and
+weight sequence b_j >= 0.  Everything downstream consumes the model only
+through the log-coefficients
 
-    log f(z) = sum_k Lambda_k z^k,   Lambda_k = sum_{j*m=k} b_j g_m a_j^m,
+    log f(z) = sum_k Lambda_k z^k,   Lambda_k = sum_{j*m=k} b_j g_m,
 
-where g_m are the Taylor coefficients of log S.  Weight and scale
-sequences are closed-form rules (callables by index), not arrays, so a
-single ModelSpec serves any truncation order.
+where g_m are the Taylor coefficients of log S.  Weight sequences are
+closed-form rules (callables by index), not arrays, so a single
+ModelSpec serves any truncation order.
 """
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidParametersError, UndefinedWeightError
 
 
-@dataclass(frozen=True)
-class BaseFunction:
-    """Base function S given by the Taylor coefficients of log S.
+class BaseFunction(Enum):
+    """Base function S, fixed by the Taylor coefficients g_m of log S.
 
-    log S(w) = sum_{m>=1} g_m w^m; S(0)=1 is encoded by the absence of
-    a constant term.  g_m must be returned exact (Fraction or int) for
-    the exact-counting path to stay rational.
+    multiset:    S(w) = 1/(1-w),  g_m = 1/m
+    selection:   S(w) = 1+w,      g_m = (-1)^(m+1)/m
+    exponential: S(w) = e^w,      g_m = 1 if m = 1, else 0
     """
 
-    name: str
-    log_taylor: Callable[[int], Fraction]
+    MULTISET = "multiset"
+    SELECTION = "selection"
+    EXPONENTIAL = "exponential"
 
 
-def _multiset_g(m: int) -> Fraction:
-    return Fraction(1, m)
-
-
-def _selection_g(m: int) -> Fraction:
-    return Fraction(1, m) if m % 2 == 1 else Fraction(-1, m)
-
-
-def _exponential_g(m: int) -> Fraction:
-    return Fraction(1) if m == 1 else Fraction(0)
-
-
-# log(1/(1-w)) = sum w^m/m; log(1+w) = sum (-1)^(m+1) w^m/m; log(e^w) = w
-MULTISET = BaseFunction("multiset", _multiset_g)
-SELECTION = BaseFunction("selection", _selection_g)
-EXPONENTIAL = BaseFunction("exponential", _exponential_g)
+MULTISET, SELECTION, EXPONENTIAL = BaseFunction
 
 
 @dataclass(frozen=True)
@@ -57,8 +43,11 @@ class ModelSpec:
     kind: str
     base: BaseFunction
     weight: Callable[[int], Fraction]  # b_j, nonnegative rational
-    scale: Optional[Callable[[int], Fraction]] = None  # a_j, None means a_j = 1
     params: tuple = ()
+
+    def __post_init__(self):
+        if not isinstance(self.base, BaseFunction):
+            raise InvalidParametersError(f"not a BaseFunction: {self.base!r}")
 
     def b(self, j: int) -> Fraction:
         if j < 1:
@@ -78,29 +67,32 @@ class ModelSpec:
             raise InvalidParametersError(f"b_{j} = {bj} < 0")
         return bj
 
-    def a(self, j: int) -> Fraction:
-        if self.scale is None:
-            return Fraction(1)
-        aj = Fraction(self.scale(j))
-        if not (0 < aj <= 1):
-            raise InvalidParametersError(f"a_{j} = {aj} outside (0, 1]")
-        return aj
-
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Weight rule: b_j sums c*j^i over the terms (r, i, c) with j = r mod a.
 
-    Residues r lie in 1..a.  Callable as b_j, so it serves as a ModelSpec
-    weight; derive_spectrum reads the spectrum off its terms.
+    a, r and i are ints with residues r in 1..a and degrees i >= 0; c is
+    rational.  Callable as b_j, so it serves as a ModelSpec weight;
+    derive_spectrum reads the spectrum off its terms.
     """
 
     a: int
     terms: tuple  # (r, i, c)
 
     def __post_init__(self):
-        if self.a < 1 or not all(0 < r <= self.a and i >= 0 for r, i, _ in self.terms):
-            raise InvalidParametersError(f"need a >= 1, 0 < r <= a, i >= 0; got {self}")
+        # type(x) is int rules out bools; Fraction(c) raises on a c it cannot
+        # read, and b_j would repeat a str
+        try:
+            ok = type(self.a) is int and self.a >= 1 and all(
+                type(r) is int and type(i) is int and 0 < r <= self.a and i >= 0
+                and not isinstance(c, (bool, str)) and Fraction(c) == c
+                for r, i, c in self.terms)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise InvalidParametersError(
+                f"need int a >= 1, int 0 < r <= a, int i >= 0, rational c; got {self}")
 
     def __call__(self, j: int) -> Fraction:
         return Fraction(sum(c * j**i for r, i, c in self.terms if not (j - r) % self.a))
@@ -116,16 +108,15 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     roots:           b_j = 2j+1   (part j repeated (j+1)^2 - j^2 times)
     congruent(a,b):  b_j = 1 iff j = b (mod a), else 0; requires gcd(a,b)=1
 
-    All presets use the multiset base, a_j = 1 and a QuasiPolynomial weight.
+    All presets use the multiset base and a QuasiPolynomial weight.
     """
     if kind in _PRESET_TERMS:
         return ModelSpec(kind, MULTISET, QuasiPolynomial(1, _PRESET_TERMS[kind]))
     if kind != "congruent":
         raise InvalidParametersError(f"unknown preset kind: {kind!r}")
-    if a is None or b is None:
-        raise InvalidParametersError("congruent preset needs parameters a and b")
-    if a < 1 or b < 1:
-        raise InvalidParametersError(f"need positive a, b; got a={a}, b={b}")
+    if not (type(a) is int and type(b) is int and a >= 1 and b >= 1):
+        raise InvalidParametersError(
+            f"congruent preset needs positive int a and b; got a={a!r}, b={b!r}")
     if math.gcd(a, b) != 1:
         raise InvalidParametersError(
             f"congruent preset requires gcd(a,b)=1; got gcd({a},{b})={math.gcd(a, b)}"
@@ -166,9 +157,9 @@ class LambdaSeries:
 
     k_values[k-1] = k*Lambda_k, the division-free form the counting
     recurrence wants: all ints exactly when f has integer coefficients
-    (a multiset or selection base, a_j = 1 and every b_j an integer, so
-    each factor (1 - z^j)^(-b_j) or (1 + z^j)^(b_j) has them), all
-    Fractions otherwise.  values[k-1] = Lambda_k is derived from it.
+    (a multiset or selection base and every b_j an integer, so each
+    factor (1 - z^j)^(-b_j) or (1 + z^j)^(b_j) has them), all Fractions
+    otherwise.  values[k-1] = Lambda_k is derived from it.
     """
 
     k_values: tuple
@@ -181,46 +172,28 @@ class LambdaSeries:
         return self.k_values[k - 1]
 
 
-def _sieve_k_lambda(b: list, selection: bool) -> list:
-    # a_j = 1: k*Lambda_k = sum_{j | k} j*b_j * m*g_m with m = k/j, where
-    # m*g_m is 1 (multiset) or (-1)^(m+1) (selection).  A divisor sieve of
-    # O(N log N) additions in the type of the b_j, int or Fraction
-    N = len(b)
+def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
+    """Lambda_k = sum_{j*m=k} b_j g_m for k = 1..N, exact rational.
+
+    A divisor sieve of O(N log N) additions: k*Lambda_k sums j*b_j * m*g_m
+    over j*m = k, and m*g_m is 1, (-1)^(m+1) or [m = 1] by base.
+    """
+    if N < 1:
+        raise InvalidParametersError(f"need N >= 1; got N={N}")
+    b = [model.b(j) for j in range(1, N + 1)]
+    if model.base is not EXPONENTIAL and all(x.denominator == 1 for x in b):
+        b = [int(x) for x in b]
     acc = [type(b[0])()] * (N + 1)
     for j, bj in enumerate(b, start=1):
         if bj == 0:
             continue
         jbj = j * bj
-        for k in range(j, N + 1, j):
+        for k in range(j, (j if model.base is EXPONENTIAL else N) + 1, j):
             acc[k] += jbj
-        if selection:
+        if model.base is SELECTION:
             for k in range(2 * j, N + 1, 2 * j):
                 acc[k] -= 2 * jbj
-    return acc[1:]
-
-
-def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
-    """Lambda_k = sum_{j*m=k} b_j g_m a_j^m for k = 1..N, exact rational."""
-    if N < 1:
-        raise InvalidParametersError(f"need N >= 1; got N={N}")
-    b = [model.b(j) for j in range(1, N + 1)]
-    if model.scale is None and model.base in (MULTISET, SELECTION):
-        if all(x.denominator == 1 for x in b):
-            b = [int(x) for x in b]
-        return LambdaSeries(tuple(_sieve_k_lambda(b, model.base is SELECTION)))
-    vals = [Fraction(0)] * N
-    for j, bj in enumerate(b, start=1):
-        if bj == 0:
-            continue
-        aj = model.a(j)
-        ajm = Fraction(1)
-        for m in range(1, N // j + 1):
-            ajm *= aj
-            gm = Fraction(model.base.log_taylor(m))
-            if gm:
-                vals[j * m - 1] += bj * gm * ajm
-    kvals = tuple(k * v for k, v in enumerate(vals, start=1))
-    return LambdaSeries(kvals)
+    return LambdaSeries(tuple(acc[1:]))
 
 
 def llt_condition_report(model: ModelSpec, n_max: int, q_max: int) -> list:

@@ -6,8 +6,8 @@ data: the positive simple poles rho_1 < ... < rho_r of Gamma(s)D(s) with
 residues h_l, the zero-pole constants A_0 = lim s*D(s) and h_0, and the
 values D(-1), D(-2), ... feeding the correction series.
 
-Every preset is a multiset model with a_j = 1 and a QuasiPolynomial
-weight, b_j = sum of c*j^i over the terms (r, i, c) with j = r (mod a).
+Every preset is a multiset model with a QuasiPolynomial weight,
+b_j = sum of c*j^i over the terms (r, i, c) with j = r (mod a).
 Then D(s) = zeta(s+1)*D_b(s) with D_b(s) = sum c*a^(i-s)*zeta(s-i, r/a),
 and one rule gives all the data: degree i is the pole rho = i+1 with
 h = A*zeta(rho+1)*Gamma(rho), A = (sum of its c)/a (Meinardus);
@@ -161,8 +161,7 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     """
     if not (1 <= L <= 20):
         raise InvalidParametersError(f"need 1 <= L <= 20; got L={L}")
-    if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET
-            and model.scale is None):
+    if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
         raise CustomModelError(
             f"no derivable spectral data for model kind {model.kind!r}; "
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"

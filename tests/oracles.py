@@ -173,6 +173,23 @@ def divisor_k_lambda(weight, k):
     return total
 
 
+def log_coefficients(b, g, N):
+    """Lambda_1..Lambda_N of prod_j S(z^j)^(b_j) as Fractions, by the double
+    sum Lambda_k = sum over j*m = k of b(j)*g(m), with g(m) the Taylor
+    coefficients of log S."""
+    lam = [Fraction(0)] * (N + 1)
+    for j in range(1, N + 1):
+        for m in range(1, N // j + 1):
+            lam[j * m] += Fraction(b(j)) * Fraction(g(m))
+    return lam[1:]
+
+
+# Taylor coefficients of log S for S = 1/(1-w), 1+w and e^w
+MULTISET_G = lambda m: Fraction(1, m)
+SELECTION_G = lambda m: Fraction((-1) ** (m + 1), m)
+EXPONENTIAL_G = lambda m: Fraction(m == 1)
+
+
 def naive_recurrence(k_lambda, N):
     """c_0..c_N from n c_n = sum_k k_lambda[k-1] c_(n-k), term by term.
 

@@ -249,3 +249,8 @@ def test_to_decimal():
 def test_explicit_requires_positive_n():
     with pytest.raises(DomainError):
         log_estimate_explicit(STD, 0)
+    # c_n exists at whole n only; 1e8 is a whole float
+    for estimate in (log_estimate_explicit, log_estimate_khintchine):
+        with pytest.raises(DomainError):
+            estimate(STD, 100.5)
+        assert estimate(STD, 1e8).n == 10**8

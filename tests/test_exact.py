@@ -319,14 +319,6 @@ def test_product_dp_requires_integer_multiset():
     sel = ModelSpec("distinct", SELECTION, lambda j: Fraction(1))
     with pytest.raises(UnsupportedModelError):
         product_dp(sel, 5)
-    scaled = ModelSpec(
-        "scaled",
-        make_preset("standard").base,
-        lambda j: Fraction(1),
-        scale=lambda j: Fraction(1, 2),
-    )
-    with pytest.raises(UnsupportedModelError):
-        product_dp(scaled, 5)
 
 
 def test_n_zero_and_negative():

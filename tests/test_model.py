@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import divisor_k_lambda
+from oracles import (
+    EXPONENTIAL_G,
+    MULTISET_G,
+    SELECTION_G,
+    divisor_k_lambda,
+    log_coefficients,
+)
 from subexp.errors import InvalidParametersError, UndefinedWeightError
 from subexp.model import (
     EXPONENTIAL,
@@ -46,11 +52,19 @@ def test_congruent_requires_coprime():
         make_preset("congruent", 2, 0)
     with pytest.raises(InvalidParametersError):
         make_preset("congruent")
+    # parameters must be ints, not floats or bools
+    for a, b in ((3.0, 1), (3, 1.0), (3, True), (True, 1)):
+        with pytest.raises(InvalidParametersError):
+            make_preset("congruent", a, b)
 
 
 def test_quasi_polynomial_rejects_bad_terms():
-    # modulus below 1, residue outside 1..a, negative degree
-    for a, terms in ((0, ()), (3, ((0, 0, 1),)), (3, ((4, 0, 1),)), (1, ((1, -1, 1),))):
+    # modulus below 1, residue outside 1..a, negative degree; a non-int
+    # modulus, residue or degree; a coefficient that is no rational number
+    for a, terms in ((0, ()), (3, ((0, 0, 1),)), (3, ((4, 0, 1),)), (1, ((1, -1, 1),)),
+                     (2.0, ((1, 0, 1),)), (True, ((1, 0, 1),)), (2, ((1.0, 0, 1),)),
+                     (2, ((1, 1.0, 1),)), (2, ((1, 0, "x"),)), (2, ((1, 0, "1"),)),
+                     (2, ((1, 0, None),)), (2, ((1, 0, float("nan")),))):
         with pytest.raises(InvalidParametersError):
             QuasiPolynomial(a, terms)
 
@@ -60,19 +74,11 @@ def test_unknown_preset():
         make_preset("cubes")
 
 
-def test_base_log_taylor():
-    assert [MULTISET.log_taylor(m) for m in (1, 2, 3)] == [
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 3),
-    ]
-    assert [SELECTION.log_taylor(m) for m in (1, 2, 3, 4)] == [
-        Fraction(1),
-        Fraction(-1, 2),
-        Fraction(1, 3),
-        Fraction(-1, 4),
-    ]
-    assert [EXPONENTIAL.log_taylor(m) for m in (1, 2, 5)] == [1, 0, 0]
+def test_model_rejects_a_base_that_is_no_base_function():
+    # lambda_coeffs would count a base given by name as a multiset
+    for base in ("selection", None):
+        with pytest.raises(InvalidParametersError):
+            ModelSpec("x", base, lambda j: 1)
 
 
 def test_lambda_small_values():
@@ -82,7 +88,7 @@ def test_lambda_small_values():
     roots = lambda_coeffs(make_preset("roots"), 2)
     assert roots.values[1] == Fraction(13, 2)  # 3*(1/2) + 5*1
     # k*Lambda_k are ints exactly when f has integer coefficients (multiset
-    # or selection base, a_j = 1, integer b_j); Lambda_k stays exact
+    # or selection base, integer b_j); Lambda_k stays exact
     # f = (1 + z)^3 (1 + z^2): 2*Lambda_2 = -3 + 2
     sel = lambda_coeffs(custom_model([3, 1], base=SELECTION), 2)
     assert sel.k_values == (3, -1)
@@ -108,6 +114,26 @@ def test_k_lambda_is_divisor_sum():
             want = divisor_k_lambda(preset.weight, k)
             assert lam.k_lambda(k) == want
             assert want.denominator == 1
+
+
+def test_lambda_matches_the_double_sum_on_every_base():
+    rng = random.Random(1705)
+    N = 60
+    tables = {
+        "ints": [rng.randrange(0, 5) for _ in range(N)],
+        "sparse ints": [rng.choice((0, 0, 0, 1, 7)) for _ in range(N)],
+        "fractions": [Fraction(rng.randrange(5), rng.randrange(1, 4)) for _ in range(N)],
+    }
+    for base, g in ((MULTISET, MULTISET_G), (SELECTION, SELECTION_G),
+                    (EXPONENTIAL, EXPONENTIAL_G)):
+        for name, table in tables.items():
+            lam = lambda_coeffs(custom_model(table, base=base), N)
+            want = log_coefficients(lambda j: table[j - 1], g, N)
+            assert lam.values == tuple(want), (base, name)
+            integral = base is not EXPONENTIAL and all(
+                Fraction(x).denominator == 1 for x in table)
+            kind = int if integral else Fraction
+            assert all(type(x) is kind for x in lam.k_values), (base, name)
 
 
 def test_lambda_additive_in_weights():
@@ -155,23 +181,6 @@ def test_negative_weight_rejected():
     bad = custom_model([1, -1])
     with pytest.raises(InvalidParametersError):
         lambda_coeffs(bad, 2)
-
-
-def test_scale_sequence_domain():
-    bad = ModelSpec("x", MULTISET, lambda j: Fraction(1), scale=lambda j: Fraction(2))
-    with pytest.raises(InvalidParametersError):
-        lambda_coeffs(bad, 3)
-
-
-def test_scaled_lambda_values():
-    # a_j = 1/2 for all j: Lambda_1 = b_1 g_1 a_1 = 1/2
-    half = ModelSpec(
-        "half", MULTISET, lambda j: Fraction(1), scale=lambda j: Fraction(1, 2)
-    )
-    lam = lambda_coeffs(half, 4)
-    assert lam.values[0] == Fraction(1, 2)
-    # k=2: j=2,m=1 gives 1/2; j=1,m=2 gives (1/2)(1/2)^2 = 1/8
-    assert lam.values[1] == Fraction(1, 2) + Fraction(1, 8)
 
 
 def test_llt_report_counts():

@@ -225,9 +225,6 @@ SPOOFED = {
     "roots-name-on-unit-weights": ModelSpec("roots", MULTISET, lambda j: 1),
     "preset-weight-selection-base": ModelSpec(
         "standard", SELECTION, make_preset("standard").weight),
-    "preset-weight-non-unit-scale": ModelSpec(
-        "standard", MULTISET, make_preset("standard").weight,
-        scale=lambda j: Fraction(1, 2)),
 }
 
 
