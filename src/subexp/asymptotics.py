@@ -10,7 +10,9 @@ Both formulas predict log c_n up to o(1):
 
 Everything is assembled additively in log-space; exp is taken only when
 rendering a decimal.  Each estimate carries a four-part breakdown whose
-sum is exactly the returned log value.
+sum is exactly the returned log value.  The correction series and both
+sums run on raw mpmath.libmp values, operation for operation as the mpf
+expressions quoted beside them, so the results are bit for bit the same.
 """
 
 import warnings
@@ -18,6 +20,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_pow,
+    mpf_sub,
+)
 
 from .errors import DomainError, IneligibleSpectrumError, TruncationWarning
 from .khintchine import khintchine_lhs, solve_delta
@@ -47,12 +60,13 @@ class LogEstimate:
 
 
 def _correction_coefficients(sd: SpectralData) -> tuple:
-    """(-1)^l D(-l) / l! for l = 1, 2, ..., the series' tau-free factors."""
+    """(-1)^l D(-l) / l! for l = 1, 2, ..., the series' tau-free factors,
+    as raw values."""
     coefficients = []
     fact = mpf(1)
     for l, d in enumerate(sd.d_neg, start=1):
         fact *= l
-        coefficients.append((-1) ** l * to_mpf(d) / fact)
+        coefficients.append(((-1) ** l * to_mpf(d) / fact)._mpf_)
     return tuple(coefficients)
 
 
@@ -71,20 +85,25 @@ def remainder_delta(sd: SpectralData, tau, tol=DELTA_SERIES_TOL) -> mpf:
     tol = to_mpf(tol)
     if not tol > 0:
         raise DomainError(f"tol must be positive; got {tol}")
-    partial = mpf(0)
-    tau_pow = mpf(1)
+    # the sum on raw values; each comment is the mpf expression
+    prec, rounding = mp._prec_rounding
+    t, eps = tau._mpf_, tol._mpf_
+    partial = fzero  # mpf(0)
+    tau_pow = fone  # mpf(1)
     for c in sd.memo(_correction_coefficients):
-        tau_pow *= tau
-        term = c * tau_pow
-        if abs(term) < tol * (1 + abs(partial)):
-            return partial
-        partial += term
+        tau_pow = mpf_mul(tau_pow, t, prec, rounding)  # tau_pow *= tau
+        term = mpf_mul(c, tau_pow, prec, rounding)  # term = c * tau_pow
+        # abs(term) < tol * (1 + abs(partial))
+        bound = mpf_add(mpf_abs(partial, prec, rounding), fone, prec, rounding)
+        if mpf_lt(mpf_abs(term, prec, rounding), mpf_mul(eps, bound, prec, rounding)):
+            return mp.make_mpf(partial)
+        partial = mpf_add(partial, term, prec, rounding)  # partial += term
     warnings.warn(
         f"correction series truncated after {len(sd.d_neg)} terms without "
         f"meeting tol={tol} at tau={tau}",
         TruncationWarning,
     )
-    return partial
+    return mp.make_mpf(partial)
 
 
 def kappa(sd: SpectralData) -> mpf:
@@ -124,16 +143,47 @@ def _half_log_variance(sd: SpectralData) -> mpf:
     return mp.log(2 * mp.pi * rho_r * h_r * (rho_r + 1)) / 2
 
 
+_TERM_NAMES = ("prefactor_log", "power_log", "exponent_sum", "Q_or_delta")
+
+
+def _raw_sum(values):
+    """sum(values) of raw values whose first is already rounded to the
+    working precision, so that 0 + it is itself; each further + is one
+    mpf_add."""
+    prec, rounding = mp._prec_rounding
+    values = iter(values)
+    total = next(values)
+    for v in values:
+        total = mpf_add(total, v, prec, rounding)
+    return total
+
+
+def _log_estimate(formula: str, n, terms: tuple) -> LogEstimate:
+    """LogEstimate of raw terms (in _TERM_NAMES order), log_value their sum."""
+    make = mp.make_mpf
+    return LogEstimate(formula, int(n), make(_raw_sum(terms)),
+                       {name: make(t) for name, t in zip(_TERM_NAMES, terms)})
+
+
+def _khintchine_constants(sd: SpectralData) -> tuple:
+    """rho_r/2 + 1, the half log variance, -A0, h0 and (-rho, h) per pole
+    as raw values: everything in the Khintchine estimate but n and delta_n."""
+    poles = tuple(((-rho)._mpf_, h._mpf_) for rho, h in sd.poles)
+    return ((sd.rho_r / 2 + 1)._mpf_, sd.memo(_half_log_variance)._mpf_,
+            (-sd.A0)._mpf_, sd.h0._mpf_, poles)
+
+
 class _ExplicitConstants(NamedTuple):
-    prefactor: mpf
-    kappa: mpf
-    Q: mpf
+    prefactor: tuple
+    kappa: tuple
+    Q: tuple
     powers: tuple  # (coefficient, exponent) of each n^(rho_l/(rho_r+1)) term
 
 
 def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
-    """Everything in the explicit formula but n, built once per spectrum
-    (SpectralData.memo); raises IneligibleSpectrumError through q_constant."""
+    """Everything in the explicit formula but n as raw values, built once
+    per spectrum (SpectralData.memo); raises IneligibleSpectrumError through
+    q_constant."""
     Q = q_constant(sd)
     rho_r, h_r = sd.poles[-1]
     rh = rho_r * h_r
@@ -143,7 +193,8 @@ def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
     powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r / (rho_r + 1))]
     for rho, h in sd.poles[:-1]:
         powers.append((h * rh ** (-rho / (rho_r + 1)), rho / (rho_r + 1)))
-    return _ExplicitConstants(prefactor, kappa(sd), Q, tuple(powers))
+    return _ExplicitConstants(prefactor._mpf_, kappa(sd)._mpf_, Q._mpf_,
+                              tuple((c._mpf_, e._mpf_) for c, e in powers))
 
 
 def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
@@ -158,30 +209,34 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     The Gaussian prefactor carries the local variance rho_r h_r (rho_r+1)
     of the tilted distribution; with it, the estimate and the explicit
     formula agree to o(1) (their shared derivation fixes the constant).
-    Requires a whole n, and delta_n < 1 for the correction series (that
-    DomainError names n_min, the least n with lhs(1) < n: 6 for roots).
+    Requires a whole n >= 1, and delta_n < 1 for the correction series
+    (that DomainError names n_min, the least n with lhs(1) < n: 6 for
+    roots).  Everything but n and delta_n is built once per spectrum and
+    working precision (SpectralData.memo), and the sum runs on raw values.
     """
-    if n % 1:  # also true at inf and nan
-        raise DomainError(f"need a whole n; got n={n}")
+    if n < 1 or n % 1:  # n % 1 is also true at inf and nan
+        raise DomainError(f"need a whole n >= 1; got n={n}")
     delta = solve_delta(sd, n).delta
     if not delta < 1:
         n_min = max(1, int(mp.floor(khintchine_lhs(sd, 1))) + 1)
         raise DomainError(f"correction series needs 0 < tau < 1, so n >= {n_min}; "
                           f"got tau = delta_n = {delta} at n = {n}")
-    log_delta = mp.log(delta)
-    prefactor = (sd.rho_r / 2 + 1) * log_delta - sd.memo(_half_log_variance)
-    power = -sd.A0 * log_delta
-    exponent = n * delta
-    for rho, h in sd.poles:
-        exponent += h * delta ** (-rho)
-    q_or_delta = sd.h0 + remainder_delta(sd, delta)
-    terms = {
-        "prefactor_log": prefactor,
-        "power_log": power,
-        "exponent_sum": exponent,
-        "Q_or_delta": q_or_delta,
-    }
-    return LogEstimate(KHINTCHINE, int(n), sum(terms.values()), terms)
+    prec, rounding = mp._prec_rounding
+    half_rho_1, half_log_variance, neg_A0, h0, poles = sd.memo(_khintchine_constants)
+    d = delta._mpf_
+    log_delta = mpf_log(d, prec, rounding)  # mp.log(delta)
+    # (sd.rho_r / 2 + 1) * log_delta - sd.memo(_half_log_variance)
+    prefactor = mpf_sub(mpf_mul(half_rho_1, log_delta, prec, rounding),
+                        half_log_variance, prec, rounding)
+    power = mpf_mul(neg_A0, log_delta, prec, rounding)  # -sd.A0 * log_delta
+    exponent = (n * delta)._mpf_  # in mpf, which converts n of any type
+    for neg_rho, h in poles:
+        # exponent += h * delta ** (-rho)
+        t = mpf_mul(h, mpf_pow(d, neg_rho, prec, rounding), prec, rounding)
+        exponent = mpf_add(exponent, t, prec, rounding)
+    # sd.h0 + remainder_delta(sd, delta)
+    q_or_delta = mpf_add(h0, remainder_delta(sd, delta)._mpf_, prec, rounding)
+    return _log_estimate(KHINTCHINE, n, (prefactor, power, exponent, q_or_delta))
 
 
 def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
@@ -195,21 +250,19 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
 
     Needs a whole n >= 1 and a subcritical or critical spectrum
     (q_constant raises otherwise).  Everything but n is built once per
-    spectrum and working precision and kept on sd (SpectralData.memo).
+    spectrum and working precision and kept on sd (SpectralData.memo);
+    the sum runs on raw values.
     """
     if n < 1 or n % 1:
         raise DomainError(f"need a whole n >= 1; got n={n}")
     c = sd.memo(_explicit_constants)
-    nn = to_mpf(n)
-    power = c.kappa * mp.log(nn)
-    exponent = sum(coef * nn**e for coef, e in c.powers)
-    terms = {
-        "prefactor_log": c.prefactor,
-        "power_log": power,
-        "exponent_sum": exponent,
-        "Q_or_delta": c.Q,
-    }
-    return LogEstimate(EXPLICIT, int(n), sum(terms.values()), terms)
+    prec, rounding = mp._prec_rounding
+    nn = to_mpf(n)._mpf_
+    power = mpf_mul(c.kappa, mpf_log(nn, prec, rounding), prec, rounding)  # kappa log n
+    # sum(coef * nn**e for coef, e in c.powers)
+    exponent = _raw_sum(mpf_mul(coef, mpf_pow(nn, e, prec, rounding), prec, rounding)
+                        for coef, e in c.powers)
+    return _log_estimate(EXPLICIT, n, (c.prefactor, power, exponent, c.Q))
 
 
 def to_decimal(le: LogEstimate):

@@ -141,6 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_model(args, parser):
     """Model selector -> (ModelSpec or None, SpectralData)."""
+    if args.model != "congruent" and (args.a is not None or args.b is not None):
+        parser.error(f"--a and --b need --model congruent; got --model {args.model}")
     if args.model == "congruent":
         if args.a is None or args.b is None:
             parser.error("--model congruent requires --a and --b")

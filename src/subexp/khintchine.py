@@ -11,6 +11,11 @@ that root by Newton in log(delta) at the working precision, safeguarded by
 bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
 root, the same safeguarded loop starts instead from that leading term,
 computed at the working precision.
+
+The left side and the polish loop run on raw mpmath.libmp values: the
+same operations, in the same order and at mp's precision and rounding, as
+the mpf expressions quoted beside them, so every result is bit for bit
+what mpf arithmetic gives, without its per-operation wrapping.
 """
 
 import math
@@ -18,6 +23,23 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    finf,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_gt,
+    mpf_le,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow,
+    mpf_sqrt,
+    mpf_sub,
+)
 
 from .errors import (
     DomainError,
@@ -64,20 +86,27 @@ def residual_tolerance(n) -> mpf:
     return max(rel * n, floor)
 
 
-def _pole_factors(sd: SpectralData) -> tuple:
-    """(h rho, -rho-1, rho+1) per pole, the constants of _lhs_and_slope."""
-    return tuple((h * rho, -rho - 1, rho + 1) for rho, h in sd.poles)
+def _lhs_constants(sd: SpectralData) -> tuple:
+    """D(-1), A0 and (h rho, -rho-1, rho+1) per pole as raw values, the
+    constants of _lhs_and_slope."""
+    poles = tuple(((h * rho)._mpf_, (-rho - 1)._mpf_, (rho + 1)._mpf_)
+                  for rho, h in sd.poles)
+    return sd.d1()._mpf_, sd.A0._mpf_, poles
 
 
-def _lhs_and_slope(sd: SpectralData, x):
-    """lhs(x) and x*lhs'(x) together, with one power per pole."""
-    a0 = sd.A0 / x
-    lhs = sd.d1() + a0
-    slope = -a0
-    for c, e, k in sd.memo(_pole_factors):
-        t = c * x**e
-        lhs += t
-        slope -= k * t
+def _lhs_and_slope(sd: SpectralData, x) -> tuple:
+    """lhs(x) and x*lhs'(x) together, with one power per pole, for a raw
+    x > 0; raw results."""
+    prec, rounding = mp._prec_rounding
+    d1, A0, poles = sd.memo(_lhs_constants)
+    a0 = mpf_div(A0, x, prec, rounding)  # a0 = sd.A0 / x
+    lhs = mpf_add(d1, a0, prec, rounding)  # lhs = sd.d1() + a0
+    slope = mpf_neg(a0, prec, rounding)  # slope = -a0
+    for c, e, k in poles:
+        t = mpf_mul(c, mpf_pow(x, e, prec, rounding), prec, rounding)  # c * x**e
+        lhs = mpf_add(lhs, t, prec, rounding)  # lhs += t
+        # slope -= k * t
+        slope = mpf_sub(slope, mpf_mul(k, t, prec, rounding), prec, rounding)
     return lhs, slope
 
 
@@ -86,7 +115,7 @@ def khintchine_lhs(sd: SpectralData, delta) -> mpf:
     delta = to_mpf(delta)
     if not delta > 0:
         raise DomainError(f"delta must be positive; got {delta}")
-    return _lhs_and_slope(sd, delta)[0]
+    return mp.make_mpf(_lhs_and_slope(sd, delta._mpf_)[0])
 
 
 def initial_guess(sd: SpectralData, n) -> mpf:
@@ -124,6 +153,20 @@ def _as_float(v) -> float:
     return f
 
 
+def _float_constants(sd: SpectralData) -> "tuple | None":
+    """The constants of _float_root as floats: rho_r h_r, 1/(rho_r+1), A0,
+    D(-1) and (h rho, -rho-1, rho+1) per pole; None when one is out of
+    float range."""
+    try:
+        a0, d1 = _as_float(sd.A0), _as_float(sd.d1())
+        poles = [(_as_float(rho), _as_float(h)) for rho, h in sd.poles]
+    except OverflowError:
+        return None
+    rho_r, h_r = poles[-1]
+    factors = tuple((h * rho, -rho - 1, rho + 1) for rho, h in poles)
+    return rho_r * h_r, 1 / (rho_r + 1), a0, d1, factors
+
+
 def _float_root(sd: SpectralData, n) -> "float | None":
     """delta_n by Newton on log lhs(e^u) - log n in floats, from the leading
     term (rho_r h_r / n)^(1/(rho_r+1)).
@@ -132,23 +175,25 @@ def _float_root(sd: SpectralData, n) -> "float | None":
     is not finite, lhs <= 0, an iterate leaves [BRACKET_MIN, BRACKET_MAX], or
     FLOAT_MAX_ITER steps do not converge.
     """
+    constants = sd.memo(_float_constants)
+    if constants is None:
+        return None
+    seed_base, seed_power, a0, d1, poles = constants
     try:
-        nf, a0, d1 = _as_float(n), _as_float(sd.A0), _as_float(sd.d1())
-        poles = [(_as_float(rho), _as_float(h)) for rho, h in sd.poles]
-        rho_r, h_r = poles[-1]
-        x = (rho_r * h_r / nf) ** (1 / (rho_r + 1))
+        nf = _as_float(n)
+        x = (seed_base / nf) ** seed_power
         lo, hi = _FLOAT_BRACKET
         for _ in range(FLOAT_MAX_ITER):
             if not lo < x < hi:
                 return None
             lhs = d1 + a0 / x
             slope = -a0 / x
-            for rho, h in poles:
-                t = h * rho * x ** (-rho - 1)
+            for c, e, k in poles:
+                t = c * x**e
                 if t == 0:
                     return None
                 lhs += t
-                slope -= (rho + 1) * t
+                slope -= k * t
             if not (lhs > 0 and math.isfinite(lhs) and math.isfinite(slope)):
                 return None
             step = -math.log(lhs / nf) * lhs / slope
@@ -162,7 +207,7 @@ def _float_root(sd: SpectralData, n) -> "float | None":
 
 def _no_bracket(sd: SpectralData, n, message: str) -> NoBracketError:
     # delta_n < BRACKET_MIN exactly when n >= lhs(BRACKET_MIN): name that bound
-    bound = _lhs_and_slope(sd, BRACKET_MIN)[0]
+    bound = mp.make_mpf(_lhs_and_slope(sd, BRACKET_MIN._mpf_)[0])
     return NoBracketError(f"delta_n < {BRACKET_MIN} at n = {n}: the Khintchine "
                           f"equation needs n < {bound}" if n >= bound else message)
 
@@ -200,27 +245,42 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     x = mpf(x)
     if not lo < x < hi:
         raise _no_bracket(sd, n, f"seed delta={x} outside [{lo}, {hi}] for n={n}")
+    # the polish loop on raw values; each comment is the mpf expression
+    prec, rounding = mp._prec_rounding
+    x, lo, hi, n_, tol, step_tol = (v._mpf_ for v in (x, lo, hi, n, tol, step_tol))
     newtons = 0
     bisections = 0
     for _ in range(MAX_ITER + 1):
         lhs, slope = _lhs_and_slope(sd, x)
-        fx = lhs - n
-        step = -fx / slope if slope else mp.inf
-        if abs(fx) <= tol and abs(step) <= step_tol:
-            return KhintchineSolution(x, fx, (lo, hi), newtons, bisections)
-        if fx > 0:
+        fx = mpf_sub(lhs, n_, prec, rounding)  # fx = lhs - n
+        # step = -fx / slope if slope else mp.inf
+        step = (mpf_div(mpf_neg(fx, prec, rounding), slope, prec, rounding)
+                if slope != fzero else finf)
+        # abs(fx) <= tol and abs(step) <= step_tol
+        if (mpf_le(mpf_abs(fx, prec, rounding), tol)
+                and mpf_le(mpf_abs(step, prec, rounding), step_tol)):
+            make = mp.make_mpf
+            return KhintchineSolution(make(x), make(fx), (make(lo), make(hi)),
+                                      newtons, bisections)
+        if mpf_gt(fx, fzero):  # fx > 0
             lo = x
         else:
             hi = x
-        if lhs > 0 and slope:
-            step = -mp.log(lhs / n) * lhs / slope
-        x_new = x * mp.exp(step)
-        if lo < x_new < hi:
+        if mpf_gt(lhs, fzero) and slope != fzero:  # lhs > 0 and slope
+            # step = -mp.log(lhs / n) * lhs / slope
+            log_ratio = mpf_log(mpf_div(lhs, n_, prec, rounding), prec, rounding)
+            step = mpf_neg(log_ratio, prec, rounding)
+            step = mpf_div(mpf_mul(step, lhs, prec, rounding), slope, prec, rounding)
+        # x_new = x * mp.exp(step)
+        x_new = mpf_mul(x, mpf_exp(step, prec, rounding), prec, rounding)
+        if mpf_lt(lo, x_new) and mpf_lt(x_new, hi):  # lo < x_new < hi
             newtons += 1
             x = x_new
         else:
             bisections += 1
-            x = mp.sqrt(lo * hi)
+            # x = mp.sqrt(lo * hi)
+            x = mpf_sqrt(mpf_mul(lo, hi, prec, rounding), prec, rounding)
+    lo, hi = mp.make_mpf(lo), mp.make_mpf(hi)
     if lo == BRACKET_MIN or hi == BRACKET_MAX:
         raise _no_bracket(sd, n, f"no root in [{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
     raise NonConvergenceError(f"no convergence after {MAX_ITER} iterations for n={n}")

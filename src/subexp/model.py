@@ -108,9 +108,13 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     roots:           b_j = 2j+1   (part j repeated (j+1)^2 - j^2 times)
     congruent(a,b):  b_j = 1 iff j = b (mod a), else 0; requires gcd(a,b)=1
 
-    All presets use the multiset base and a QuasiPolynomial weight.
+    All presets use the multiset base and a QuasiPolynomial weight; a and b
+    belong to congruent alone.
     """
     if kind in _PRESET_TERMS:
+        if a is not None or b is not None:
+            raise InvalidParametersError(
+                f"{kind} preset takes no a or b; got a={a!r}, b={b!r}")
         return ModelSpec(kind, MULTISET, QuasiPolynomial(1, _PRESET_TERMS[kind]))
     if kind != "congruent":
         raise InvalidParametersError(f"unknown preset kind: {kind!r}")

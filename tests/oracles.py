@@ -3,8 +3,12 @@
 Nothing here imports the package under test.  Each oracle reimplements
 a quantity by a deliberately different route (direct summation, naive
 DP, plain bisection) so that agreement with the library is meaningful.
+The mpf references at the end are the one exception: they are the
+estimate pair's formulas written as plain mpf expressions, which the
+library evaluates on raw libmp values in the same order.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -246,3 +250,169 @@ def hardy_ramanujan_log(n):
     """log of the leading Hardy-Ramanujan term, p(n) ~ e^(pi sqrt(2n/3))/(4n sqrt 3)."""
     n = mpmathify(n)
     return -mp.log(4 * mp.sqrt(3)) - mp.log(n) + mp.pi * mp.sqrt(2 * n / 3)
+
+
+# The estimate pair as mpf expressions.  The library evaluates these
+# formulas on raw libmp values, with the same operations in the same order;
+# these literal mpf versions are what its results must equal bit for bit.
+# Each takes a SpectralData-like object (poles, A0, h0, d_neg); where the
+# library raises, these raise ValueError.
+
+def _as_finite_float(v):
+    f = float(v)
+    if not math.isfinite(f) or (f == 0 and v != 0):
+        raise OverflowError(f"{v} is out of float range")
+    return f
+
+
+def float_root_mpf(sd, n, bracket, max_iter=16, step_tol=1e-12):
+    """The float-phase Newton root in log delta from the leading term, or
+    None where floats cannot reach it."""
+    try:
+        nf, a0, d1 = _as_finite_float(n), _as_finite_float(sd.A0), _as_finite_float(sd.d_neg[0])
+        poles = [(_as_finite_float(rho), _as_finite_float(h)) for rho, h in sd.poles]
+        rho_r, h_r = poles[-1]
+        x = (rho_r * h_r / nf) ** (1 / (rho_r + 1))
+        lo, hi = (float(b) for b in bracket)
+        for _ in range(max_iter):
+            if not lo < x < hi:
+                return None
+            lhs = d1 + a0 / x
+            slope = -a0 / x
+            for rho, h in poles:
+                t = h * rho * x ** (-rho - 1)
+                if t == 0:
+                    return None
+                lhs += t
+                slope -= (rho + 1) * t
+            if not (lhs > 0 and math.isfinite(lhs) and math.isfinite(slope)):
+                return None
+            step = -math.log(lhs / nf) * lhs / slope
+            x *= math.exp(step)
+            if abs(step) <= step_tol:
+                return x if lo < x < hi else None
+    except (OverflowError, ZeroDivisionError, ValueError):
+        pass
+    return None
+
+
+def lhs_and_slope_mpf(sd, x):
+    """lhs(x) and x*lhs'(x) of the tilting equation."""
+    a0 = sd.A0 / x
+    lhs = sd.d_neg[0] + a0
+    slope = -a0
+    for c, e, k in [(h * rho, -rho - 1, rho + 1) for rho, h in sd.poles]:
+        t = c * x**e
+        lhs += t
+        slope -= k * t
+    return lhs, slope
+
+
+def solve_delta_mpf(sd, n, bracket, max_iter=200):
+    """(delta, residual, (lo, hi), newton steps, bisection steps): the float
+    root polished by safeguarded Newton in log delta."""
+    n = mpmathify(n)
+    if not (n >= 1 and n > sd.d_neg[0]):
+        raise ValueError(f"n = {n} is outside the domain")
+    prec = mp.prec
+    with mp.workprec(prec):
+        rel, floor, step_tol = mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)
+    tol = max(rel * n, floor)
+    lo, hi = bracket
+    x = float_root_mpf(sd, n, bracket)
+    if x is None:
+        rho_r, h_r = sd.poles[-1]
+        x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
+    x = mpf(x)
+    if not lo < x < hi:
+        raise ValueError(f"seed delta = {x} is outside the bracket")
+    newtons = 0
+    bisections = 0
+    for _ in range(max_iter + 1):
+        lhs, slope = lhs_and_slope_mpf(sd, x)
+        fx = lhs - n
+        step = -fx / slope if slope else mp.inf
+        if abs(fx) <= tol and abs(step) <= step_tol:
+            return x, fx, (lo, hi), newtons, bisections
+        if fx > 0:
+            lo = x
+        else:
+            hi = x
+        if lhs > 0 and slope:
+            step = -mp.log(lhs / n) * lhs / slope
+        x_new = x * mp.exp(step)
+        if lo < x_new < hi:
+            newtons += 1
+            x = x_new
+        else:
+            bisections += 1
+            x = mp.sqrt(lo * hi)
+    raise ValueError(f"no root found for n = {n}")
+
+
+def remainder_delta_mpf(sd, tau, tol):
+    """(Delta(tau), whether the stored D(-l) ran out before the term-size
+    rule stopped the sum)."""
+    coefficients = []
+    fact = mpf(1)
+    for l, d in enumerate(sd.d_neg, start=1):
+        fact *= l
+        coefficients.append((-1) ** l * mpmathify(d) / fact)
+    partial = mpf(0)
+    tau_pow = mpf(1)
+    for c in coefficients:
+        tau_pow *= tau
+        term = c * tau_pow
+        if abs(term) < tol * (1 + abs(partial)):
+            return partial, False
+        partial += term
+    return partial, True
+
+
+def _half_log_variance_mpf(sd):
+    rho_r, h_r = sd.poles[-1]
+    return mp.log(2 * mp.pi * rho_r * h_r * (rho_r + 1)) / 2
+
+
+def khintchine_estimate_mpf(sd, n, bracket, series_tol):
+    """(log value, terms) of the Khintchine-form estimate at a whole n."""
+    delta = solve_delta_mpf(sd, n, bracket)[0]
+    if not delta < 1:
+        raise ValueError(f"delta_n = {delta} is not below 1")
+    log_delta = mp.log(delta)
+    rho_r = sd.poles[-1][0]
+    prefactor = (rho_r / 2 + 1) * log_delta - _half_log_variance_mpf(sd)
+    power = -sd.A0 * log_delta
+    exponent = n * delta
+    for rho, h in sd.poles:
+        exponent += h * delta ** (-rho)
+    q_or_delta = sd.h0 + remainder_delta_mpf(sd, delta, series_tol)[0]
+    terms = {
+        "prefactor_log": prefactor,
+        "power_log": power,
+        "exponent_sum": exponent,
+        "Q_or_delta": q_or_delta,
+    }
+    return sum(terms.values()), terms
+
+
+def explicit_estimate_mpf(sd, n, Q):
+    """(log value, terms) of the explicit estimate at a whole n >= 1, given
+    the constant Q."""
+    rho_r, h_r = sd.poles[-1]
+    rh = rho_r * h_r
+    prefactor = -_half_log_variance_mpf(sd) + (
+        (rho_r + 2 - 2 * sd.A0) / (2 * (rho_r + 1))
+    ) * mp.log(rh)
+    kappa = (-rho_r / 2 - 1 + sd.A0) / (rho_r + 1)
+    powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r / (rho_r + 1))]
+    for rho, h in sd.poles[:-1]:
+        powers.append((h * rh ** (-rho / (rho_r + 1)), rho / (rho_r + 1)))
+    nn = mpmathify(n)
+    terms = {
+        "prefactor_log": prefactor,
+        "power_log": kappa * mp.log(nn),
+        "exponent_sum": sum(coef * nn**e for coef, e in powers),
+        "Q_or_delta": Q,
+    }
+    return sum(terms.values()), terms

@@ -247,8 +247,11 @@ def test_to_decimal():
 
 
 def test_explicit_requires_positive_n():
-    with pytest.raises(DomainError):
-        log_estimate_explicit(STD, 0)
+    # both estimators refuse n < 1 before solving anything
+    for estimate in (log_estimate_explicit, log_estimate_khintchine):
+        for n in (0, -3):
+            with pytest.raises(DomainError, match="n >= 1"):
+                estimate(STD, n)
     # c_n exists at whole n only; 1e8 is a whole float
     for estimate in (log_estimate_explicit, log_estimate_khintchine):
         with pytest.raises(DomainError):

@@ -48,6 +48,18 @@ def test_congruent_requires_params(capsys):
     assert code == 2
 
 
+def test_a_and_b_need_the_congruent_model(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0,
+                                "d_neg": [0]}))
+    for model in (["standard"], ["roots"], ["custom", "--spec", str(spec)]):
+        for extra in (["--a", "5", "--b", "7"], ["--a", "5"], ["--b", "7"]):
+            code, out, err = run(capsys, "predict", "--model", *model, *extra,
+                                 "--n", "100")
+            assert (code, out) == (2, "")
+            assert "--model congruent" in err
+
+
 def test_predict_standard(capsys):
     code, out, _ = run(capsys, "predict", "--model", "standard", "--n", "100",
                        "--formula", "both")

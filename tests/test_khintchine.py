@@ -78,7 +78,7 @@ def test_lhs_deriv_matches_difference_quotient():
             fd = (khintchine_lhs(sd, delta + h) - khintchine_lhs(sd, delta - h)) / (
                 2 * h
             )
-            got = khintchine._lhs_and_slope(sd, delta)[1] / delta
+            got = mp.make_mpf(khintchine._lhs_and_slope(sd, delta._mpf_)[1]) / delta
             assert abs(got - fd) < mpf("1e-8") * abs(got)
 
 

@@ -74,6 +74,14 @@ def test_unknown_preset():
         make_preset("cubes")
 
 
+def test_only_congruent_takes_a_and_b():
+    for kind in ("standard", "roots"):
+        for a, b in ((5, 7), (5, None), (None, 7)):
+            with pytest.raises(InvalidParametersError):
+                make_preset(kind, a, b)
+        assert make_preset(kind, None, None) == make_preset(kind)
+
+
 def test_model_rejects_a_base_that_is_no_base_function():
     # lambda_coeffs would count a base given by name as a multiset
     for base in ("selection", None):

@@ -1,0 +1,132 @@
+"""The estimate pair against its formulas as plain mpf expressions.
+
+khintchine and asymptotics evaluate the tilt equation, the solver's
+polish loop, the correction series and both estimates on raw libmp values.
+Every result must equal (==, so bit for bit) what the mpf expressions in
+tests/oracles.py give, at several working precisions.
+"""
+
+import warnings
+
+import pytest
+from mpmath import mp, mpf
+
+from oracles import (
+    explicit_estimate_mpf,
+    float_root_mpf,
+    khintchine_estimate_mpf,
+    lhs_and_slope_mpf,
+    remainder_delta_mpf,
+    solve_delta_mpf,
+)
+from subexp import asymptotics, khintchine
+from subexp.errors import SubexpError, TruncationWarning
+from subexp.model import make_preset
+from subexp.spectrum import derive_spectrum
+from test_khintchine import ALL_PRESETS, _one_pole
+
+BRACKET = (khintchine.BRACKET_MIN, khintchine.BRACKET_MAX)
+DPS = (15, 38, 60)
+NS = (10, 37, 100, 999, 10**4, 123457, 10**8)
+
+# spectra derived at the default 38 digits
+SPECTRA_38 = {args: derive_spectrum(make_preset(*args))
+              for args in (("standard",), ("roots",), ("congruent", 3, 1))}
+
+# the spectra and n of test_khintchine's float-phase hand-over tests: the
+# float phase gives up, so the polish loop starts from the mpf leading term
+# (and, for the last, bisects)
+ONE_POLE_CASES = (
+    (("1e-400", 0, 0, 40), 1),
+    (("1e400", 0, 0, 40), 10**6),
+    ((1, 0, 0, 40), 10**400),
+    ((1, 0, 0, 40), 10**307),
+    (("1e-30", 0, 0), 1),
+    ((1, "1e-7", 1 - mpf("1e-20")), 1),
+    ((1, -2, 0), 1),
+)
+
+
+def _outcome(f, *args):
+    """f(*args), or the fact that it raised."""
+    try:
+        return f(*args)
+    except (SubexpError, ValueError):
+        return "raised"
+
+
+def _library_solution(sd, n):
+    sol = _outcome(khintchine.solve_delta, sd, n)
+    return sol if sol == "raised" else tuple(sol)
+
+
+def _library_estimate(estimate, sd, n):
+    le = _outcome(estimate, sd, n)
+    return le if le == "raised" else (le.log_value, le.terms)
+
+
+def _assert_series_matches(sd, tau):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        got = asymptotics.remainder_delta(sd, tau)
+    want, truncated = remainder_delta_mpf(sd, tau, asymptotics.DELTA_SERIES_TOL)
+    assert got == want
+    assert len(caught) == truncated
+
+
+def _assert_pair_matches(sd, n):
+    sol = _library_solution(sd, n)
+    assert sol == _outcome(solve_delta_mpf, sd, n, BRACKET), (sd.label, n)
+    if sol != "raised":
+        delta = sol[0]
+        assert khintchine._lhs_and_slope(sd, delta._mpf_) == tuple(
+            v._mpf_ for v in lhs_and_slope_mpf(sd, delta))
+        if delta < 1:
+            _assert_series_matches(sd, delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        kh = _library_estimate(asymptotics.log_estimate_khintchine, sd, n)
+        want = _outcome(khintchine_estimate_mpf, sd, n, BRACKET, asymptotics.DELTA_SERIES_TOL)
+    assert kh == want, (sd.label, n)
+    Q = _outcome(asymptotics.q_constant, sd)
+    ex = _library_estimate(asymptotics.log_estimate_explicit, sd, n)
+    assert ex == ("raised" if Q == "raised" else explicit_estimate_mpf(sd, n, Q)), (sd.label, n)
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_estimates_equal_the_mpf_formulas_on_every_preset(dps):
+    with mp.workdps(dps):
+        for args in ALL_PRESETS:
+            sd = derive_spectrum(make_preset(*args))
+            for n in NS:
+                _assert_pair_matches(sd, n)
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_estimates_equal_the_mpf_formulas_off_their_spectrum_precision(dps):
+    # spectra derived at 38 digits, used at another precision: fields
+    # wider or narrower than the working precision enter unrounded
+    with mp.workdps(dps):
+        for args in (("standard",), ("roots",), ("congruent", 3, 1)):
+            for n in NS:
+                _assert_pair_matches(SPECTRA_38[args], n)
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_the_float_fallback_and_bisection_equal_the_mpf_formulas(dps):
+    with mp.workdps(dps):
+        for spec, n in ONE_POLE_CASES:
+            sd = _one_pole(*spec)
+            assert khintchine._float_root(sd, mpf(n)) is None
+            assert float_root_mpf(sd, mpf(n), BRACKET) is None
+            assert _library_solution(sd, n) == _outcome(solve_delta_mpf, sd, n, BRACKET)
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_float_roots_equal_the_float_formulas(dps):
+    with mp.workdps(dps):
+        for args in ALL_PRESETS:
+            sd = derive_spectrum(make_preset(*args))
+            for n in NS:
+                got = khintchine._float_root(sd, mpf(n))
+                assert got == float_root_mpf(sd, mpf(n), BRACKET), (args, n)
