@@ -256,39 +256,39 @@ def pentagonal_oracle(N: int) -> ExactSeries:
     """Ordinary partition numbers p(0..N) via Euler's recurrence.
 
     p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
-    Independent of the Lambda machinery; standard model only.
+    The generalized pentagonal offsets g <= N are built once, in
+    ascending order, and split by the sign of their k; each p(n) is then
+    two plain sums of p(n - g) over the offsets g <= n.  Independent of
+    the Lambda machinery; standard model only.
     """
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
-    p = [0] * (N + 1)
-    p[0] = 1
-    for n in range(1, N + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
+    offsets = []  # (g, k odd), ascending in g
+    k = 1
+    while k * (3 * k - 1) // 2 <= N:
+        pair = (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        offsets += [(g, k % 2) for g in pair if g <= N]
+        k += 1
+    p = [1]
+    get = p.__getitem__
+    plus, minus = [], []  # -g for the offsets g <= n, so p[-g] = p(n - g)
+    for (g, odd), (end, _) in zip(offsets, offsets[1:] + [(N + 1, 0)]):
+        (plus if odd else minus).append(-g)
+        for n in range(g, end):  # len(p) == n
+            p.append(sum(map(get, plus)) - sum(map(get, minus)))
     return ExactSeries(tuple(p))
 
 
 def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     """c_0..c_N by direct truncated-product evaluation.
 
-    Multiplies out prod_j (1 - z^j)^(-b_j) factor by factor, each one a
-    stride-j pass over the coefficient array.  A factor with
-    b_j <= N // j is applied as b_j prefix-sum passes (one per
-    1/(1-z^j)); a heavier one as a single descending pass with the
-    binomial weights C(b_j+m-1, m) of (1-z^j)^(-b_j).  Only
-    integer-weight multiset models qualify; exists purely
-    as an independent verifier for exact_coefficients.
+    Multiplies out prod_j (1 - z^j)^(-b_j) factor by factor, reading
+    b_1..b_N from model.weights.  A factor with b_j <= N // j is applied
+    as b_j prefix-sum passes along stride j (one per 1/(1-z^j)); a heavier
+    one as N // j shifted multiply-adds c[m*j:] += C(b_j+m-1, m) * old,
+    the binomial weights of (1-z^j)^(-b_j) times the coefficients from
+    before the factor.  Only integer-weight multiset models qualify;
+    exists purely as an independent verifier for exact_coefficients.
     """
     if N < 0:
         raise InvalidParametersError(f"need N >= 0; got N={N}")
@@ -296,23 +296,22 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
         raise UnsupportedModelError(
             f"product evaluation needs the multiset base; model has {model.base.value}"
         )
+    b = model.weights(N)
+    if b and type(b[0]) is not int:
+        j, bj = next((j, x) for j, x in enumerate(b, 1) if x.denominator != 1)
+        raise UnsupportedModelError(
+            f"product evaluation needs integer weights; b_{j} = {bj}"
+        )
     c = [0] * (N + 1)
     c[0] = 1
-    for j in range(1, N + 1):
-        bj = model.b(j)
-        if bj.denominator != 1:
-            raise UnsupportedModelError(
-                f"product evaluation needs integer weights; b_{j} = {bj}"
-            )
-        bj = int(bj)
+    for j, bj in enumerate(b, start=1):
         if bj > N // j:
-            weights = [1]
+            before = c[: N + 1 - j]
+            w = 1
             for m in range(1, N // j + 1):
-                weights.append(weights[-1] * (bj + m - 1) // m)
-            # descending, so c[i::-j] still holds the coefficients from
-            # before this factor
-            for i in range(N, j - 1, -1):
-                c[i] = sum(map(mul, weights, c[i::-j]))
+                w = w * (bj + m - 1) // m
+                s = m * j
+                c[s:] = map(add, c[s:], [w * v for v in before[: N + 1 - s]])
         else:
             for _ in range(bj):
                 # prefix sums along stride j, one block of j entries at a

@@ -8,13 +8,16 @@ through the log-coefficients
 
 where g_m are the Taylor coefficients of log S.  Weight sequences are
 closed-form rules (callables by index), not arrays, so a single
-ModelSpec serves any truncation order.
+ModelSpec serves any truncation order.  ModelSpec.weights(N) gives the
+table b_1..b_N that the counting code reads.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import InvalidParametersError, UndefinedWeightError
@@ -67,6 +70,26 @@ class ModelSpec:
             raise InvalidParametersError(f"b_{j} = {bj} < 0")
         return bj
 
+    def weights(self, N: int) -> list:
+        """b_1..b_N: all ints when every b_j is whole, else all Fractions.
+
+        A QuasiPolynomial or custom_model table fills the list in bulk;
+        any other rule is called through b once per j.  Either way the
+        error is the one b raises at the first j where b fails.
+        """
+        if isinstance(self.weight, (QuasiPolynomial, _WeightTable)):
+            vals = self.weight.table(N)  # a custom table may stop short of N
+            if len(vals) < N or (vals and min(vals) < 0):
+                bad = next((j for j, v in enumerate(vals, 1) if v < 0), len(vals) + 1)
+                self.b(bad)  # raises the error of b_bad
+        else:
+            vals = [self.b(j) for j in range(1, N + 1)]
+        if any(type(v) is not int for v in vals):
+            vals = [Fraction(v) for v in vals]
+            if all(v.denominator == 1 for v in vals):
+                vals = [v.numerator for v in vals]
+        return vals
+
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
@@ -96,6 +119,14 @@ class QuasiPolynomial:
 
     def __call__(self, j: int) -> Fraction:
         return Fraction(sum(c * j**i for r, i, c in self.terms if not (j - r) % self.a))
+
+    def table(self, N: int) -> list:
+        # b_1..b_N before Fraction(), each summed in __call__'s order
+        t = [0] * N
+        for r, i, c in self.terms:
+            t[r - 1 :: self.a] = map(add, t[r - 1 :: self.a],
+                                     [c * j**i for j in range(r, N + 1, self.a)])
+        return t
 
 
 _PRESET_TERMS = {"standard": ((1, 0, 1),), "roots": ((1, 0, 1), (1, 1, 2))}
@@ -129,6 +160,23 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     return ModelSpec("congruent", MULTISET, rule, params=(a, b))
 
 
+@dataclass(frozen=True)
+class _WeightTable:
+    """Weight rule read off a table b_1..b_N, undefined beyond N."""
+
+    values: tuple  # Fractions
+
+    def __call__(self, j: int) -> Fraction:
+        if j > len(self.values):
+            raise UndefinedWeightError(
+                f"weight table has {len(self.values)} entries; b_{j} undefined"
+            )
+        return self.values[j - 1]
+
+    def table(self, N: int) -> list:
+        return list(self.values[:N])
+
+
 def custom_model(
     weights: Sequence, base: BaseFunction = MULTISET, kind: str = "custom"
 ) -> ModelSpec:
@@ -144,15 +192,7 @@ def custom_model(
         except (TypeError, ValueError, OverflowError):
             msg = f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number"
             raise InvalidParametersError(msg) from None
-
-    def rule(j: int, _t=tuple(table)) -> Fraction:
-        if j > len(_t):
-            raise UndefinedWeightError(
-                f"weight table has {len(_t)} entries; b_{j} undefined"
-            )
-        return _t[j - 1]
-
-    return ModelSpec(kind, base, rule)
+    return ModelSpec(kind, base, _WeightTable(tuple(table)))
 
 
 @dataclass(frozen=True)
@@ -184,9 +224,9 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
     """
     if N < 1:
         raise InvalidParametersError(f"need N >= 1; got N={N}")
-    b = [model.b(j) for j in range(1, N + 1)]
-    if model.base is not EXPONENTIAL and all(x.denominator == 1 for x in b):
-        b = [int(x) for x in b]
+    b = model.weights(N)
+    if model.base is EXPONENTIAL:
+        b = [Fraction(x) for x in b]
     acc = [type(b[0])()] * (N + 1)
     for j, bj in enumerate(b, start=1):
         if bj == 0:
@@ -221,11 +261,13 @@ def llt_condition_report(model: ModelSpec, n_max: int, q_max: int) -> list:
         grid.append(n)
         n *= 2
     grid.append(n_max)
-    bvals = [model.b(k) for k in range(1, n_max + 1)]
+    b = model.weights(n_max)
+    total = [0, *accumulate(b)]  # total[n] = b_1 + ... + b_n
     rows = []
     for q in range(2, q_max + 1):
+        multiples = [0, *accumulate(b[q - 1 :: q])]  # [t] = b_q + ... + b_tq
         for n in grid:
-            count = sum(bvals[k - 1] for k in range(1, n + 1) if k % q != 0)
+            count = total[n] - multiples[n // q]
             log_sq = math.log(n) ** 2
             rows.append(
                 {

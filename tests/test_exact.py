@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import distinct_dp, naive_recurrence, partitions_brute
+from oracles import distinct_dp, divisor_k_lambda, naive_recurrence, partitions_brute
 from subexp import exact
 from subexp.errors import (
     InexactDivisionError,
     InvalidParametersError,
+    UndefinedWeightError,
     UnsupportedModelError,
 )
 from subexp.exact import exact_coefficients, pentagonal_oracle, product_dp
@@ -71,6 +72,16 @@ def test_pentagonal_matches_brute_enumeration():
     series = pentagonal_oracle(25)
     for n in range(26):
         assert series[n] == partitions_brute(n)
+
+
+def test_pentagonal_matches_naive_recurrence_at_every_n():
+    # N = 300 passes 28 generalized pentagonal offsets; p(n) at every n, and
+    # every N, meets each offset both in and just out of reach
+    N = 300
+    kl = [int(divisor_k_lambda(lambda j: 1, k)) for k in range(1, N + 1)]
+    want = naive_recurrence(kl, N)
+    assert [pentagonal_oracle(n)[n] for n in range(N + 1)] == want
+    assert list(pentagonal_oracle(N).coeffs) == want
 
 
 def test_recurrence_standard():
@@ -142,6 +153,7 @@ def test_fractional_weights_rational_path():
 @given(weight_tables)
 @example([6] * 300)
 @example([0] * 40 + [1, 0, 2] * 80)  # k*Lambda_k = 0 below k = 41
+@example([50] * 200)  # b_j > N // j from j = 5: product_dp's binomial pass
 def test_kernel_matches_naive_and_product_dp_multiset(weights):
     model = custom_model(weights)
     N = len(weights)
@@ -319,6 +331,15 @@ def test_product_dp_requires_integer_multiset():
     sel = ModelSpec("distinct", SELECTION, lambda j: Fraction(1))
     with pytest.raises(UnsupportedModelError):
         product_dp(sel, 5)
+
+
+def test_product_dp_reads_the_whole_weight_table_first():
+    # a fault anywhere in b_1..b_N raises before the integer check, so a
+    # short fractional table names its missing entry
+    with pytest.raises(UndefinedWeightError, match=r"\bj=4\b"):
+        product_dp(custom_model([1, Fraction(1, 2), 3]), 10)
+    with pytest.raises(UnsupportedModelError, match=r"\bb_2 = 1/2"):
+        product_dp(custom_model([1, Fraction(1, 2), 3]), 3)
 
 
 def test_n_zero_and_negative():

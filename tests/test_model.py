@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,73 @@ def test_lambda_selection_base():
     assert lam.values[3] == Fraction(1) - Fraction(1, 2) - Fraction(1, 4)
 
 
+WEIGHT_MODELS = {
+    "standard": make_preset("standard"),
+    "roots": make_preset("roots"),
+    "congruent-3-1": make_preset("congruent", 3, 1),
+    "congruent-7-5": make_preset("congruent", 7, 5),
+    "fraction-c": ModelSpec("q", MULTISET, QuasiPolynomial(
+        3, ((1, 1, Fraction(1, 2)), (3, 0, 2), (1, 2, Fraction(3, 4))))),
+    "whole-fraction-c": ModelSpec("q", MULTISET, QuasiPolynomial(
+        2, ((1, 1, Fraction(4, 2)), (2, 0, 1)))),
+    "int-table": custom_model([1, 0, 3, 2] * 10),
+    "fraction-table": custom_model([Fraction(1, 2), 1, 2] * 13),
+    "lambda": ModelSpec("l", MULTISET, lambda j: j % 3),
+    "fraction-lambda": ModelSpec("l", MULTISET, lambda j: Fraction(1, j)),
+}
+
+
+@pytest.mark.parametrize("model", WEIGHT_MODELS.values(), ids=WEIGHT_MODELS)
+def test_weights_equal_b(model):
+    for N in (0, 1, 2, 39):
+        table = model.weights(N)
+        assert table == [model.b(j) for j in range(1, N + 1)]
+        # all ints exactly when every b_j is whole, else all Fractions
+        whole = all(x.denominator == 1 for x in table)
+        assert all(type(x) is (int if whole else Fraction) for x in table)
+
+
+def test_weights_int_or_fraction_per_prefix():
+    # b_1 = 1 is whole, b_2 = 1/2 is not: the rule looks at b_1..b_N only
+    model = custom_model([1, Fraction(1, 2)])
+    assert model.weights(1) == [1] and type(model.weights(1)[0]) is int
+    assert [type(x) for x in model.weights(2)] == [Fraction, Fraction]
+    assert model.weights(2) == [1, Fraction(1, 2)]
+
+
+def _boom(j):
+    if j == 5:
+        raise ZeroDivisionError("no b_5")
+    return 1
+
+
+@pytest.mark.parametrize(
+    "model, j, error",
+    [
+        (custom_model([1, 2, -1, -5]), 3, InvalidParametersError),
+        (ModelSpec("q", MULTISET, QuasiPolynomial(4, ((1, 0, 1), (3, 1, -1)))),
+         3, InvalidParametersError),
+        (ModelSpec("l", MULTISET, lambda j: 3 - j), 4, InvalidParametersError),
+        (custom_model([1, 2, 3]), 4, UndefinedWeightError),
+        (custom_model([Fraction(1, 2), 2, 3]), 4, UndefinedWeightError),
+        (ModelSpec("l", MULTISET, _boom), 5, UndefinedWeightError),
+        (ModelSpec("l", MULTISET, lambda j: None if j == 6 else 1), 6,
+         UndefinedWeightError),
+    ],
+    ids=("negative-table", "negative-quasi-polynomial", "negative-rule",
+         "past-table", "past-fraction-table", "rule-raises", "rule-returns-none"),
+)
+def test_weights_raise_what_b_raises_at_the_first_fault(model, j, error):
+    with pytest.raises(error) as want:
+        model.b(j)
+    assert re.search(rf"\b(j=|b_){j}\b", str(want.value))
+    for N in (j, j + 3):
+        with pytest.raises(error) as got:
+            model.weights(N)
+        assert str(got.value) == str(want.value)
+    assert model.weights(j - 1) == [model.b(i) for i in range(1, j)]
+
+
 def test_weight_table_exhaustion():
     short = custom_model([1, 2, 3])
     with pytest.raises(UndefinedWeightError):
@@ -204,6 +273,28 @@ def test_llt_report_counts():
     rows99 = llt_condition_report(cong, 99, 3)
     by_key99 = {(r["q"], r["n"]): r for r in rows99}
     assert by_key99[(3, 99)]["count"] == 33  # 50 odd minus 17 odd multiples of 3
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_preset("standard"),
+        make_preset("roots"),
+        make_preset("congruent", 3, 1),
+        custom_model([Fraction(1, j) for j in range(1, 301)]),
+    ],
+    ids=("standard", "roots", "congruent-3-1", "fraction-table"),
+)
+def test_llt_report_matches_a_per_row_sum(model):
+    rows = llt_condition_report(model, 300, 9)
+    assert len(rows) == 8 * 6  # q = 2..9 by n = 16, 32, ..., 256, 300
+    for r in rows:
+        q, n = r["q"], r["n"]
+        count = sum(model.b(k) for k in range(1, n + 1) if k % q != 0)
+        assert r["count"] == count
+        assert r["ratio"] == float(count) / math.log(n) ** 2
+        if model.kind != "custom":
+            assert type(r["count"]) is int
 
 
 def test_llt_report_has_no_verdict():
