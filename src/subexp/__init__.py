@@ -53,11 +53,7 @@ from .model import (
     llt_condition_report,
     make_preset,
 )
-from .precision import (
-    set_working_precision,
-    to_mpf,
-    working_precision,
-)
+from .precision import set_working_precision, to_mpf
 from .spectrum import (
     Pole,
     SpectralData,
@@ -118,5 +114,4 @@ __all__ = [
     "to_decimal",
     "to_mpf",
     "validate_spectrum",
-    "working_precision",
 ]

@@ -25,9 +25,11 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_exp,
     mpf_log,
     mpf_lt,
     mpf_mul,
+    mpf_mul_int,
     mpf_pow,
     mpf_sub,
 )
@@ -79,15 +81,16 @@ def remainder_delta(sd: SpectralData, tau, tol=DELTA_SERIES_TOL) -> mpf:
     before that happens, a TruncationWarning is emitted and the partial
     sum is returned as-is.
     """
+    # the checks and the sum on raw values; each comment is the mpf expression
+    prec, rounding = mp._prec_rounding
     tau = to_mpf(tau)
-    if not (0 < tau < 1):
+    t = tau._mpf_
+    if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):  # 0 < tau < 1
         raise DomainError(f"correction series needs 0 < tau < 1; got tau={tau}")
     tol = to_mpf(tol)
-    if not tol > 0:
+    eps = tol._mpf_
+    if not mpf_lt(fzero, eps):  # tol > 0
         raise DomainError(f"tol must be positive; got {tol}")
-    # the sum on raw values; each comment is the mpf expression
-    prec, rounding = mp._prec_rounding
-    t, eps = tau._mpf_, tol._mpf_
     partial = fzero  # mpf(0)
     tau_pow = fone  # mpf(1)
     for c in sd.memo(_correction_coefficients):
@@ -162,7 +165,7 @@ def _log_estimate(formula: str, n, terms: tuple) -> LogEstimate:
     """LogEstimate of raw terms (in _TERM_NAMES order), log_value their sum."""
     make = mp.make_mpf
     return LogEstimate(formula, int(n), make(_raw_sum(terms)),
-                       {name: make(t) for name, t in zip(_TERM_NAMES, terms)})
+                       dict(zip(_TERM_NAMES, map(make, terms))))
 
 
 def _khintchine_constants(sd: SpectralData) -> tuple:
@@ -177,7 +180,8 @@ class _ExplicitConstants(NamedTuple):
     prefactor: tuple
     kappa: tuple
     Q: tuple
-    powers: tuple  # (coefficient, exponent) of each n^(rho_l/(rho_r+1)) term
+    coefficients: tuple  # c_l of each term c_l n^e_l, l = r, 1, ..., r-1
+    exponents: tuple  # e_l = rho_l/(rho_r+1)
 
 
 def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
@@ -194,7 +198,8 @@ def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
     for rho, h in sd.poles[:-1]:
         powers.append((h * rh ** (-rho / (rho_r + 1)), rho / (rho_r + 1)))
     return _ExplicitConstants(prefactor._mpf_, kappa(sd)._mpf_, Q._mpf_,
-                              tuple((c._mpf_, e._mpf_) for c, e in powers))
+                              tuple(c._mpf_ for c, _ in powers),
+                              tuple(e._mpf_ for _, e in powers))
 
 
 def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
@@ -217,19 +222,21 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     if n < 1 or n % 1:  # n % 1 is also true at inf and nan
         raise DomainError(f"need a whole n >= 1; got n={n}")
     delta = solve_delta(sd, n).delta
-    if not delta < 1:
+    d = delta._mpf_
+    if not mpf_lt(d, fone):  # delta < 1
         n_min = max(1, int(mp.floor(khintchine_lhs(sd, 1))) + 1)
         raise DomainError(f"correction series needs 0 < tau < 1, so n >= {n_min}; "
                           f"got tau = delta_n = {delta} at n = {n}")
     prec, rounding = mp._prec_rounding
     half_rho_1, half_log_variance, neg_A0, h0, poles = sd.memo(_khintchine_constants)
-    d = delta._mpf_
     log_delta = mpf_log(d, prec, rounding)  # mp.log(delta)
     # (sd.rho_r / 2 + 1) * log_delta - sd.memo(_half_log_variance)
     prefactor = mpf_sub(mpf_mul(half_rho_1, log_delta, prec, rounding),
                         half_log_variance, prec, rounding)
     power = mpf_mul(neg_A0, log_delta, prec, rounding)  # -sd.A0 * log_delta
-    exponent = (n * delta)._mpf_  # in mpf, which converts n of any type
+    # n * delta: one mpf_mul_int for an int n, as in mpf
+    exponent = (mpf_mul_int(d, n, prec, rounding) if type(n) is int
+                else (n * delta)._mpf_)
     for neg_rho, h in poles:
         # exponent += h * delta ** (-rho)
         t = mpf_mul(h, mpf_pow(d, neg_rho, prec, rounding), prec, rounding)
@@ -237,6 +244,20 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     # sd.h0 + remainder_delta(sd, delta)
     q_or_delta = mpf_add(h0, remainder_delta(sd, delta)._mpf_, prec, rounding)
     return _log_estimate(KHINTCHINE, n, (prefactor, power, exponent, q_or_delta))
+
+
+def _powers(x, exponents, prec, rounding) -> list:
+    """[mpf_pow(x, e, prec, rounding) for e in exponents] for a raw x > 0,
+    taking once the log that mpf_pow takes for each fractional e: one that
+    is not a multiple of 1/2, so exp(e * log x) with the log at prec + 10."""
+    out, log_x = [], None
+    for e in exponents:
+        if e[2] >= -1:  # e a multiple of 1/2: a power of x or of its root
+            out.append(mpf_pow(x, e, prec, rounding))
+        else:
+            log_x = log_x or mpf_log(x, prec + 10, rounding)
+            out.append(mpf_exp(mpf_mul(e, log_x), prec, rounding))
+    return out
 
 
 def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
@@ -259,9 +280,10 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
     prec, rounding = mp._prec_rounding
     nn = to_mpf(n)._mpf_
     power = mpf_mul(c.kappa, mpf_log(nn, prec, rounding), prec, rounding)  # kappa log n
-    # sum(coef * nn**e for coef, e in c.powers)
-    exponent = _raw_sum(mpf_mul(coef, mpf_pow(nn, e, prec, rounding), prec, rounding)
-                        for coef, e in c.powers)
+    # sum(coef * nn**e for coef, e in powers)
+    pows = _powers(nn, c.exponents, prec, rounding)
+    exponent = _raw_sum(mpf_mul(coef, p, prec, rounding)
+                        for coef, p in zip(c.coefficients, pows))
     return _log_estimate(EXPLICIT, n, (c.prefactor, power, exponent, c.Q))
 
 

@@ -19,6 +19,7 @@ import json
 import sys
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_div, mpf_exp, mpf_log, mpf_sub, to_str
 
 from .asymptotics import (
     EXPLICIT,
@@ -297,25 +298,26 @@ def cmd_compare(args, parser) -> int:
         N = args.N
     model, sd = _exact_model(args, parser)
     series = exact_coefficients(model, N)
-    log_scale = mp.log(10) if args.log10 else mpf(1)
+    # rows on raw values, each comment the mpf expression; fmt(x) is to_str(x, 15)
+    prec, rounding = mp._prec_rounding
+    log10 = mp.log(10)._mpf_ if args.log10 else None
+
+    def log_cell(x):  # fmt(x / mp.log(10)) with --log10, else fmt(x)
+        return to_str(x if log10 is None else mpf_div(x, log10, prec, rounding), 15)
+
     # every row is built before the header is written, so a failure
     # leaves stdout empty rather than holding a partial table
     rows = [CSV_HEADER]
     for n in grid:
-        exact_log = mp.log(to_mpf(series[n]))
-        kh = log_estimate_khintchine(sd, n)
-        ex = log_estimate_explicit(sd, n)
-        ratio_kh = mp.exp(exact_log - kh.log_value)
-        ratio_ex = mp.exp(exact_log - ex.log_value)
-        row = [
-            str(n),
-            fmt(exact_log / log_scale),
-            fmt(kh.log_value / log_scale),
-            fmt(ex.log_value / log_scale),
-            fmt(ratio_kh),
-            fmt(ratio_ex),
-        ]
-        rows.append(",".join(row))
+        # mp.log(to_mpf(series[n])): an int enters exact, a Fraction rounded once
+        exact_log = mpf_log(to_mpf(series[n])._mpf_, prec, rounding)
+        kh = log_estimate_khintchine(sd, n).log_value._mpf_
+        ex = log_estimate_explicit(sd, n).log_value._mpf_
+        # mp.exp(exact_log - pred) per prediction
+        ratios = (mpf_exp(mpf_sub(exact_log, pred, prec, rounding), prec, rounding)
+                  for pred in (kh, ex))
+        rows.append(",".join([str(n), *map(log_cell, (exact_log, kh, ex)),
+                              *(to_str(r, 15) for r in ratios)]))
     print("\n".join(rows))
     return OK
 

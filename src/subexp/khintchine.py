@@ -12,10 +12,10 @@ bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
 root, the same safeguarded loop starts instead from that leading term,
 computed at the working precision.
 
-The left side and the polish loop run on raw mpmath.libmp values: the
-same operations, in the same order and at mp's precision and rounding, as
-the mpf expressions quoted beside them, so every result is bit for bit
-what mpf arithmetic gives, without its per-operation wrapping.
+The left side and the solver's set-up and polish loop run on raw
+mpmath.libmp values: the same operations, in the same order and at mp's
+precision and rounding, as the mpf expressions quoted beside them, so every
+result is bit for bit what mpf arithmetic gives, without its wrapping.
 """
 
 import math
@@ -25,11 +25,14 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 from mpmath.libmp import (
     finf,
+    fone,
+    from_float,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
     mpf_exp,
+    mpf_ge,
     mpf_gt,
     mpf_le,
     mpf_log,
@@ -74,16 +77,22 @@ class KhintchineSolution(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _stop_constants(prec: int) -> tuple:
-    """1e-10, 1e-12 and sqrt(eps) at a precision of prec bits."""
+    """1e-10, 1e-12 and sqrt(eps) at a precision of prec bits, raw."""
     with mp.workprec(prec):
-        return mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)
+        return tuple(v._mpf_ for v in (mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)))
+
+
+def _residual_tolerance(n, prec, rounding):
+    """max(1e-10 * n, 1e-12) for a raw n, raw."""
+    rel, floor, _ = _stop_constants(prec)
+    tol = mpf_mul(rel, n, prec, rounding)
+    return floor if mpf_gt(floor, tol) else tol
 
 
 def residual_tolerance(n) -> mpf:
     # lhs grows like n, so a pure absolute tolerance is unattainable at
     # large n in fixed precision
-    rel, floor, _ = _stop_constants(mp.prec)
-    return max(rel * n, floor)
+    return mp.make_mpf(_residual_tolerance(to_mpf(n)._mpf_, *mp._prec_rounding))
 
 
 def _lhs_constants(sd: SpectralData) -> tuple:
@@ -228,26 +237,27 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     plus bisection), so the loop evaluates lhs iterations + 1 times.  A seed
     or root outside the initial bracket raises NoBracketError.
     """
+    # set-up and polish loop on raw values; each comment is the mpf expression
+    prec, rounding = mp._prec_rounding
     n = to_mpf(n)
-    if not n >= 1:
+    n_ = n._mpf_
+    if not mpf_ge(n_, fone):  # n >= 1
         raise InvalidParametersError(f"need n >= 1; got {n}")
-    if not n > sd.d1():
+    if not mpf_gt(n_, sd.d1()._mpf_):  # n > sd.d1()
         raise InvalidParametersError(
             f"no positive solution: need n > D(-1) = {sd.d1()}; got n={n}"
         )
-    tol = residual_tolerance(n)
-    step_tol = _stop_constants(mp.prec)[2]
-    lo, hi = BRACKET_MIN, BRACKET_MAX
+    tol = _residual_tolerance(n_, prec, rounding)  # residual_tolerance(n)
+    step_tol = _stop_constants(prec)[2]
+    lo, hi = BRACKET_MIN._mpf_, BRACKET_MAX._mpf_
     x = _float_root(sd, n)
     if x is None:
         rho_r, h_r = sd.poles[-1]
         x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
-    x = mpf(x)
-    if not lo < x < hi:
-        raise _no_bracket(sd, n, f"seed delta={x} outside [{lo}, {hi}] for n={n}")
-    # the polish loop on raw values; each comment is the mpf expression
-    prec, rounding = mp._prec_rounding
-    x, lo, hi, n_, tol, step_tol = (v._mpf_ for v in (x, lo, hi, n, tol, step_tol))
+    x = from_float(x, prec, rounding) if type(x) is float else x._mpf_  # mpf(x)
+    if not (mpf_lt(lo, x) and mpf_lt(x, hi)):  # lo < x < hi
+        raise _no_bracket(sd, n, f"seed delta={mp.make_mpf(x)} outside "
+                          f"[{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
     newtons = 0
     bisections = 0
     for _ in range(MAX_ITER + 1):

@@ -22,10 +22,6 @@ def set_working_precision(dps: int) -> None:
     mp.dps = dps
 
 
-def working_precision() -> int:
-    return mp.dps
-
-
 def to_mpf(x):
     """Convert ints, floats, strings, Fractions and mpf to mpf.
 

@@ -11,6 +11,7 @@ from oracles import (
     LOG_P100,
     hardy_ramanujan_log,
 )
+from subexp import asymptotics
 from subexp.asymptotics import (
     EXPLICIT,
     KHINTCHINE,
@@ -257,3 +258,18 @@ def test_explicit_requires_positive_n():
         with pytest.raises(DomainError):
             estimate(STD, 100.5)
         assert estimate(STD, 1e8).n == 10**8
+
+
+def test_khintchine_estimate_calls_solver_and_series_once_through_the_module(
+        monkeypatch):
+    # the benchmark's layer tracer patches these two asymptotics attributes
+    calls = []
+    for name in ("solve_delta", "remainder_delta"):
+        def spy(*args, _name=name, _f=getattr(asymptotics, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(asymptotics, name, spy)
+    for n in (10, 1000):
+        calls.clear()
+        log_estimate_khintchine(ROOTS, n)
+        assert calls == ["solve_delta", "remainder_delta"]

@@ -1,11 +1,18 @@
 import json
 import sys
+import warnings
 
 import pytest
 from mpmath import mp, mpf
 
+from oracles import compare_row_mpf
+from subexp import cli
+from subexp.asymptotics import log_estimate_explicit, log_estimate_khintchine
 from subexp.cli import CSV_HEADER, main
 from subexp.errors import TruncationWarning
+from subexp.exact import exact_coefficients
+from subexp.model import custom_model, make_preset
+from subexp.spectrum import derive_spectrum, load_custom_spectrum
 
 
 @pytest.fixture(autouse=True)
@@ -359,3 +366,76 @@ def test_precision_flag(capsys):
 def test_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+# Fraction weights give Fraction c_n, which mpf rounds once; a single stored
+# D(-l) leaves the correction series short of its tolerance at every n
+HALF_WEIGHTS_SPEC = {
+    "poles": [{"rho": 1, "h": "0.82246703342411321823620758332301259461"}],
+    "A0": "-0.25",
+    "h0": "-0.45",
+    "d_neg": ["0.020833333333333333333333333333333333333"],
+    "weights": ["1/2"] * 60,
+}
+# c_n above the working precision enter log c_n unrounded: at 15 digits the
+# standard rows n = 302, 420, 495 and 503 print differently when they are
+# rounded first, and the roots grid reaches c_n of about 240 bits, past the
+# 203 of 60 digits
+ROW_ORACLE_CASES = {
+    "standard": ((), "300:510:1"),
+    "roots": ((), "10:500:7"),
+    "congruent": ((3, 1), "10:400:13"),
+    "custom": (None, "2:60:1"),
+}
+
+
+@pytest.mark.parametrize("log10", (False, True), ids=("log", "log10"))
+@pytest.mark.parametrize("dps", (15, 38, 60))
+@pytest.mark.parametrize("name", ROW_ORACLE_CASES)
+def test_compare_rows_equal_the_mpf_row_oracle(tmp_path, capsys, name, dps, log10):
+    params, grid = ROW_ORACLE_CASES[name]
+    if params is None:
+        spec = tmp_path / "half.json"
+        spec.write_text(json.dumps(HALF_WEIGHTS_SPEC))
+        selector = ["--model", "custom", "--spec", str(spec)]
+    else:
+        selector = ["--model", name]
+        if params:
+            selector += ["--a", str(params[0]), "--b", str(params[1])]
+    start, stop, step = (int(v) for v in grid.split(":"))
+    ns = range(start, stop + 1, step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "compare", *selector, "--grid", grid,
+                           "--precision", str(dps), *(["--log10"] if log10 else []))
+        with mp.workdps(dps):
+            if params is None:
+                model = custom_model(HALF_WEIGHTS_SPEC["weights"])
+                sd = load_custom_spectrum(HALF_WEIGHTS_SPEC)
+            else:
+                model = make_preset(name, *params)
+                sd = derive_spectrum(model)
+            series = exact_coefficients(model, ns[-1])
+            log_scale = mp.log(10) if log10 else mpf(1)
+            want = [CSV_HEADER] + [
+                compare_row_mpf(n, series[n], log_estimate_khintchine(sd, n).log_value,
+                                log_estimate_explicit(sd, n).log_value, log_scale)
+                for n in ns]
+    assert code == 0
+    assert out.splitlines() == want
+    assert {w.category for w in caught} == (
+        {TruncationWarning} if name == "custom" else set())
+
+
+def test_compare_makes_each_estimate_once_per_row_through_cli(monkeypatch, capsys):
+    # the benchmark's compare-cli pair timer wraps these two cli attributes
+    calls = []
+    for name in ("log_estimate_khintchine", "log_estimate_explicit"):
+        def spy(sd, n, _name=name, _estimate=getattr(cli, name)):
+            calls.append((_name, n))
+            return _estimate(sd, n)
+        monkeypatch.setattr(cli, name, spy)
+    code, _, _ = run(capsys, "compare", "--model", "roots", "--grid", "10:20:5")
+    assert code == 0
+    assert calls == [(name, n) for n in (10, 15, 20)
+                     for name in ("log_estimate_khintchine", "log_estimate_explicit")]

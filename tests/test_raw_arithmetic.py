@@ -6,10 +6,12 @@ Every result must equal (==, so bit for bit) what the mpf expressions in
 tests/oracles.py give, at several working precisions.
 """
 
+import random
 import warnings
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pow
 
 from oracles import (
     explicit_estimate_mpf,
@@ -22,7 +24,7 @@ from oracles import (
 from subexp import asymptotics, khintchine
 from subexp.errors import SubexpError, TruncationWarning
 from subexp.model import make_preset
-from subexp.spectrum import derive_spectrum
+from subexp.spectrum import Pole, SpectralData, derive_spectrum
 from test_khintchine import ALL_PRESETS, _one_pole
 
 BRACKET = (khintchine.BRACKET_MIN, khintchine.BRACKET_MAX)
@@ -130,3 +132,43 @@ def test_float_roots_equal_the_float_formulas(dps):
             for n in NS:
                 got = khintchine._float_root(sd, mpf(n))
                 assert got == float_root_mpf(sd, mpf(n), BRACKET), (args, n)
+
+
+# spectra whose explicit powers n^(rho_l/(rho_r+1)) mix mpf_pow's square-root
+# branch (e = 1/2) with its exp(e log n) branch: e = 1/4 and 1/2, and
+# e = 0.15, 0.225 and 1/2
+MIXED_POLES = ((("0.5", 1), (1, "1.5")), (("0.3", "2.1"), ("0.45", "1.1"), (1, "0.7")))
+
+
+def _mixed_spectrum(poles):
+    return SpectralData("mixed", tuple(Pole(mpf(rho), mpf(h)) for rho, h in poles),
+                        mpf("-0.3"), mpf("-0.5"), (mpf("0.04"), mpf("-0.01")))
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_shared_log_powers_equal_mpf_pow(dps):
+    # every preset's explicit exponents, then seeded rationals of either sign
+    rng = random.Random(16)
+    with mp.workdps(dps):
+        prec, rounding = mp._prec_rounding
+        exponents = []
+        for args in ALL_PRESETS:
+            sd = derive_spectrum(make_preset(*args))
+            exponents += [(rho / (sd.rho_r + 1))._mpf_ for rho, _ in sd.poles]
+        exponents += [(mpf(rng.randrange(-60, 61)) / rng.randrange(1, 50))._mpf_
+                      for _ in range(60)]
+        for x in [mpf(n) for n in NS] + [mpf(rng.uniform(0.01, 10)) for _ in range(5)]:
+            want = [mpf_pow(x._mpf_, e, prec, rounding) for e in exponents]
+            # the log shared across all exponents, and each exponent alone
+            assert asymptotics._powers(x._mpf_, exponents, prec, rounding) == want
+            assert [asymptotics._powers(x._mpf_, [e], prec, rounding)[0]
+                    for e in exponents] == want
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_estimates_mixing_half_and_general_powers_equal_the_mpf_formulas(dps):
+    with mp.workdps(dps):
+        for poles in MIXED_POLES:
+            sd = _mixed_spectrum(poles)
+            for n in NS:
+                _assert_pair_matches(sd, n)
