@@ -86,6 +86,8 @@ class SpectralData:
                      if not mp.isfinite(x)]
         if problems:
             raise SpectrumDataError("; ".join(problems))
+        # not a field, so ==, hash and repr ignore it (see memo)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def r(self) -> int:
@@ -117,12 +119,10 @@ class SpectralData:
         fields alone, and a change of mp.prec rebuilds.  A build that raises
         stores nothing.
         """
-        # a frozen instance's __dict__ is writable, as for cached_property
-        slot = self.__dict__.setdefault("_memo", {})
-        prec, value = slot.get(build, (None, None))
-        if prec != mp.prec:
+        prec, value = self._memo.get(build, (None, None))
+        if prec != mp._prec:
             value = build(self)
-            slot[build] = (mp.prec, value)
+            self._memo[build] = (mp._prec, value)
         return value
 
 

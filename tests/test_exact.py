@@ -1,3 +1,4 @@
+import itertools
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -154,6 +155,11 @@ def test_fractional_weights_rational_path():
 @example([6] * 300)
 @example([0] * 40 + [1, 0, 2] * 80)  # k*Lambda_k = 0 below k = 41
 @example([50] * 200)  # b_j > N // j from j = 5: product_dp's binomial pass
+@example([0] * 299 + [1])  # a lone top factor: the zero stretch is all of c[1:]
+@example([0] * 299 + [5])  # the same by one binomial power
+@example([0] * 200 + [9] * 100)  # heavy factors near the top, binomial each
+@example([0] * 150 + [3, 1] * 75)  # both passes from the top, interleaved
+@example([0] * 4 + [3] * 8)  # binomial factors whose slice c[s + low:] is not empty
 def test_kernel_matches_naive_and_product_dp_multiset(weights):
     model = custom_model(weights)
     N = len(weights)
@@ -163,6 +169,20 @@ def test_kernel_matches_naive_and_product_dp_multiset(weights):
     assert exact._recurrence_int(kl, N) == want
     assert list(exact_coefficients(model, N).coeffs) == want
     assert list(product_dp(model, N).coeffs) == want
+
+
+def test_product_dp_matches_naive_on_every_small_table():
+    # product_dp applies factors from the largest part down and skips the
+    # zero stretch below the smallest part so far; small tables put that
+    # part, the block starts and the binomial powers at every position:
+    # every table in {0,1,2}^N for N <= 7, then heavy tails up to N = 12
+    tables = [list(t) for N in range(1, 8) for t in itertools.product(range(3), repeat=N)]
+    tables += [[0] * k + [v] * (12 - k) for v in (3, 7) for k in range(12)]
+    for weights in tables:
+        N = len(weights)
+        kl = [int(divisor_k_lambda(lambda j: weights[j - 1], k)) for k in range(1, N + 1)]
+        got = list(product_dp(custom_model(weights), N).coeffs)
+        assert got == naive_recurrence(kl, N), weights
 
 
 @settings(max_examples=25, deadline=None)
