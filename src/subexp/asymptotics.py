@@ -10,27 +10,31 @@ Both formulas predict log c_n up to o(1):
 
 Everything is assembled additively in log-space; exp is taken only when
 rendering a decimal.  Each estimate carries a four-part breakdown whose
-sum is exactly the returned log value.  The correction series and both
-sums run on raw mpmath.libmp values, operation for operation as the mpf
-expressions quoted beside them, so the results are bit for bit the same.
+sum is exactly the returned log value.  The per-spectrum constants, the
+series and both sums run on raw mpmath.libmp values, operation for operation
+as the mpf expressions quoted beside them, so results are bit for bit equal.
 """
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
+    ftwo,
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
     mpf_pow,
+    mpf_pow_int,
     mpf_sub,
 )
 
@@ -64,11 +68,13 @@ class LogEstimate:
 def _correction_coefficients(sd: SpectralData) -> tuple:
     """(-1)^l D(-l) / l! for l = 1, 2, ..., the series' tau-free factors,
     as raw values."""
+    prec, rounding = mp._prec_rounding
     coefficients = []
-    fact = mpf(1)
+    fact = fone  # mpf(1)
     for l, d in enumerate(sd.d_neg, start=1):
-        fact *= l
-        coefficients.append(((-1) ** l * to_mpf(d) / fact)._mpf_)
+        fact = mpf_mul_int(fact, l, prec, rounding)  # fact *= l
+        c = mpf_mul_int(d._mpf_, (-1) ** l, prec, rounding)  # (-1) ** l * d
+        coefficients.append(mpf_div(c, fact, prec, rounding))  # c / fact
     return tuple(coefficients)
 
 
@@ -122,28 +128,22 @@ def q_constant(sd: SpectralData) -> mpf:
     ones (2 rho_{r-1} = rho_r within 1e-12) subtract the second pole's
     square contribution.  The full h_0 is used here; splits that move
     constant pieces between Q and the prefactor do not change the
-    estimate's log value.
+    estimate's log value.  Ineligible spectra raise.
     """
-    report = validate_spectrum(sd)
-    if report.classification == INELIGIBLE:
-        raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {report.gap} > 0: "
-                                      "the explicit formula does not apply")
-    if report.classification == CRITICAL:
-        rho_r, h_r = sd.poles[-1]
-        rho_p, h_p = sd.poles[-2]
-        correction = (
-            (rho_r * h_r) ** (-(2 * rho_p + 1) / (rho_r + 1))
-            * (rho_p * h_p) ** 2
-            / (2 * (rho_r + 1))
-        )
-        return sd.h0 - correction
-    return sd.h0
+    return mp.make_mpf(sd.memo(_explicit_constants)[2])
 
 
-def _half_log_variance(sd: SpectralData) -> mpf:
-    """(1/2) log(2 pi rho_r h_r (rho_r+1)), the Gaussian prefactor's log."""
-    rho_r, h_r = sd.poles[-1]
-    return mp.log(2 * mp.pi * rho_r * h_r * (rho_r + 1)) / 2
+def _top_pole_constants(sd: SpectralData) -> tuple:
+    """rho_r + 1, rho_r h_r and the Gaussian prefactor's log
+    (1/2) log(2 pi rho_r h_r (rho_r+1)) as raw values, for both estimates."""
+    prec, rounding = mp._prec_rounding
+    rho_r, h_r = sd.rho_r._mpf_, sd.poles[-1].h._mpf_
+    rho_1 = mpf_add(rho_r, fone, prec, rounding)  # rho_r + 1
+    v = mpf_mul_int(mpf_pi(prec, rounding), 2, prec, rounding)  # 2 * mp.pi
+    for x in (rho_r, h_r, rho_1):  # * rho_r * h_r * (rho_r + 1)
+        v = mpf_mul(v, x, prec, rounding)
+    half_log = mpf_div(mpf_log(v, prec, rounding), ftwo, prec, rounding)  # mp.log(v) / 2
+    return rho_1, mpf_mul(rho_r, h_r, prec, rounding), half_log
 
 
 _TERM_NAMES = ("prefactor_log", "power_log", "exponent_sum", "Q_or_delta")
@@ -171,35 +171,54 @@ def _log_estimate(formula: str, n, terms: tuple) -> LogEstimate:
 def _khintchine_constants(sd: SpectralData) -> tuple:
     """rho_r/2 + 1, the half log variance, -A0, h0 and (-rho, h) per pole
     as raw values: everything in the Khintchine estimate but n and delta_n."""
-    poles = tuple(((-rho)._mpf_, h._mpf_) for rho, h in sd.poles)
-    return ((sd.rho_r / 2 + 1)._mpf_, sd.memo(_half_log_variance)._mpf_,
-            (-sd.A0)._mpf_, sd.h0._mpf_, poles)
+    prec, rounding = mp._prec_rounding
+    half_rho = mpf_div(sd.rho_r._mpf_, ftwo, prec, rounding)  # sd.rho_r / 2 + 1
+    poles = tuple((mpf_neg(rho._mpf_, prec, rounding), h._mpf_) for rho, h in sd.poles)
+    return (mpf_add(half_rho, fone, prec, rounding), sd.memo(_top_pole_constants)[2],
+            mpf_neg(sd.A0._mpf_, prec, rounding), sd.h0._mpf_, poles)  # -sd.A0
 
 
-class _ExplicitConstants(NamedTuple):
-    prefactor: tuple
-    kappa: tuple
-    Q: tuple
-    coefficients: tuple  # c_l of each term c_l n^e_l, l = r, 1, ..., r-1
-    exponents: tuple  # e_l = rho_l/(rho_r+1)
-
-
-def _explicit_constants(sd: SpectralData) -> _ExplicitConstants:
-    """Everything in the explicit formula but n as raw values, built once
-    per spectrum (SpectralData.memo); raises IneligibleSpectrumError through
-    q_constant."""
-    Q = q_constant(sd)
-    rho_r, h_r = sd.poles[-1]
-    rh = rho_r * h_r
-    prefactor = -sd.memo(_half_log_variance) + (
-        (rho_r + 2 - 2 * sd.A0) / (2 * (rho_r + 1))
-    ) * mp.log(rh)
-    powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r / (rho_r + 1))]
-    for rho, h in sd.poles[:-1]:
-        powers.append((h * rh ** (-rho / (rho_r + 1)), rho / (rho_r + 1)))
-    return _ExplicitConstants(prefactor._mpf_, kappa(sd)._mpf_, Q._mpf_,
-                              tuple(c._mpf_ for c, _ in powers),
-                              tuple(e._mpf_ for _, e in powers))
+def _explicit_constants(sd: SpectralData) -> tuple:
+    """The explicit formula but n as raw values, built once per spectrum
+    (SpectralData.memo): the prefactor, kappa, Q, and the coefficients c_l and
+    exponents e_l = rho_l/(rho_r+1) of its terms c_l n^e_l, l = r, 1, ..., r-1.
+    Raises IneligibleSpectrumError when the formula does not apply."""
+    report = validate_spectrum(sd)
+    if report.classification == INELIGIBLE:
+        raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {report.gap} > 0: "
+                                      "the explicit formula does not apply")
+    prec, rounding = mp._prec_rounding
+    rho_1, rh, half_log_variance = sd.memo(_top_pole_constants)
+    rho_r, A0 = sd.rho_r._mpf_, sd.A0._mpf_
+    two_rho_1 = mpf_mul_int(rho_1, 2, prec, rounding)  # 2 * (rho_r + 1)
+    # -half_log_variance + (rho_r + 2 - 2 * sd.A0) / two_rho_1 * mp.log(rh)
+    t = mpf_sub(mpf_add(rho_r, ftwo, prec, rounding), mpf_mul_int(A0, 2, prec, rounding),
+                prec, rounding)
+    t = mpf_mul(mpf_div(t, two_rho_1, prec, rounding), mpf_log(rh, prec, rounding),
+                prec, rounding)
+    prefactor = mpf_add(mpf_neg(half_log_variance, prec, rounding), t, prec, rounding)
+    # kappa = (-rho_r / 2 - 1 + sd.A0) / (rho_r + 1)
+    t = mpf_sub(mpf_div(mpf_neg(rho_r, prec, rounding), ftwo, prec, rounding), fone,
+                prec, rounding)
+    kappa = mpf_div(mpf_add(t, A0, prec, rounding), rho_1, prec, rounding)
+    Q = sd.h0._mpf_
+    if report.classification == CRITICAL:
+        # sd.h0 - rh ** (-(2 * rho_p + 1) / (rho_r + 1)) * (rho_p * h_p)**2 / two_rho_1
+        rho_p, h_p = (x._mpf_ for x in sd.poles[-2])
+        t = mpf_add(mpf_mul_int(rho_p, 2, prec, rounding), fone, prec, rounding)
+        t = mpf_pow(rh, mpf_div(mpf_neg(t, prec, rounding), rho_1, prec, rounding),
+                    prec, rounding)
+        u = mpf_pow_int(mpf_mul(rho_p, h_p, prec, rounding), 2, prec, rounding)
+        t = mpf_div(mpf_mul(t, u, prec, rounding), two_rho_1, prec, rounding)
+        Q = mpf_sub(Q, t, prec, rounding)
+    # c_l = (1 + rho_r) * h_r or h_l, times rh ** (-rho_l / (rho_r + 1)) on one log
+    rhos = [rho_r] + [rho._mpf_ for rho, _ in sd.poles[:-1]]
+    negs = [mpf_div(mpf_neg(rho, prec, rounding), rho_1, prec, rounding) for rho in rhos]
+    hs = [mpf_mul(rho_1, sd.poles[-1].h._mpf_, prec, rounding)]
+    hs += [h._mpf_ for _, h in sd.poles[:-1]]
+    terms = zip(hs, _powers(rh, negs, prec, rounding))
+    return (prefactor, kappa, Q, tuple(mpf_mul(h, p, prec, rounding) for h, p in terms),
+            tuple(mpf_div(rho, rho_1, prec, rounding) for rho in rhos))
 
 
 def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
@@ -270,21 +289,21 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
         + sum_{l=1}^{r-1} h_l (rho_r h_r)^(-rho_l/(rho_r+1)) n^(rho_l/(rho_r+1))
 
     Needs a whole n >= 1 and a subcritical or critical spectrum
-    (q_constant raises otherwise).  Everything but n is built once per
-    spectrum and working precision and kept on sd (SpectralData.memo);
+    (IneligibleSpectrumError otherwise).  Everything but n is built once
+    per spectrum and working precision and kept on sd (SpectralData.memo);
     the sum runs on raw values.
     """
     if n < 1 or n % 1:
         raise DomainError(f"need a whole n >= 1; got n={n}")
-    c = sd.memo(_explicit_constants)
+    prefactor, kappa, Q, coefficients, exponents = sd.memo(_explicit_constants)
     prec, rounding = mp._prec_rounding
     nn = to_mpf(n)._mpf_
-    power = mpf_mul(c.kappa, mpf_log(nn, prec, rounding), prec, rounding)  # kappa log n
+    power = mpf_mul(kappa, mpf_log(nn, prec, rounding), prec, rounding)  # kappa log n
     # sum(coef * nn**e for coef, e in powers)
-    pows = _powers(nn, c.exponents, prec, rounding)
+    pows = _powers(nn, exponents, prec, rounding)
     exponent = _raw_sum(mpf_mul(coef, p, prec, rounding)
-                        for coef, p in zip(c.coefficients, pows))
-    return _log_estimate(EXPLICIT, n, (c.prefactor, power, exponent, c.Q))
+                        for coef, p in zip(coefficients, pows))
+    return _log_estimate(EXPLICIT, n, (prefactor, power, exponent, Q))
 
 
 def to_decimal(le: LogEstimate):

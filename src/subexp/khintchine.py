@@ -12,10 +12,10 @@ bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
 root, the same safeguarded loop starts instead from that leading term,
 computed at the working precision.
 
-The left side and the solver's set-up and polish loop run on raw
-mpmath.libmp values: the same operations, in the same order and at mp's
-precision and rounding, as the mpf expressions quoted beside them, so every
-result is bit for bit what mpf arithmetic gives, without its wrapping.
+The left side, its per-spectrum constants and the solver's set-up and
+polish loop run on raw mpmath.libmp values: the same operations, in the same
+order and at mp's precision and rounding, as the mpf expressions quoted
+beside them, so every result is bit for bit what mpf arithmetic gives.
 """
 
 import math
@@ -42,6 +42,7 @@ from mpmath.libmp import (
     mpf_pow,
     mpf_sqrt,
     mpf_sub,
+    to_float,
 )
 
 from .errors import (
@@ -98,8 +99,12 @@ def residual_tolerance(n) -> mpf:
 def _lhs_constants(sd: SpectralData) -> tuple:
     """D(-1), A0 and (h rho, -rho-1, rho+1) per pole as raw values, the
     constants of _lhs_and_slope."""
-    poles = tuple(((h * rho)._mpf_, (-rho - 1)._mpf_, (rho + 1)._mpf_)
-                  for rho, h in sd.poles)
+    prec, rounding = mp._prec_rounding
+    # (h * rho, -rho - 1, rho + 1) per pole
+    poles = tuple((mpf_mul(h, rho, prec, rounding),
+                   mpf_sub(mpf_neg(rho, prec, rounding), fone, prec, rounding),
+                   mpf_add(rho, fone, prec, rounding))
+                  for rho, h in ((rho._mpf_, h._mpf_) for rho, h in sd.poles))
     return sd.d1()._mpf_, sd.A0._mpf_, poles
 
 
@@ -155,10 +160,10 @@ def initial_guess(sd: SpectralData, n) -> mpf:
 
 
 def _as_float(v) -> float:
-    """v as a finite float; OverflowError when it overflows or underflows."""
-    f = float(v)
-    if not math.isfinite(f) or (f == 0 and v != 0):
-        raise OverflowError(f"{v} is out of float range")
+    """A raw v as a finite float; OverflowError when it overflows or underflows."""
+    f = to_float(v, rnd=mp._prec_rounding[1])
+    if not math.isfinite(f) or (f == 0 and v != fzero):
+        raise OverflowError(f"{mp.make_mpf(v)} is out of float range")
     return f
 
 
@@ -167,8 +172,8 @@ def _float_constants(sd: SpectralData) -> "tuple | None":
     D(-1) and (h rho, -rho-1, rho+1) per pole; None when one is out of
     float range."""
     try:
-        a0, d1 = _as_float(sd.A0), _as_float(sd.d1())
-        poles = [(_as_float(rho), _as_float(h)) for rho, h in sd.poles]
+        a0, d1 = _as_float(sd.A0._mpf_), _as_float(sd.d1()._mpf_)
+        poles = [(_as_float(rho._mpf_), _as_float(h._mpf_)) for rho, h in sd.poles]
     except OverflowError:
         return None
     rho_r, h_r = poles[-1]
@@ -189,7 +194,7 @@ def _float_root(sd: SpectralData, n) -> "float | None":
         return None
     seed_base, seed_power, a0, d1, poles = constants
     try:
-        nf = _as_float(n)
+        nf = _as_float(n._mpf_)
         x = (seed_base / nf) ** seed_power
         lo, hi = _FLOAT_BRACKET
         for _ in range(FLOAT_MAX_ITER):

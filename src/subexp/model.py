@@ -96,8 +96,8 @@ class QuasiPolynomial:
     """Weight rule: b_j sums c*j^i over the terms (r, i, c) with j = r mod a.
 
     a, r and i are ints with residues r in 1..a and degrees i >= 0; c is
-    rational.  Callable as b_j, so it serves as a ModelSpec weight;
-    derive_spectrum reads the spectrum off its terms.
+    rational, a float only when whole.  Callable as b_j, so it serves as a
+    ModelSpec weight; derive_spectrum reads the spectrum off its terms.
     """
 
     a: int
@@ -105,11 +105,12 @@ class QuasiPolynomial:
 
     def __post_init__(self):
         # type(x) is int rules out bools; Fraction(c) raises on a c it cannot
-        # read, and b_j would repeat a str
+        # read, b_j would repeat a str, and a float 0.1 would be its binary value
         try:
             ok = type(self.a) is int and self.a >= 1 and all(
                 type(r) is int and type(i) is int and 0 < r <= self.a and i >= 0
                 and not isinstance(c, (bool, str)) and Fraction(c) == c
+                and (not isinstance(c, float) or c.is_integer())
                 for r, i, c in self.terms)
         except (TypeError, ValueError, OverflowError):
             ok = False

@@ -396,6 +396,24 @@ def khintchine_estimate_mpf(sd, n, bracket, series_tol):
     return sum(terms.values()), terms
 
 
+def q_constant_mpf(sd, gap_tol=mpf("1e-12")):
+    """Q of the explicit formula: h0, less the second pole's square
+    contribution on a critical spectrum (|2 rho_{r-1} - rho_r| <= gap_tol);
+    ValueError on an ineligible one."""
+    if len(sd.poles) == 1 or 2 * sd.poles[-2][0] - sd.poles[-1][0] < -gap_tol:
+        return sd.h0
+    if 2 * sd.poles[-2][0] - sd.poles[-1][0] > gap_tol:
+        raise ValueError("ineligible spectrum")
+    rho_r, h_r = sd.poles[-1]
+    rho_p, h_p = sd.poles[-2]
+    correction = (
+        (rho_r * h_r) ** (-(2 * rho_p + 1) / (rho_r + 1))
+        * (rho_p * h_p) ** 2
+        / (2 * (rho_r + 1))
+    )
+    return sd.h0 - correction
+
+
 def explicit_estimate_mpf(sd, n, Q):
     """(log value, terms) of the explicit estimate at a whole n >= 1, given
     the constant Q."""

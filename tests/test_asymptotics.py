@@ -11,7 +11,7 @@ from oracles import (
     LOG_P100,
     hardy_ramanujan_log,
 )
-from subexp import asymptotics
+from subexp import asymptotics, khintchine
 from subexp.asymptotics import (
     EXPLICIT,
     KHINTCHINE,
@@ -119,14 +119,65 @@ def test_estimate_constants_leave_equality_hash_and_repr_alone():
     assert repr(sd) == repr(twin) == before[1]
 
 
-def test_ineligible_spectrum_raises_on_every_call():
+# the per-spectrum constant builders, each kept on SpectralData.memo
+BUILDERS = (
+    (asymptotics, "_correction_coefficients"),
+    (asymptotics, "_top_pole_constants"),
+    (asymptotics, "_khintchine_constants"),
+    (asymptotics, "_explicit_constants"),
+    (khintchine, "_lhs_constants"),
+    (khintchine, "_float_constants"),
+)
+
+
+def _spy_on_builders(monkeypatch):
+    """Count each builder's runs by name; memo keys on the spies."""
+    calls = dict.fromkeys((name for _, name in BUILDERS), 0)
+    for module, name in BUILDERS:
+        def spy(sd, build=getattr(module, name), name=name):
+            calls[name] += 1
+            return build(sd)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _pair(sd, n):
+    return log_estimate_khintchine(sd, n), log_estimate_explicit(sd, n)
+
+
+@pytest.mark.parametrize("args", [("standard",), ("roots",), ("congruent", 3, 1)])
+def test_each_builder_runs_once_per_spectrum_and_precision(monkeypatch, args):
+    calls = _spy_on_builders(monkeypatch)
+    sd = derive_spectrum(make_preset(*args))
+    first = _pair(sd, 1000)
+    assert set(calls.values()) == {1}, calls
+    assert _pair(sd, 1000) == first and _pair(sd, 10**6)
+    assert set(calls.values()) == {1}, calls
+    with mp.workdps(60):
+        _pair(sd, 1000)
+        _pair(sd, 10**6)
+    assert set(calls.values()) == {2}, calls
+    _pair(sd, 1000)  # back at 38 digits: the memo holds one precision
+    assert set(calls.values()) == {3}, calls
+
+
+def test_ineligible_spectrum_raises_on_every_call(monkeypatch):
+    # a failed build stores nothing, so each call builds and raises again;
+    # kappa and the Khintchine estimate need no eligibility
+    calls = _spy_on_builders(monkeypatch)
     inel = SpectralData(
         "inel", (Pole(mpf("1.5"), mpf(1)), Pole(mpf(2), mpf(1))), mpf(0), mpf(0),
         (mpf(0),),
     )
-    for _ in range(3):
+    for k in range(1, 4):
         with pytest.raises(IneligibleSpectrumError):
             log_estimate_explicit(inel, 100)
+        with pytest.raises(IneligibleSpectrumError):
+            q_constant(inel)
+        assert calls["_explicit_constants"] == 2 * k
+        assert asymptotics._explicit_constants not in inel._memo
+    assert mp.isfinite(log_estimate_khintchine(inel, 100).log_value)
+    assert kappa(inel) == mpf(-2) / 3
 
 
 def test_khintchine_domain_error_names_the_first_valid_n():

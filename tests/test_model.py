@@ -71,6 +71,16 @@ def test_quasi_polynomial_rejects_bad_terms():
             QuasiPolynomial(a, terms)
 
 
+def test_quasi_polynomial_rejects_fractional_float_coefficients():
+    # Fraction(0.1) == 0.1, so a float c used to enter as its binary value
+    # 3602879701896397/36028797018963968; a whole float is exact and passes
+    for c in (0.1, 0.5, -2.5, 1e-300):
+        with pytest.raises(InvalidParametersError):
+            QuasiPolynomial(1, ((1, 0, c),))
+    assert QuasiPolynomial(2, ((1, 0, 1.0), (2, 1, 3.0))).table(4) == [1.0, 6.0, 1.0, 12.0]
+    assert QuasiPolynomial(1, ((1, 0, Fraction(1, 10)),)).table(1) == [Fraction(1, 10)]
+
+
 def test_unknown_preset():
     with pytest.raises(InvalidParametersError):
         make_preset("cubes")

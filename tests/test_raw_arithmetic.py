@@ -18,13 +18,14 @@ from oracles import (
     float_root_mpf,
     khintchine_estimate_mpf,
     lhs_and_slope_mpf,
+    q_constant_mpf,
     remainder_delta_mpf,
     solve_delta_mpf,
 )
 from subexp import asymptotics, khintchine
 from subexp.errors import SubexpError, TruncationWarning
 from subexp.model import make_preset
-from subexp.spectrum import Pole, SpectralData, derive_spectrum
+from subexp.spectrum import Pole, SpectralData, derive_spectrum, load_custom_spectrum
 from test_khintchine import ALL_PRESETS, _one_pole
 
 BRACKET = (khintchine.BRACKET_MIN, khintchine.BRACKET_MAX)
@@ -172,3 +173,82 @@ def test_estimates_mixing_half_and_general_powers_equal_the_mpf_formulas(dps):
             sd = _mixed_spectrum(poles)
             for n in NS:
                 _assert_pair_matches(sd, n)
+
+
+def _assert_q_matches(sd):
+    assert _outcome(asymptotics.q_constant, sd) == _outcome(q_constant_mpf, sd), sd.label
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_q_constant_equals_the_mpf_formula(dps):
+    # the explicit constants build Q on raw values; the pair checks above
+    # take Q from q_constant, so Q is checked against its formula here
+    with mp.workdps(dps):
+        for args in ALL_PRESETS:
+            _assert_q_matches(derive_spectrum(make_preset(*args)))
+        for sd in list(SPECTRA_38.values()) + [_mixed_spectrum(p) for p in MIXED_POLES]:
+            _assert_q_matches(sd)
+
+
+def _custom(poles, label):
+    # numbers with no short binary form, wider than 15 digits at 38
+    return {"label": label, "poles": [{"rho": rho, "h": h} for rho, h in poles],
+            "A0": "-0.3", "h0": "-0.7", "d_neg": ["0.04", "-0.011", "0.0037", "-0.0013"]}
+
+
+# critical spectra (2 rho_{r-1} = rho_r), so Q subtracts the second pole's
+# term: rho = 1/2 and 1 mixes the powers' square-root branch (-1/2) with
+# exp(e log) (-1/4); rho = 0.3 and 0.6 have no short binary form.  Then a
+# subcritical spectrum with three such poles
+CUSTOM_SPECTRA = (_custom((("0.5", "0.3"), ("1", "1.7")), "critical (1/2, 1)"),
+                  _custom((("0.3", "0.9"), ("0.6", "1.3")), "critical (0.3, 0.6)"),
+                  _custom((("0.2", "0.7"), ("0.35", "1.1"), ("0.9", "0.45")), "three poles"))
+
+
+def _random_spectrum(rng, kind):
+    """A spectrum at the working precision whose numbers have 25 random
+    digits: subcritical (one to three poles), critical (rho_r = 2 rho_{r-1},
+    exactly) or ineligible (two poles)."""
+    num = lambda lo, hi: lo + (hi - lo) * mpf(rng.randrange(10**25)) / 10**25
+    rhos = sorted(num(0.1, 2.5) for _ in range(rng.randint(1, 3)))
+    if kind == "critical":
+        rhos = rhos[:1] + [2 * rhos[0]]
+    elif kind == "ineligible":
+        rhos = [rhos[0], rhos[0] * num(1.05, 1.9)]
+    elif len(rhos) > 1:
+        rhos[-1] = 2 * rhos[-2] + num(0.01, 1)
+    poles = tuple(Pole(rho, num(0.1, 3)) for rho in rhos)
+    return SpectralData(kind, poles, num(-1, 1), num(-2, 2),
+                        tuple(num(-0.1, 0.1) for _ in range(6)))
+
+
+@pytest.mark.parametrize("dps", (15, 60))
+def test_spectra_off_their_precision_equal_the_mpf_formulas(dps):
+    # every per-spectrum constant rounds where its mpf expression does: a
+    # spectrum built at 38 digits and used at another precision enters wide
+    # or narrow, and a missing or extra rounding shows on some of these
+    rng = random.Random(18)
+    with mp.workdps(38):
+        spectra = [load_custom_spectrum(doc) for doc in CUSTOM_SPECTRA]
+        spectra += [_random_spectrum(rng, kind) for kind in
+                    ("subcritical", "critical", "ineligible") * 20]
+    with mp.workdps(dps):
+        assert [asymptotics.q_constant(sd) != sd.h0 for sd in spectra[:3]] == [
+            True, True, False]
+        for sd in spectra:
+            for x in (mpf("0.2"), mpf("0.7")):
+                assert khintchine._lhs_and_slope(sd, x._mpf_) == tuple(
+                    v._mpf_ for v in lhs_and_slope_mpf(sd, x))
+                _assert_series_matches(sd, x)
+            Q = _outcome(asymptotics.q_constant, sd)
+            assert Q == _outcome(q_constant_mpf, sd)
+            for n in (10, 1000, 10**6):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TruncationWarning)
+                    kh = _library_estimate(asymptotics.log_estimate_khintchine, sd, n)
+                    want = _outcome(khintchine_estimate_mpf, sd, n, BRACKET,
+                                    asymptotics.DELTA_SERIES_TOL)
+                assert kh == want, (sd.poles, n)
+                ex = _library_estimate(asymptotics.log_estimate_explicit, sd, n)
+                assert ex == ("raised" if Q == "raised" else
+                              explicit_estimate_mpf(sd, n, Q)), (sd.poles, n)
