@@ -7,6 +7,7 @@ library only validates and consumes it).
 """
 
 import json
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -28,7 +29,8 @@ series = exact_coefficients(model, 50)
 print("counts with b_j = j:", list(series.coeffs[:12]))
 
 lam = lambda_coeffs(model, 8)
-print("log-coefficients:", [str(v) for v in lam.values])
+print("log-coefficients:",
+      [str(Fraction(kv, k)) for k, kv in enumerate(lam.k_values, start=1)])
 
 # the same counts from the spectrum side: the weight Dirichlet series
 # for b_j = j is zeta(s-1), single pole at rho=2 with h = Gamma(2)zeta(3),
@@ -41,8 +43,7 @@ doc = {
     "d_neg": [str(mp.zeta(0) * mp.zeta(-2)), str(mp.zeta(-1) * mp.zeta(-3))],
 }
 sd = load_custom_spectrum(json.loads(json.dumps(doc)))
-report = validate_spectrum(sd)
-print("custom spectrum:", report.classification)
+print("custom spectrum:", validate_spectrum(sd))
 
 sol = solve_delta(sd, 1000)
 est = log_estimate_khintchine(sd, 1000)

@@ -14,15 +14,15 @@ from subexp.spectrum import INELIGIBLE
 for kind, args in (("standard", ()), ("roots", ()), ("congruent", (3, 2))):
     model = make_preset(kind, *args)
     sd = derive_spectrum(model)
-    report = validate_spectrum(sd)
+    classification = validate_spectrum(sd)
     print(f"== {sd.label} ==")
     for p in sd.poles:
         print(f"  pole rho={mp.nstr(p.rho, 6)}  h={mp.nstr(p.h, 20)}")
     print(f"  A0    = {mp.nstr(sd.A0, 20)}")
     print(f"  h0    = {mp.nstr(sd.h0, 20)}")
     print(f"  theta = {mp.nstr(sd.theta, 20)}")
-    print(f"  class = {report.classification}")
-    if report.classification != INELIGIBLE:
+    print(f"  class = {classification}")
+    if classification != INELIGIBLE:
         print(f"  kappa = {mp.nstr(kappa(sd), 20)}")
         print(f"  Q     = {mp.nstr(q_constant(sd), 20)}")
     print()

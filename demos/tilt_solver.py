@@ -10,15 +10,18 @@ the root (overflow, underflow, lhs <= 0, an iterate outside the
 bracket), the same loop starts from that power law at the working
 precision instead and bisects wherever a Newton step would leave its
 bracket.  The residual stays far below the max(1e-10 n, 1e-12) contract
-either way.  initial_guess, the two-term expansion of 1/delta, serves
+either way.  The two-term expansion of 1/delta, computed inline, serves
 only as a cross-check here.
 """
 
 from mpmath import mp, mpf
 
-from subexp import Pole, SpectralData, derive_spectrum, initial_guess, make_preset, solve_delta
+from subexp import Pole, SpectralData, derive_spectrum, make_preset, solve_delta
 
 sd = derive_spectrum(make_preset("standard"))
+# one pole, so the two-term expansion of 1/delta is its leading term
+# z0 = (n / (rho h))^(1/(rho+1)) = sqrt(6 n)/pi
+(rho, h), = sd.poles
 
 print("n, delta, residual, evaluations at 38 digits, newton/bisection steps, "
       "two-term expansion error")
@@ -26,7 +29,7 @@ for k in range(1, 9):
     n = 10**k
     sol = solve_delta(sd, n)
     z = 1 / sol.delta
-    guess_err = abs(z - initial_guess(sd, n)) / z
+    guess_err = abs(z - (n / (rho * h)) ** (1 / (rho + 1))) / z
     print(f"  1e{k}: delta={mp.nstr(sol.delta, 12)}  res={mp.nstr(sol.residual, 3)}  "
           f"evals={sol.iterations + 1} steps={sol.newton_steps}/{sol.bisection_steps}  "
           f"expansion off by {mp.nstr(guess_err, 3)}")

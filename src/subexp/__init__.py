@@ -37,7 +37,6 @@ from .errors import (
 from .exact import ExactSeries, exact_coefficients, pentagonal_oracle, product_dp
 from .khintchine import (
     KhintchineSolution,
-    initial_guess,
     khintchine_lhs,
     solve_delta,
 )
@@ -57,7 +56,6 @@ from .precision import set_working_precision, to_mpf
 from .spectrum import (
     Pole,
     SpectralData,
-    ValidationReport,
     derive_spectrum,
     load_custom_spectrum,
     validate_spectrum,
@@ -92,11 +90,9 @@ __all__ = [
     "UndefinedWeightError",
     "UnsupportedModelError",
     "UnsupportedPointError",
-    "ValidationReport",
     "custom_model",
     "derive_spectrum",
     "exact_coefficients",
-    "initial_guess",
     "kappa",
     "khintchine_lhs",
     "lambda_coeffs",

@@ -78,14 +78,14 @@ def _correction_coefficients(sd: SpectralData) -> tuple:
     return tuple(coefficients)
 
 
-def remainder_delta(sd: SpectralData, tau, tol=DELTA_SERIES_TOL) -> mpf:
+def remainder_delta(sd: SpectralData, tau) -> mpf:
     """Correction series Delta(tau) = sum_{l>=1} (-1)^l D(-l) tau^l / l!.
 
     The series is asymptotic, not convergent, so it is summed with a
     term-size stopping rule: stop before adding the first term smaller
-    than tol*(1 + |partial sum|).  If the stored d_neg values run out
-    before that happens, a TruncationWarning is emitted and the partial
-    sum is returned as-is.
+    than DELTA_SERIES_TOL*(1 + |partial sum|).  If the stored d_neg values
+    run out before that happens, a TruncationWarning is emitted and the
+    partial sum is returned as-is.
     """
     # the checks and the sum on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
@@ -93,23 +93,20 @@ def remainder_delta(sd: SpectralData, tau, tol=DELTA_SERIES_TOL) -> mpf:
     t = tau._mpf_
     if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):  # 0 < tau < 1
         raise DomainError(f"correction series needs 0 < tau < 1; got tau={tau}")
-    tol = to_mpf(tol)
-    eps = tol._mpf_
-    if not mpf_lt(fzero, eps):  # tol > 0
-        raise DomainError(f"tol must be positive; got {tol}")
+    eps = DELTA_SERIES_TOL._mpf_
     partial = fzero  # mpf(0)
     tau_pow = fone  # mpf(1)
     for c in sd.memo(_correction_coefficients):
         tau_pow = mpf_mul(tau_pow, t, prec, rounding)  # tau_pow *= tau
         term = mpf_mul(c, tau_pow, prec, rounding)  # term = c * tau_pow
-        # abs(term) < tol * (1 + abs(partial))
+        # abs(term) < DELTA_SERIES_TOL * (1 + abs(partial))
         bound = mpf_add(mpf_abs(partial, prec, rounding), fone, prec, rounding)
         if mpf_lt(mpf_abs(term, prec, rounding), mpf_mul(eps, bound, prec, rounding)):
             return mp.make_mpf(partial)
         partial = mpf_add(partial, term, prec, rounding)  # partial += term
     warnings.warn(
         f"correction series truncated after {len(sd.d_neg)} terms without "
-        f"meeting tol={tol} at tau={tau}",
+        f"meeting tol={DELTA_SERIES_TOL} at tau={tau}",
         TruncationWarning,
     )
     return mp.make_mpf(partial)
@@ -183,9 +180,9 @@ def _explicit_constants(sd: SpectralData) -> tuple:
     (SpectralData.memo): the prefactor, kappa, Q, and the coefficients c_l and
     exponents e_l = rho_l/(rho_r+1) of its terms c_l n^e_l, l = r, 1, ..., r-1.
     Raises IneligibleSpectrumError when the formula does not apply."""
-    report = validate_spectrum(sd)
-    if report.classification == INELIGIBLE:
-        raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {report.gap} > 0: "
+    classification = validate_spectrum(sd)
+    if classification == INELIGIBLE:
+        raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {sd.gap} > 0: "
                                       "the explicit formula does not apply")
     prec, rounding = mp._prec_rounding
     rho_1, rh, half_log_variance = sd.memo(_top_pole_constants)
@@ -202,7 +199,7 @@ def _explicit_constants(sd: SpectralData) -> tuple:
                 prec, rounding)
     kappa = mpf_div(mpf_add(t, A0, prec, rounding), rho_1, prec, rounding)
     Q = sd.h0._mpf_
-    if report.classification == CRITICAL:
+    if classification == CRITICAL:
         # sd.h0 - rh ** (-(2 * rho_p + 1) / (rho_r + 1)) * (rho_p * h_p)**2 / two_rho_1
         rho_p, h_p = (x._mpf_ for x in sd.poles[-2])
         t = mpf_add(mpf_mul_int(rho_p, 2, prec, rounding), fone, prec, rounding)

@@ -17,6 +17,7 @@ digits; logs are natural unless --log10 is passed.
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_div, mpf_exp, mpf_log, mpf_sub, to_str
@@ -41,9 +42,8 @@ from .spectrum import (
     validate_spectrum,
 )
 from .specfun import (
-    hurwitz_zeta,
     hurwitz_zeta_deriv,
-    log_gamma,
+    hurwitz_zeta_exact,
     riemann_zeta,
     riemann_zeta_deriv,
 )
@@ -200,7 +200,7 @@ def _parse_grid(expr: str, geometric: bool, parser) -> list:
 
 def cmd_spectrum(args, parser) -> int:
     _, sd = _resolve_model(args, parser)
-    report = validate_spectrum(sd)
+    classification = validate_spectrum(sd)
     print(f"model: {sd.label}")
     print(f"r: {sd.r}")
     for l, (rho, h) in enumerate(sd.poles, start=1):
@@ -211,11 +211,11 @@ def cmd_spectrum(args, parser) -> int:
     dneg = ", ".join(fmt(d) for d in sd.d_neg)
     print(f"D(-l), l = 1..{len(sd.d_neg)}: {dneg}")
     print(f"gap 2*rho_(r-1) - rho_r: {'n/a' if sd.gap is None else fmt(sd.gap)}")
-    print(f"classification: {report.classification}")
-    if report.classification != INELIGIBLE:
+    print(f"classification: {classification}")
+    if classification != INELIGIBLE:
         print(f"kappa: {fmt(kappa(sd))}")
         print(f"Q: {fmt(q_constant(sd))}")
-    if args.require_eligible and report.classification == INELIGIBLE:
+    if args.require_eligible and classification == INELIGIBLE:
         print("spectrum is ineligible for the explicit formula", file=sys.stderr)
         return MODEL_ERROR
     return OK
@@ -323,15 +323,18 @@ def cmd_compare(args, parser) -> int:
 
 
 def _verify_checks():
-    """The built-in constant suite: (name, got, want, tolerance)."""
+    """The built-in constant suite: (name, got, want, tolerance).
+
+    Each row checks a function that derive_spectrum runs: zeta at s <= 0
+    is the exact Bernoulli value, and log Gamma(1/2) is read off Lerch's
+    zeta'(0, 1/2) + log(2 pi)/2."""
     checks = []
     pi = mp.pi
+    exact_zeta = lambda m, q: to_mpf(hurwitz_zeta_exact(m, q))
     checks.append(("zeta(2) = pi^2/6", riemann_zeta(2), pi**2 / 6, mpf("1e-13")))
     checks.append(("zeta(4) = pi^4/90", riemann_zeta(4), pi**4 / 90, mpf("1e-13")))
-    checks.append(("zeta(0) = -1/2", riemann_zeta(0), mpf(-1) / 2, mpf("1e-13")))
-    checks.append(
-        ("zeta(-1) = -1/12", riemann_zeta(-1), mpf(-1) / 12, mpf("1e-13"))
-    )
+    checks.append(("zeta(0) = -1/2", exact_zeta(0, 1), mpf(-1) / 2, mpf("1e-13")))
+    checks.append(("zeta(-1) = -1/12", exact_zeta(-1, 1), mpf(-1) / 12, mpf("1e-13")))
     checks.append(
         (
             "zeta'(0) = -log(2 pi)/2",
@@ -349,15 +352,9 @@ def _verify_checks():
         )
     )
     for a, b in ((2, 1), (3, 2), (10, 7)):
-        q = mpf(b) / a
-        checks.append(
-            (
-                f"hurwitz zeta(0, {b}/{a}) = 1/2 - {b}/{a}",
-                hurwitz_zeta(0, q),
-                mpf(1) / 2 - q,
-                mpf("1e-13"),
-            )
-        )
+        checks.append((f"hurwitz zeta(0, {b}/{a}) = 1/2 - {b}/{a}",
+                       exact_zeta(0, Fraction(b, a)), mpf(1) / 2 - mpf(b) / a,
+                       mpf("1e-13")))
     checks.append(
         (
             "hurwitz zeta'(0, 1/2) = -log(2)/2",
@@ -366,10 +363,9 @@ def _verify_checks():
             mpf("1e-12"),
         )
     )
-    checks.append(
-        ("log_gamma(1/2) = log(pi)/2", log_gamma(mpf(1) / 2), mp.log(pi) / 2,
-         mpf("1e-12"))
-    )
+    checks.append(("log_gamma(1/2) = log(pi)/2",
+                   hurwitz_zeta_deriv(0, mpf(1) / 2) + mp.log(2 * pi) / 2,
+                   mp.log(pi) / 2, mpf("1e-12")))
 
     roots = make_preset("roots")
     checks.append(("roots: b_5 = 11", to_mpf(roots.b(5)), mpf(11), mpf(0)))

@@ -83,19 +83,6 @@ def _stop_constants(prec: int) -> tuple:
         return tuple(v._mpf_ for v in (mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)))
 
 
-def _residual_tolerance(n, prec, rounding):
-    """max(1e-10 * n, 1e-12) for a raw n, raw."""
-    rel, floor, _ = _stop_constants(prec)
-    tol = mpf_mul(rel, n, prec, rounding)
-    return floor if mpf_gt(floor, tol) else tol
-
-
-def residual_tolerance(n) -> mpf:
-    # lhs grows like n, so a pure absolute tolerance is unattainable at
-    # large n in fixed precision
-    return mp.make_mpf(_residual_tolerance(to_mpf(n)._mpf_, *mp._prec_rounding))
-
-
 def _lhs_constants(sd: SpectralData) -> tuple:
     """D(-1), A0 and (h rho, -rho-1, rho+1) per pole as raw values, the
     constants of _lhs_and_slope."""
@@ -105,7 +92,7 @@ def _lhs_constants(sd: SpectralData) -> tuple:
                    mpf_sub(mpf_neg(rho, prec, rounding), fone, prec, rounding),
                    mpf_add(rho, fone, prec, rounding))
                   for rho, h in ((rho._mpf_, h._mpf_) for rho, h in sd.poles))
-    return sd.d1()._mpf_, sd.A0._mpf_, poles
+    return sd.d_neg[0]._mpf_, sd.A0._mpf_, poles
 
 
 def _lhs_and_slope(sd: SpectralData, x) -> tuple:
@@ -114,7 +101,7 @@ def _lhs_and_slope(sd: SpectralData, x) -> tuple:
     prec, rounding = mp._prec_rounding
     d1, A0, poles = sd.memo(_lhs_constants)
     a0 = mpf_div(A0, x, prec, rounding)  # a0 = sd.A0 / x
-    lhs = mpf_add(d1, a0, prec, rounding)  # lhs = sd.d1() + a0
+    lhs = mpf_add(d1, a0, prec, rounding)  # lhs = D(-1) + a0
     slope = mpf_neg(a0, prec, rounding)  # slope = -a0
     for c, e, k in poles:
         t = mpf_mul(c, mpf_pow(x, e, prec, rounding), prec, rounding)  # c * x**e
@@ -132,33 +119,6 @@ def khintchine_lhs(sd: SpectralData, delta) -> mpf:
     return mp.make_mpf(_lhs_and_slope(sd, delta._mpf_)[0])
 
 
-def initial_guess(sd: SpectralData, n) -> mpf:
-    """Two-term asymptotic expansion of z_n = 1/delta_n, a cross-check
-    on the solved root (the solver seeds from the leading term alone).
-
-    The leading term z0 = (n/(rho_r h_r))^(1/(rho_r+1)) balances the top
-    pole alone.  For r >= 2, balancing the two largest terms,
-    rho_r h_r z^(rho_r+1) + rho_{r-1} h_{r-1} z^(rho_{r-1}+1) = n, at
-    z = z0 (1 + eps) gives eps = -rho_{r-1} h_{r-1} z0^(rho_{r-1}+1) /
-    ((rho_r+1) n) to first order: the second pole adds to the left side,
-    so z shrinks.  Hence z = z0 - w with w = M (rho_r h_r)^(-e) n^e,
-    e = (rho_{r-1}-rho_r+1)/(rho_r+1) and
-    M = rho_{r-1} h_{r-1} / ((rho_r+1) rho_r h_r); z0 where z0 - w <= 0.
-    """
-    n = to_mpf(n)
-    if not n >= 1:
-        raise InvalidParametersError(f"need n >= 1; got {n}")
-    rho_r, h_r = sd.poles[-1]
-    z0 = (n / (rho_r * h_r)) ** (1 / (rho_r + 1))
-    if sd.r == 1:
-        return z0
-    rho_p, h_p = sd.poles[-2]
-    e = (rho_p - rho_r + 1) / (rho_r + 1)
-    M = rho_p * h_p / ((rho_r + 1) * rho_r * h_r)
-    z = z0 - M * (rho_r * h_r) ** (-e) * n**e
-    return z if z > 0 else z0
-
-
 def _as_float(v) -> float:
     """A raw v as a finite float; OverflowError when it overflows or underflows."""
     f = to_float(v, rnd=mp._prec_rounding[1])
@@ -172,7 +132,7 @@ def _float_constants(sd: SpectralData) -> "tuple | None":
     D(-1) and (h rho, -rho-1, rho+1) per pole; None when one is out of
     float range."""
     try:
-        a0, d1 = _as_float(sd.A0._mpf_), _as_float(sd.d1()._mpf_)
+        a0, d1 = _as_float(sd.A0._mpf_), _as_float(sd.d_neg[0]._mpf_)
         poles = [(_as_float(rho._mpf_), _as_float(h._mpf_)) for rho, h in sd.poles]
     except OverflowError:
         return None
@@ -248,12 +208,13 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     n_ = n._mpf_
     if not mpf_ge(n_, fone):  # n >= 1
         raise InvalidParametersError(f"need n >= 1; got {n}")
-    if not mpf_gt(n_, sd.d1()._mpf_):  # n > sd.d1()
+    if not mpf_gt(n_, sd.d_neg[0]._mpf_):  # n > D(-1)
         raise InvalidParametersError(
-            f"no positive solution: need n > D(-1) = {sd.d1()}; got n={n}"
+            f"no positive solution: need n > D(-1) = {sd.d_neg[0]}; got n={n}"
         )
-    tol = _residual_tolerance(n_, prec, rounding)  # residual_tolerance(n)
-    step_tol = _stop_constants(prec)[2]
+    rel, floor, step_tol = _stop_constants(prec)
+    tol = mpf_mul(rel, n_, prec, rounding)  # tol = max(1e-10 * n, 1e-12)
+    tol = floor if mpf_gt(floor, tol) else tol
     lo, hi = BRACKET_MIN._mpf_, BRACKET_MAX._mpf_
     x = _float_root(sd, n)
     if x is None:

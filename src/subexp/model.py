@@ -181,17 +181,22 @@ class _WeightTable:
 def custom_model(
     weights: Sequence, base: BaseFunction = MULTISET, kind: str = "custom"
 ) -> ModelSpec:
-    """Model from an explicit weight table b_1..b_N (undefined beyond N)."""
+    """Model from an explicit weight table b_1..b_N (undefined beyond N).
+
+    Each entry is an int, a Fraction, a decimal or p/q string, or a whole
+    float such as 2.0."""
     if isinstance(weights, str) or not isinstance(weights, Sequence):
         raise InvalidParametersError(f"weights must be a list; got {weights!r}")
     table = []
     for i, w in enumerate(weights):
         try:
-            if isinstance(w, bool):  # Fraction(True) == 1
+            # Fraction(True) == 1, and a float 0.1 would be its binary value
+            if isinstance(w, bool) or (isinstance(w, float) and not w.is_integer()):
                 raise TypeError
             table.append(Fraction(w))
         except (TypeError, ValueError, OverflowError):
-            msg = f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number"
+            msg = (f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number; "
+                   "give a fraction as a decimal or p/q string")
             raise InvalidParametersError(msg) from None
     return ModelSpec(kind, base, _WeightTable(tuple(table)))
 
@@ -204,14 +209,10 @@ class LambdaSeries:
     recurrence wants: all ints exactly when f has integer coefficients
     (a multiset or selection base and every b_j an integer, so each
     factor (1 - z^j)^(-b_j) or (1 + z^j)^(b_j) has them), all Fractions
-    otherwise.  values[k-1] = Lambda_k is derived from it.
+    otherwise.
     """
 
     k_values: tuple
-
-    @property
-    def values(self) -> tuple:
-        return tuple(Fraction(kv, k) for k, kv in enumerate(self.k_values, start=1))
 
     def k_lambda(self, k: int):
         return self.k_values[k - 1]

@@ -1,15 +1,17 @@
 """Special-function values backing the spectral computations.
 
-Riemann/Hurwitz zeta, the Hurwitz zeta derivative in s, log-Gamma and
-the constants (zeta'(0), zeta'(-1), Euler-Mascheroni) that the
-pole/residue derivations need.  Numerical evaluation is delegated to
-mpmath at the global working precision; this module adds the domain
-contracts and the closed forms.  Every function returns a finite mpf, or
-raises; hurwitz_zeta_exact returns a Bernoulli value as an exact Fraction.
+Riemann zeta, the exact Hurwitz zeta at nonpositive integers, the Hurwitz
+zeta derivative in s and the constants (zeta'(0), zeta'(-1),
+Euler-Mascheroni) that the pole/residue derivations need.  Numerical
+evaluation is delegated to mpmath at the global working precision; this
+module adds the domain contracts and the closed forms.  Every function
+returns a finite mpf, or raises; hurwitz_zeta_exact returns a Bernoulli
+value as an exact Fraction.
 
 Domains are restricted to what the residue formulas actually consume:
-real arguments, zeta on [-21, 40], Hurwitz zeta and its derivative on
-[-21, 40] x (0, 1] (derive_spectrum with L <= 20 reaches the exact
+real arguments, zeta on [-21, 40], the Hurwitz zeta derivative on
+[-21, 40] x (0, 1] and the exact Hurwitz zeta on the integers of
+[-21, 0] x (0, 1] (derive_spectrum with L <= 20 reaches the exact
 zeta(-21, 1) for roots).
 """
 
@@ -66,26 +68,6 @@ def riemann_zeta_deriv(s) -> mpf:
     raise UnsupportedPointError(f"zeta' available only at s=0 and s=-1; got s={s}")
 
 
-def _hurwitz_args(s, q) -> tuple:
-    s = to_mpf(s)
-    q = to_mpf(q)
-    if abs(s - 1) < POLE_GUARD:
-        raise PoleError(f"zeta(s, q) has a pole at s=1; got s={s}")
-    if not (HURWITZ_MIN <= s <= HURWITZ_MAX):
-        raise DomainError(
-            f"zeta(s, q) supported on [{HURWITZ_MIN}, {HURWITZ_MAX}]; got s={s}"
-        )
-    if not (0 < q <= 1):
-        raise DomainError(f"zeta(s, q) requires 0 < q <= 1; got q={q}")
-    return s, q
-
-
-def hurwitz_zeta(s, q) -> mpf:
-    """zeta(s, q) for real s in [-21, 40], s != 1, and 0 < q <= 1."""
-    s, q = _hurwitz_args(s, q)
-    return _result(mp.zeta(s, q))
-
-
 def hurwitz_zeta_exact(m: int, q) -> Fraction:
     """zeta(m, q) = -B_{1-m}(q)/(1-m), exactly, for an int m in [-21, 0] and
     a rational 0 < q <= 1 (an int or a Fraction); q = 1 gives zeta(m)."""
@@ -101,25 +83,26 @@ def hurwitz_zeta_exact(m: int, q) -> Fraction:
 
 
 def hurwitz_zeta_deriv(s, q) -> mpf:
-    """d/ds zeta(s, q) on the domain of hurwitz_zeta.
+    """d/ds zeta(s, q) for real s in [-21, 40], s != 1, and 0 < q <= 1.
 
     Lerch's log Gamma(q) - log(2*pi)/2 at s = 0 and zeta'(-1) at (-1, 1),
     some 60 times faster than mpmath's numerical derivative used elsewhere.
     """
-    s, q = _hurwitz_args(s, q)
+    s = to_mpf(s)
+    q = to_mpf(q)
+    if abs(s - 1) < POLE_GUARD:
+        raise PoleError(f"zeta(s, q) has a pole at s=1; got s={s}")
+    if not (HURWITZ_MIN <= s <= HURWITZ_MAX):
+        raise DomainError(
+            f"zeta(s, q) supported on [{HURWITZ_MIN}, {HURWITZ_MAX}]; got s={s}"
+        )
+    if not (0 < q <= 1):
+        raise DomainError(f"zeta(s, q) requires 0 < q <= 1; got q={q}")
     if s == 0:
         return _result(mp.loggamma(q) - mp.log(2 * mp.pi) / 2)
     if s == -1 and q == 1:
         return riemann_zeta_deriv(s)
     return _result(mp.zeta(s, q, 1))
-
-
-def log_gamma(x) -> mpf:
-    """log Gamma(x) for real x > 0."""
-    x = to_mpf(x)
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0; got x={x}")
-    return _result(mp.loggamma(x))
 
 
 def euler_gamma() -> mpf:

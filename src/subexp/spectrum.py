@@ -108,9 +108,6 @@ class SpectralData:
     def theta(self) -> mpf:
         return self.h0 + euler_gamma() * self.A0
 
-    def d1(self) -> mpf:
-        return self.d_neg[0]
-
     def memo(self, build):
         """build(self), computed once per working precision and kept on
         this instance, so it goes when the instance goes.
@@ -126,24 +123,19 @@ class SpectralData:
         return value
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    gap: Optional[mpf]
-    classification: str
-
-
-def validate_spectrum(sd: SpectralData) -> ValidationReport:
-    """The critical/subcritical classification of a spectrum.
+def validate_spectrum(sd: SpectralData) -> str:
+    """The classification of a spectrum by sd.gap: SUBCRITICAL, CRITICAL or
+    INELIGIBLE.
 
     SpectralData checks its structure when built, so this only classifies.
     r = 1 counts as subcritical (the two-pole condition is vacuous).
     """
     gap = sd.gap
     if sd.r <= 1 or gap < -GAP_TOL:
-        return ValidationReport(gap, SUBCRITICAL)
+        return SUBCRITICAL
     if gap <= GAP_TOL:
-        return ValidationReport(gap, CRITICAL)
-    return ValidationReport(gap, INELIGIBLE)
+        return CRITICAL
+    return INELIGIBLE
 
 
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:

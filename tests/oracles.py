@@ -168,6 +168,36 @@ def bisect_delta(poles, A0, d1, n, lo=mpf("1e-6"), hi=mpf("10")):
     return bisect_root(f, lo, hi)
 
 
+def initial_guess(sd, n):
+    """Two-term asymptotic expansion of z_n = 1/delta_n, a cross-check on
+    the solved root, for any sd with poles (rho, h) sorted by rho.
+
+    The leading term z0 = (n/(rho_r h_r))^(1/(rho_r+1)) balances the top
+    pole alone.  For r >= 2, balancing the two largest terms,
+    rho_r h_r z^(rho_r+1) + rho_{r-1} h_{r-1} z^(rho_{r-1}+1) = n, at
+    z = z0 (1 + eps) gives eps = -rho_{r-1} h_{r-1} z0^(rho_{r-1}+1) /
+    ((rho_r+1) n) to first order: the second pole adds to the left side,
+    so z shrinks.  Hence z = z0 - w with w = M (rho_r h_r)^(-e) n^e,
+    e = (rho_{r-1}-rho_r+1)/(rho_r+1) and
+    M = rho_{r-1} h_{r-1} / ((rho_r+1) rho_r h_r); z0 where z0 - w <= 0.
+    """
+    n = mpmathify(n)
+    rho_r, h_r = sd.poles[-1]
+    z0 = (n / (rho_r * h_r)) ** (1 / (rho_r + 1))
+    if len(sd.poles) == 1:
+        return z0
+    rho_p, h_p = sd.poles[-2]
+    e = (rho_p - rho_r + 1) / (rho_r + 1)
+    M = rho_p * h_p / ((rho_r + 1) * rho_r * h_r)
+    z = z0 - M * (rho_r * h_r) ** (-e) * n**e
+    return z if z > 0 else z0
+
+
+def hurwitz_zeta(s, q):
+    """zeta(s, q), numerically, by mpmath."""
+    return mp.zeta(s, q)
+
+
 def divisor_k_lambda(weight, k):
     """k*Lambda_k = sum over divisors j of k of j*b_j, enumerated naively."""
     total = Fraction(0)

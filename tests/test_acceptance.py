@@ -10,7 +10,7 @@ import time
 
 from mpmath import mp, mpf
 
-from oracles import distinct_dp, hardy_ramanujan_log
+from oracles import distinct_dp, hardy_ramanujan_log, hurwitz_zeta, initial_guess
 from subexp.asymptotics import (
     kappa,
     log_estimate_explicit,
@@ -18,10 +18,10 @@ from subexp.asymptotics import (
     q_constant,
 )
 from subexp.exact import exact_coefficients, pentagonal_oracle, product_dp
-from subexp.khintchine import initial_guess, khintchine_lhs, solve_delta
+from subexp.khintchine import khintchine_lhs, solve_delta
 from subexp.model import make_preset
 from subexp.spectrum import CRITICAL, derive_spectrum, validate_spectrum
-from subexp.specfun import hurwitz_zeta, riemann_zeta, riemann_zeta_deriv
+from subexp.specfun import riemann_zeta, riemann_zeta_deriv
 
 STD_MODEL = make_preset("standard")
 ROOTS_MODEL = make_preset("roots")
@@ -97,9 +97,8 @@ def test_criterion_4_roots_constants():
     assert abs(ROOTS.A0 + mpf(2) / 3) < tol
     assert abs(ROOTS.poles[0].h - mp.pi**2 / 6) < tol
     assert abs(ROOTS.poles[1].h - 2 * mp.zeta(3)) < tol
-    report = validate_spectrum(ROOTS)
-    assert report.classification == CRITICAL
-    assert abs(report.gap) < tol
+    assert validate_spectrum(ROOTS) == CRITICAL
+    assert abs(ROOTS.gap) < tol
     assert abs(kappa(ROOTS) + mpf(8) / 9) < tol
     correction = ROOTS.h0 - q_constant(ROOTS)
     want = (mp.pi**2 / 6) ** 2 / (24 * mp.zeta(3))

@@ -294,8 +294,8 @@ def test_exact_over_int_str_limit_prints_nothing(tmp_path, capsys):
     "weights, named",
     [(["abc", 1], "weights[0] = 'abc'"), ([1, None], "weights[1] = None"),
      ({"a": 1}, "weights must be a list"), ("12", "weights must be a list"),
-     ([True, 1], "weights[0] = True")],
-    ids=("string", "null", "object", "digits", "boolean"),
+     ([True, 1], "weights[0] = True"), ([0.1, 1, 1], "weights[0] = 0.1 (b_1)")],
+    ids=("string", "null", "object", "digits", "boolean", "fractional-float"),
 )
 def test_malformed_weights_fail_before_output(tmp_path, capsys, weights, named):
     doc = {"poles": [{"rho": 1, "h": 1.64}], "A0": -0.5, "h0": -0.92,

@@ -26,6 +26,11 @@ from subexp.model import (
 )
 
 
+def lambdas(lam):
+    """Lambda_1..Lambda_N, exact, from the stored k*Lambda_k."""
+    return tuple(Fraction(kv, k) for k, kv in enumerate(lam.k_values, start=1))
+
+
 def test_preset_weights():
     std = make_preset("standard")
     roots = make_preset("roots")
@@ -81,6 +86,15 @@ def test_quasi_polynomial_rejects_fractional_float_coefficients():
     assert QuasiPolynomial(1, ((1, 0, Fraction(1, 10)),)).table(1) == [Fraction(1, 10)]
 
 
+def test_custom_model_rejects_fractional_float_weights():
+    # the same rule for a weight table: 0.1 names its index, 2.0 is exact
+    for w in (0.1, 0.5, 1e-300):
+        with pytest.raises(InvalidParametersError, match=r"weights\[1\] .*\(b_2\)"):
+            custom_model([1, w])
+    assert custom_model([2.0, "1/10", "0.1"]).weights(3) == [2, Fraction(1, 10),
+                                                              Fraction(1, 10)]
+
+
 def test_unknown_preset():
     with pytest.raises(InvalidParametersError):
         make_preset("cubes")
@@ -103,10 +117,10 @@ def test_model_rejects_a_base_that_is_no_base_function():
 
 def test_lambda_small_values():
     std = lambda_coeffs(make_preset("standard"), 6)
-    assert std.values[0] == 1  # k=1: single term j=m=1
-    assert std.values[5] == 2  # k=6: (1+2+3+6)/6
+    assert lambdas(std)[0] == 1  # k=1: single term j=m=1
+    assert lambdas(std)[5] == 2  # k=6: (1+2+3+6)/6
     roots = lambda_coeffs(make_preset("roots"), 2)
-    assert roots.values[1] == Fraction(13, 2)  # 3*(1/2) + 5*1
+    assert lambdas(roots)[1] == Fraction(13, 2)  # 3*(1/2) + 5*1
     # k*Lambda_k are ints exactly when f has integer coefficients (multiset
     # or selection base, integer b_j); Lambda_k stays exact
     # f = (1 + z)^3 (1 + z^2): 2*Lambda_2 = -3 + 2
@@ -114,7 +128,7 @@ def test_lambda_small_values():
     assert sel.k_values == (3, -1)
     for lam in (std, roots, sel):
         assert all(type(x) is int for x in lam.k_values)
-        assert all(type(x) is Fraction for x in lam.values)
+        assert all(type(x) is Fraction for x in lambdas(lam))
     third = lambda_coeffs(custom_model([Fraction(1, 3)] * 2), 2)
     assert third.k_values == (Fraction(1, 3), Fraction(1))
     # b_j = 1/j and e^z have integral k*Lambda_k but rational c_n
@@ -149,7 +163,7 @@ def test_lambda_matches_the_double_sum_on_every_base():
         for name, table in tables.items():
             lam = lambda_coeffs(custom_model(table, base=base), N)
             want = log_coefficients(lambda j: table[j - 1], g, N)
-            assert lam.values == tuple(want), (base, name)
+            assert lambdas(lam) == tuple(want), (base, name)
             integral = base is not EXPONENTIAL and all(
                 Fraction(x).denominator == 1 for x in table)
             kind = int if integral else Fraction
@@ -165,9 +179,9 @@ def test_lambda_additive_in_weights():
         m1 = custom_model(w1)
         m2 = custom_model(w2)
         msum = custom_model([x + y for x, y in zip(w1, w2)])
-        l1 = lambda_coeffs(m1, N).values
-        l2 = lambda_coeffs(m2, N).values
-        ls = lambda_coeffs(msum, N).values
+        l1 = lambdas(lambda_coeffs(m1, N))
+        l2 = lambdas(lambda_coeffs(m2, N))
+        ls = lambdas(lambda_coeffs(msum, N))
         assert all(a + b == c for a, b, c in zip(l1, l2, ls))
 
 
@@ -183,9 +197,9 @@ def test_lambda_selection_base():
     # distinct parts: Lambda_k = sum_{jm=k} (-1)^(m+1)/m
     model = ModelSpec("distinct", SELECTION, lambda j: Fraction(1))
     lam = lambda_coeffs(model, 4)
-    assert lam.values[0] == 1
-    assert lam.values[1] == Fraction(1) - Fraction(1, 2)
-    assert lam.values[3] == Fraction(1) - Fraction(1, 2) - Fraction(1, 4)
+    assert lambdas(lam)[0] == 1
+    assert lambdas(lam)[1] == Fraction(1) - Fraction(1, 2)
+    assert lambdas(lam)[3] == Fraction(1) - Fraction(1, 2) - Fraction(1, 4)
 
 
 WEIGHT_MODELS = {
@@ -261,7 +275,7 @@ def test_weight_table_exhaustion():
         lambda_coeffs(short, 10)
     # within reach it works
     lam = lambda_coeffs(short, 3)
-    assert lam.values[0] == 1
+    assert lambdas(lam)[0] == 1
 
 
 def test_negative_weight_rejected():

@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 import oracles
 from oracles import (
     ROOTS_H0,
+    hurwitz_zeta,
     preset_exact_constants,
     preset_spectrum_closed_form,
     zeta_neg_bernoulli,
@@ -32,7 +33,7 @@ from subexp.spectrum import (
     load_custom_spectrum,
     validate_spectrum,
 )
-from subexp.specfun import hurwitz_zeta, riemann_zeta
+from subexp.specfun import riemann_zeta
 
 TOL = mpf("1e-12")
 # the 47 presets of the benchmark sweep, plus a = 1 and two b > a
@@ -345,14 +346,14 @@ def test_spectral_data_rejects_bad_shapes(name):
 
 def test_classification():
     assert derive_spectrum(make_preset("standard")).gap is None
-    assert validate_spectrum(derive_spectrum(make_preset("standard"))).classification == SUBCRITICAL
-    report = validate_spectrum(derive_spectrum(make_preset("roots")))
-    assert report.classification == CRITICAL
-    assert abs(report.gap) < TOL
-    assert validate_spectrum(_spectrum()).classification == SUBCRITICAL
-    report = validate_spectrum(_spectrum(poles=(("1.5", 1), (2, 1))))
-    assert report.classification == INELIGIBLE
-    assert abs(report.gap - 1) < TOL
+    assert validate_spectrum(derive_spectrum(make_preset("standard"))) == SUBCRITICAL
+    sd = derive_spectrum(make_preset("roots"))
+    assert validate_spectrum(sd) == CRITICAL
+    assert abs(sd.gap) < TOL
+    assert validate_spectrum(_spectrum()) == SUBCRITICAL
+    sd = _spectrum(poles=(("1.5", 1), (2, 1)))
+    assert validate_spectrum(sd) == INELIGIBLE
+    assert abs(sd.gap - 1) < TOL
 
 
 def test_load_custom_roundtrip():
