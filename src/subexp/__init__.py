@@ -25,14 +25,12 @@ from .errors import (
     InvalidParametersError,
     NoBracketError,
     NonConvergenceError,
-    PoleError,
     SpectrumDataError,
     SpectrumSchemaError,
     SubexpError,
     TruncationWarning,
     UndefinedWeightError,
     UnsupportedModelError,
-    UnsupportedPointError,
 )
 from .exact import ExactSeries, exact_coefficients, pentagonal_oracle, product_dp
 from .khintchine import (
@@ -80,7 +78,6 @@ __all__ = [
     "NoBracketError",
     "NonConvergenceError",
     "Pole",
-    "PoleError",
     "SELECTION",
     "SpectralData",
     "SpectrumDataError",
@@ -89,7 +86,6 @@ __all__ = [
     "TruncationWarning",
     "UndefinedWeightError",
     "UnsupportedModelError",
-    "UnsupportedPointError",
     "custom_model",
     "derive_spectrum",
     "exact_coefficients",

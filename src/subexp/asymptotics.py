@@ -237,6 +237,7 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     """
     if n < 1 or n % 1:  # n % 1 is also true at inf and nan
         raise DomainError(f"need a whole n >= 1; got n={n}")
+    n = int(n)  # exact for a whole n
     delta = solve_delta(sd, n).delta
     d = delta._mpf_
     if not mpf_lt(d, fone):  # delta < 1
@@ -250,9 +251,7 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     prefactor = mpf_sub(mpf_mul(half_rho_1, log_delta, prec, rounding),
                         half_log_variance, prec, rounding)
     power = mpf_mul(neg_A0, log_delta, prec, rounding)  # -sd.A0 * log_delta
-    # n * delta: one mpf_mul_int for an int n, as in mpf
-    exponent = (mpf_mul_int(d, n, prec, rounding) if type(n) is int
-                else (n * delta)._mpf_)
+    exponent = mpf_mul_int(d, n, prec, rounding)  # n * delta
     for neg_rho, h in poles:
         # exponent += h * delta ** (-rho)
         t = mpf_mul(h, mpf_pow(d, neg_rho, prec, rounding), prec, rounding)

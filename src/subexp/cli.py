@@ -129,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid", metavar="START:STOP:STEP", help="arithmetic grid of n")
     p.add_argument("--geom", metavar="START:STOP:FACTOR", help="geometric grid of n")
-    p.add_argument("--N", type=int, help="exact-series length (default: max grid n)")
     p.add_argument("--log10", action="store_true", help="print base-10 logs")
     p.set_defaults(func=cmd_compare)
 
@@ -291,13 +290,8 @@ def cmd_compare(args, parser) -> int:
         grid = _parse_grid(args.grid, False, parser)
     else:
         grid = _parse_grid(args.geom, True, parser)
-    N = max(grid, default=0)
-    if args.N is not None:
-        if args.N < N:
-            parser.error(f"--N {args.N} is below the largest grid point {N}")
-        N = args.N
     model, sd = _exact_model(args, parser)
-    series = exact_coefficients(model, N)
+    series = exact_coefficients(model, max(grid, default=0))
     # rows on raw values, each comment the mpf expression; fmt(x) is to_str(x, 15)
     prec, rounding = mp._prec_rounding
     log10 = mp.log(10)._mpf_ if args.log10 else None

@@ -9,14 +9,6 @@ class DomainError(SubexpError, ValueError):
     """Argument outside the documented domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at (or too close to) a pole."""
-
-
-class UnsupportedPointError(DomainError):
-    """Closed-form value exists only at specific points; this is not one."""
-
-
 class InvalidParametersError(SubexpError, ValueError):
     """Preset parameters violate a structural requirement (e.g. gcd)."""
 

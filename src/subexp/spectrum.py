@@ -14,7 +14,10 @@ h = A*zeta(rho+1)*Gamma(rho), A = (sum of its c)/a (Meinardus);
 A_0 = D_b(0); h_0 = D_b'(0) = sum c*a^i*zeta'(-i, r/a) - log(a)*A_0;
 D(-l) = zeta(1-l)*D_b(-l).  As zeta(-m, q) = -B_{m+1}(q)/(m+1), A_0 and
 every D(-l) are rationals, computed exactly and rounded once, to nearest.
-Other models must supply their data.
+The Bernoulli table behind them ends at specfun.BERNOULLI_MAX, so a weight
+of degree i derives with L <= BERNOULLI_MAX - 1 - i.  Other models must
+supply their data, as a document (load_custom_spectrum) or as SpectralData
+built directly, which reads plain numbers and checks them when it is made.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .model import MULTISET, ModelSpec, QuasiPolynomial
 from .precision import to_mpf
-from .specfun import euler_gamma, hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
+from .specfun import BERNOULLI_MAX, hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
 
 # classification tolerance on 2*rho_{r-1} - rho_r; preset poles are exact
 # small integers, so this only guards custom input
@@ -57,9 +60,11 @@ class SpectralData:
     is derived: Gamma(s) = 1/s - euler_gamma + O(s) gives
     theta = h0 + euler_gamma*A0.
 
-    Construction enforces the contract every estimate relies on (a pole,
-    0 < rho_1 < ... < rho_r, h_l > 0, nonempty d_neg, all numbers finite)
-    and raises SpectrumDataError naming each violation.
+    Construction converts each number by to_mpf (an mpf stays as it is)
+    and each (rho, h) pair to a Pole, then enforces the contract every
+    estimate relies on (a pole, 0 < rho_1 < ... < rho_r, h_l > 0,
+    nonempty d_neg, all numbers real and finite); SpectrumDataError names
+    each violation.
     """
 
     label: str
@@ -69,25 +74,37 @@ class SpectralData:
     d_neg: tuple
 
     def __post_init__(self):
-        problems = [] if self.poles else ["no poles"]
-        if not self.d_neg:
+        nonfinite = []
+
+        def real(name, x):
+            try:
+                x = to_mpf(x)
+            except (TypeError, ValueError):
+                pass
+            if not isinstance(x, mpf):
+                raise SpectrumDataError(f"{name}={x!r} not a real number")
+            if not mp.isfinite(x):
+                nonfinite.append(f"{name}={x} not finite")
+            return x
+
+        A0, h0 = real("A0", self.A0), real("h0", self.h0)
+        poles = tuple(Pole(real(f"pole {l}: rho", rho), real(f"pole {l}: h", h))
+                      for l, (rho, h) in enumerate(self.poles, start=1))
+        d_neg = tuple(real(f"D(-{l})", d) for l, d in enumerate(self.d_neg, start=1))
+        problems = [] if poles else ["no poles"]
+        if not d_neg:
             problems.append("d_neg empty")
-        numbers = [("A0", self.A0), ("h0", self.h0)]
         prev = 0
-        for l, (rho, h) in enumerate(self.poles, start=1):
+        for l, (rho, h) in enumerate(poles, start=1):
             if not rho > prev:
                 problems.append(f"pole {l}: rho={rho} not greater than {prev}")
             if not h > 0:
                 problems.append(f"pole {l}: residue h={h} not positive")
-            numbers += [(f"pole {l}: rho", rho), (f"pole {l}: h", h)]
             prev = rho
-        numbers += [(f"D(-{l})", d) for l, d in enumerate(self.d_neg, start=1)]
-        problems += [f"{name}={x} not finite" for name, x in numbers
-                     if not mp.isfinite(x)]
-        if problems:
-            raise SpectrumDataError("; ".join(problems))
-        # not a field, so ==, hash and repr ignore it (see memo)
-        object.__setattr__(self, "_memo", {})
+        if problems + nonfinite:
+            raise SpectrumDataError("; ".join(problems + nonfinite))
+        # _memo is not a field, so ==, hash and repr ignore it (see memo)
+        vars(self).update(poles=poles, A0=A0, h0=h0, d_neg=d_neg, _memo={})
 
     @property
     def r(self) -> int:
@@ -106,7 +123,7 @@ class SpectralData:
 
     @property
     def theta(self) -> mpf:
-        return self.h0 + euler_gamma() * self.A0
+        return self.h0 + mp.euler * self.A0
 
     def memo(self, build):
         """build(self), computed once per working precision and kept on
@@ -148,8 +165,10 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     tau (derived with L=20) is 2.6e-9 at n=10 (congruent(12,1); roots
     1.4e-11), 6.7e-15 at n=100, 2e-18 at n=1000 and 8.4e-22 at n=10^4
     (both roots), so below n of about 100 the default leaves terms above
-    the series' 1e-12 tolerance unsummed.  Other models have no
-    derivable data; supply it via load_custom_spectrum.
+    the series' 1e-12 tolerance unsummed.  D(-L) reads zeta(-L-i, q) for
+    each degree i, so degree + L must stay below BERNOULLI_MAX (21 at most;
+    InvalidParametersError otherwise).  Other models have no derivable
+    data; supply it via load_custom_spectrum.
     """
     if not (1 <= L <= 20):
         raise InvalidParametersError(f"need 1 <= L <= 20; got L={L}")
@@ -159,6 +178,11 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"
         )
     a, terms = model.weight.a, model.weight.terms
+    degree = max((i for _, i, _ in terms), default=0)
+    if degree + L >= BERNOULLI_MAX:  # D(-L) reads B_(L+degree+1), by zeta(-L-degree, q)
+        raise InvalidParametersError(
+            f"{model.kind}: degree {degree} + L={L} is {degree + L}; the Bernoulli "
+            f"table allows degree + L <= {BERNOULLI_MAX - 1}")
     csum = {}  # degree i -> sum of its c over all residues
     for _, i, c in terms:
         csum[i] = csum.get(i, 0) + c
@@ -222,8 +246,8 @@ def load_custom_spectrum(document: dict) -> SpectralData:
             raise SpectrumSchemaError(
                 f"poles[{i}]: expected an object with exactly keys rho, h"
             )
-        poles.append(Pole(_num(entry["rho"], f"poles[{i}].rho"),
-                          _num(entry["h"], f"poles[{i}].h")))
+        poles.append((_num(entry["rho"], f"poles[{i}].rho"),
+                      _num(entry["h"], f"poles[{i}].h")))
     raw_dneg = document["d_neg"]
     if not isinstance(raw_dneg, list) or not raw_dneg:
         raise SpectrumSchemaError("d_neg must be a nonempty array")

@@ -173,8 +173,8 @@ def test_compare_empty_grid(capsys):
 
 
 def test_compare_failures_write_no_partial_table(tmp_path, capsys):
-    code, out, _ = run(capsys, "compare", "--model", "standard", "--N", "5",
-                       "--grid", "10:20:5")
+    code, out, _ = run(capsys, "compare", "--model", "standard", "--grid",
+                       "10:20:0")
     assert (code, out) == (2, "")
     code, out, _ = run(capsys, "compare", "--model", "custom", "--spec",
                        str(tmp_path / "absent.json"), "--grid", "10:20:5")

@@ -16,14 +16,14 @@ PUBLIC = {
     # errors and warnings
     "CustomModelError", "DomainError", "IneligibleSpectrumError",
     "InexactDivisionError", "InvalidParametersError", "NoBracketError",
-    "NonConvergenceError", "PoleError", "SpectrumDataError",
+    "NonConvergenceError", "SpectrumDataError",
     "SpectrumSchemaError", "SubexpError", "TruncationWarning",
-    "UndefinedWeightError", "UnsupportedModelError", "UnsupportedPointError",
+    "UndefinedWeightError", "UnsupportedModelError",
 }
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 44
     assert len(subexp.__all__) == len(set(subexp.__all__))
     assert set(subexp.__all__) == PUBLIC
     assert all(hasattr(subexp, name) for name in PUBLIC)

@@ -4,9 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import zeta_direct, zeta_fd_deriv
-from subexp.errors import DomainError, PoleError, UnsupportedPointError
 from subexp.specfun import (
-    euler_gamma,
     hurwitz_zeta_exact,
     hurwitz_zeta_deriv,
     riemann_zeta,
@@ -34,17 +32,6 @@ def test_zeta_against_direct_summation():
         assert abs(got - want) < mpf("1e-14") * abs(want)
 
 
-def test_zeta_pole_and_domain():
-    with pytest.raises(PoleError):
-        riemann_zeta(1)
-    with pytest.raises(PoleError):
-        riemann_zeta(1 + 1e-10)
-    with pytest.raises(DomainError):
-        riemann_zeta(41)
-    with pytest.raises(DomainError):
-        riemann_zeta(-22)
-
-
 def test_zeta_deriv_closed_forms_vs_finite_difference():
     want0 = zeta_fd_deriv(0)
     want1 = zeta_fd_deriv(-1)
@@ -55,13 +42,6 @@ def test_zeta_deriv_closed_forms_vs_finite_difference():
     assert abs(
         riemann_zeta_deriv(-1) - (mpf(1) / 12 - mp.log(mp.glaisher))
     ) < mpf("1e-12")
-
-
-def test_zeta_deriv_unsupported_point():
-    with pytest.raises(UnsupportedPointError):
-        riemann_zeta_deriv(0.5)
-    with pytest.raises(UnsupportedPointError):
-        riemann_zeta_deriv(2)
 
 
 def test_exact_hurwitz_matches_mpmath():
@@ -81,15 +61,6 @@ def test_exact_hurwitz_matches_mpmath():
                     want = mp.zeta(m, mpf(r) / a)
                     err = mpf(got.numerator) / got.denominator - want
                     assert abs(err) <= mpf("1e-35") * abs(want)
-
-
-def test_exact_hurwitz_domain():
-    for m in (1, 5, -22, -1.0, -0.5, mpf(-1), Fraction(-1)):
-        with pytest.raises(DomainError):
-            hurwitz_zeta_exact(m, Fraction(1, 2))
-    for q in (0, -1, Fraction(-1, 2), Fraction(3, 2), 2, 0.5, mpf("0.5")):
-        with pytest.raises(DomainError):
-            hurwitz_zeta_exact(-1, q)
     assert hurwitz_zeta_exact(-1, 1) == Fraction(-1, 12)
     assert hurwitz_zeta_exact(0, Fraction(1, 3)) == Fraction(1, 6)
 
@@ -99,8 +70,6 @@ def test_hurwitz_deriv0_lerch():
         want = mp.loggamma(q) - mp.log(2 * mp.pi) / 2
         assert abs(hurwitz_zeta_deriv(0, q) - want) < mpf("1e-12")
     assert abs(hurwitz_zeta_deriv(0, mpf(1) / 2) + mp.log(2) / 2) < mpf("1e-12")
-    with pytest.raises(DomainError):
-        hurwitz_zeta_deriv(0, 0)
 
 
 def test_hurwitz_deriv_away_from_zero():
@@ -112,24 +81,13 @@ def test_hurwitz_deriv_away_from_zero():
     for s, q in ((-3, mpf(1) / 3), (2, mpf("0.7"))):
         want = zeta_fd_deriv(s, q=q)
         assert abs(hurwitz_zeta_deriv(s, q) - want) < mpf("1e-18") * abs(want)
-
-
-def test_hurwitz_deriv_shares_the_domain():
-    with pytest.raises(PoleError):
-        hurwitz_zeta_deriv(1, 0.5)
-    for s, q in ((-22, 0.5), (41, 0.5), (-1, 0), (-1, 1.5)):
-        with pytest.raises(DomainError):
-            hurwitz_zeta_deriv(s, q)
     assert hurwitz_zeta_deriv(-21, 0.5) == mp.zeta(-21, 0.5, 1)
+    # away from 0 and -1, zeta' is mpmath's numerical derivative
+    for s in (mpf("0.5"), mpf(2), mpf(-3)):
+        assert riemann_zeta_deriv(s) == mp.zeta(s, 1, 1)
 
 
 def test_constants():
-    # gamma = lim H_n - log n, checked coarsely against the defining limit
-    n = 200000
-    harmonic = mp.fsum(mpf(1) / k for k in range(1, n + 1))
-    approx = harmonic - mp.log(n)
-    assert abs(euler_gamma() - approx) < mpf("1e-5")
-    assert abs(euler_gamma() - mpf("0.57721566490153286")) < mpf("1e-16")
     # zeta'(-1) ties log(glaisher) to an independent finite difference
     assert abs(
         mp.log(mp.glaisher) - (mpf(1) / 12 - zeta_fd_deriv(-1))

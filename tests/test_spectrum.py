@@ -16,12 +16,19 @@ from oracles import (
     preset_spectrum_closed_form,
     zeta_neg_bernoulli,
 )
+from subexp.asymptotics import (
+    kappa,
+    log_estimate_explicit,
+    log_estimate_khintchine,
+    q_constant,
+)
 from subexp.errors import (
     CustomModelError,
     InvalidParametersError,
     SpectrumDataError,
     SpectrumSchemaError,
 )
+from subexp.khintchine import solve_delta
 from subexp.model import MULTISET, SELECTION, ModelSpec, QuasiPolynomial, make_preset
 from subexp.spectrum import (
     CRITICAL,
@@ -288,6 +295,14 @@ def test_derive_spectrum_L():
         derive_spectrum(make_preset("standard"), L=0)
     with pytest.raises(InvalidParametersError):
         derive_spectrum(make_preset("standard"), L=21)
+    # D(-L) reads B_(degree+L+1), and the Bernoulli table ends at B_22
+    degree = lambda i: ModelSpec(f"degree {i}", MULTISET, QuasiPolynomial(1, ((1, i, 1),)))
+    assert len(derive_spectrum(degree(13), L=8).d_neg) == 8
+    assert len(derive_spectrum(make_preset("roots"), L=20).d_neg) == 20
+    for i, L in ((14, 8), (2, 20)):
+        with pytest.raises(InvalidParametersError,
+                           match=f"degree {i} \\+ L={L} is {i + L}"):
+            derive_spectrum(degree(i), L=L)
 
 
 def test_derive_spectrum_rejects_custom():
@@ -342,6 +357,31 @@ def test_spectral_data_rejects_bad_shapes(name):
     with pytest.raises(SpectrumDataError) as info:
         _spectrum(**fields)
     assert problem in str(info.value)
+
+
+def test_spectral_data_reads_plain_numbers():
+    # ints, floats, Fractions and plain (rho, h) tuples give the same
+    # spectrum, and the same estimates, as their mpf values
+    poles, A0, h0 = ((1, 1.64), (3, Fraction(1, 3))), Fraction(-1, 2), -0.92
+    d_neg = (Fraction(1, 24), 0, 0.5)
+    plain = SpectralData("x", poles, A0, h0, d_neg)
+    ref = SpectralData("x", tuple(Pole(mpf(rho), mp.mpmathify(h)) for rho, h in poles),
+                       mp.mpmathify(A0), mpf(h0), tuple(map(mp.mpmathify, d_neg)))
+    assert plain == ref and all(type(p) is Pole for p in plain.poles)
+    assert solve_delta(plain, 1000) == solve_delta(ref, 1000)
+    for n in (10, 1000, 10**6):
+        for estimate in (log_estimate_khintchine, log_estimate_explicit):
+            assert estimate(plain, n).log_value == estimate(ref, n).log_value
+    assert kappa(plain) == kappa(ref)
+    assert q_constant(plain) == q_constant(ref)
+
+
+@pytest.mark.parametrize("bad", ["abc", object(), 1j])
+def test_spectral_data_names_a_value_it_cannot_read(bad):
+    with pytest.raises(SpectrumDataError, match="^A0=.* not a real number$"):
+        SpectralData("x", ((1, 1),), bad, 0, (0,))
+    with pytest.raises(SpectrumDataError, match="^pole 2: h=.* not a real number$"):
+        SpectralData("x", ((1, 1), (3, bad)), 0, 0, (0,))
 
 
 def test_classification():
