@@ -33,11 +33,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .exact import ExactSeries, exact_coefficients, pentagonal_oracle, product_dp
-from .khintchine import (
-    KhintchineSolution,
-    khintchine_lhs,
-    solve_delta,
-)
+from .khintchine import KhintchineSolution, khintchine_lhs, solve_delta
 from .model import (
     EXPONENTIAL,
     MULTISET,

@@ -12,7 +12,8 @@ Everything is assembled additively in log-space; exp is taken only when
 rendering a decimal.  Each estimate carries a four-part breakdown whose
 sum is exactly the returned log value.  The per-spectrum constants, the
 series and both sums run on raw mpmath.libmp values, operation for operation
-as the mpf expressions quoted beside them, so results are bit for bit equal.
+as the mpf expressions quoted beside them, so results are bit for bit equal;
+the series' stop test reads binary exponents where they settle it.
 """
 
 import warnings
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
+    from_int,
     ftwo,
     fzero,
     mpf_abs,
@@ -47,6 +49,11 @@ KHINTCHINE = "khintchine"
 EXPLICIT = "explicit"
 
 DELTA_SERIES_TOL = mpf("1e-12")
+# The series' stop test is decided from binary exponents alone when its two
+# sides lie at least this many binades apart.  A finite nonzero raw value
+# (s, man, exp, bc) lies in [2^(E-1), 2^E) for E = exp+bc, and no rounding
+# passes a power of 2, so a factor of 4 covers every rounding in the bound.
+MARGIN_BITS = 2
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,22 @@ def _correction_coefficients(sd: SpectralData) -> tuple:
     return tuple(coefficients)
 
 
+def _term_below(term, partial, eps, prec, rounding) -> bool:
+    """abs(term) < eps * (1 + abs(partial)) for raw values at the working
+    precision, partial finite.  The bound rounds into [2^(e-2), 2^(e+1)] for
+    e = E(eps) + max(1, E(partial)); it is formed only when E(term) is less
+    than MARGIN_BITS from e, or at a zero mantissa (a zero partial, whose E
+    is 0, aside)."""
+    if term[1] and eps[1] and (partial[1] or partial == fzero):
+        d = term[2] + term[3] - eps[2] - eps[3] - max(1, partial[2] + partial[3])
+        if d <= -MARGIN_BITS:
+            return True
+        if d >= MARGIN_BITS:
+            return False
+    bound = mpf_add(mpf_abs(partial), fone, prec, rounding)
+    return mpf_lt(mpf_abs(term), mpf_mul(eps, bound, prec, rounding))
+
+
 def remainder_delta(sd: SpectralData, tau) -> mpf:
     """Correction series Delta(tau) = sum_{l>=1} (-1)^l D(-l) tau^l / l!.
 
@@ -89,6 +112,8 @@ def remainder_delta(sd: SpectralData, tau) -> mpf:
     """
     # the checks and the sum on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
+    if isinstance(tau, str):
+        raise DomainError(f"correction series needs a number tau; got {tau!r}")
     tau = to_mpf(tau)
     t = tau._mpf_
     if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):  # 0 < tau < 1
@@ -97,11 +122,12 @@ def remainder_delta(sd: SpectralData, tau) -> mpf:
     partial = fzero  # mpf(0)
     tau_pow = fone  # mpf(1)
     for c in sd.memo(_correction_coefficients):
+        if c == fzero:  # term = 0, below any bound: partial stays finite
+            return mp.make_mpf(partial)
         tau_pow = mpf_mul(tau_pow, t, prec, rounding)  # tau_pow *= tau
         term = mpf_mul(c, tau_pow, prec, rounding)  # term = c * tau_pow
         # abs(term) < DELTA_SERIES_TOL * (1 + abs(partial))
-        bound = mpf_add(mpf_abs(partial, prec, rounding), fone, prec, rounding)
-        if mpf_lt(mpf_abs(term, prec, rounding), mpf_mul(eps, bound, prec, rounding)):
+        if _term_below(term, partial, eps, prec, rounding):
             return mp.make_mpf(partial)
         partial = mpf_add(partial, term, prec, rounding)  # partial += term
     warnings.warn(
@@ -158,10 +184,17 @@ def _raw_sum(values):
     return total
 
 
+def _whole_n(n) -> int:
+    """n as an int; DomainError unless n is a whole number >= 1 (no str or bool)."""
+    if isinstance(n, (str, bool)) or n < 1 or n % 1:  # n % 1 is true at inf, nan
+        raise DomainError(f"need a whole n >= 1; got n={n!r}")
+    return int(n)  # exact for a whole n
+
+
 def _log_estimate(formula: str, n, terms: tuple) -> LogEstimate:
     """LogEstimate of raw terms (in _TERM_NAMES order), log_value their sum."""
     make = mp.make_mpf
-    return LogEstimate(formula, int(n), make(_raw_sum(terms)),
+    return LogEstimate(formula, n, make(_raw_sum(terms)),
                        dict(zip(_TERM_NAMES, map(make, terms))))
 
 
@@ -235,9 +268,7 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     roots).  Everything but n and delta_n is built once per spectrum and
     working precision (SpectralData.memo), and the sum runs on raw values.
     """
-    if n < 1 or n % 1:  # n % 1 is also true at inf and nan
-        raise DomainError(f"need a whole n >= 1; got n={n}")
-    n = int(n)  # exact for a whole n
+    n = _whole_n(n)
     delta = solve_delta(sd, n).delta
     d = delta._mpf_
     if not mpf_lt(d, fone):  # delta < 1
@@ -289,11 +320,10 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
     per spectrum and working precision and kept on sd (SpectralData.memo);
     the sum runs on raw values.
     """
-    if n < 1 or n % 1:
-        raise DomainError(f"need a whole n >= 1; got n={n}")
+    n = _whole_n(n)
     prefactor, kappa, Q, coefficients, exponents = sd.memo(_explicit_constants)
     prec, rounding = mp._prec_rounding
-    nn = to_mpf(n)._mpf_
+    nn = from_int(n)  # exact
     power = mpf_mul(kappa, mpf_log(nn, prec, rounding), prec, rounding)  # kappa log n
     # sum(coef * nn**e for coef, e in powers)
     pows = _powers(nn, exponents, prec, rounding)

@@ -317,126 +317,59 @@ def cmd_compare(args, parser) -> int:
 
 
 def _verify_checks():
-    """The built-in constant suite: (name, got, want, tolerance).
+    """The built-in constant suite: (name, got, want, tolerance) rows.
 
     Each row checks a function that derive_spectrum runs: zeta at s <= 0
     is the exact Bernoulli value, and log Gamma(1/2) is read off Lerch's
     zeta'(0, 1/2) + log(2 pi)/2."""
-    checks = []
-    pi = mp.pi
+    pi, log, sqrt = mp.pi, mp.log, mp.sqrt
+    tight, loose = mpf("1e-13"), mpf("1e-12")
     exact_zeta = lambda m, q: to_mpf(hurwitz_zeta_exact(m, q))
-    checks.append(("zeta(2) = pi^2/6", riemann_zeta(2), pi**2 / 6, mpf("1e-13")))
-    checks.append(("zeta(4) = pi^4/90", riemann_zeta(4), pi**4 / 90, mpf("1e-13")))
-    checks.append(("zeta(0) = -1/2", exact_zeta(0, 1), mpf(-1) / 2, mpf("1e-13")))
-    checks.append(("zeta(-1) = -1/12", exact_zeta(-1, 1), mpf(-1) / 12, mpf("1e-13")))
-    checks.append(
-        (
-            "zeta'(0) = -log(2 pi)/2",
-            riemann_zeta_deriv(0),
-            -mp.log(2 * pi) / 2,
-            mpf("1e-12"),
-        )
-    )
-    checks.append(
-        (
-            "zeta'(-1) = 1/12 - log(glaisher)",
-            riemann_zeta_deriv(-1),
-            mpf(1) / 12 - mp.log(mp.glaisher),
-            mpf("1e-12"),
-        )
-    )
-    for a, b in ((2, 1), (3, 2), (10, 7)):
-        checks.append((f"hurwitz zeta(0, {b}/{a}) = 1/2 - {b}/{a}",
-                       exact_zeta(0, Fraction(b, a)), mpf(1) / 2 - mpf(b) / a,
-                       mpf("1e-13")))
-    checks.append(
-        (
-            "hurwitz zeta'(0, 1/2) = -log(2)/2",
-            hurwitz_zeta_deriv(0, mpf(1) / 2),
-            -mp.log(2) / 2,
-            mpf("1e-12"),
-        )
-    )
-    checks.append(("log_gamma(1/2) = log(pi)/2",
-                   hurwitz_zeta_deriv(0, mpf(1) / 2) + mp.log(2 * pi) / 2,
-                   mp.log(pi) / 2, mpf("1e-12")))
-
+    half, z2, z3 = mpf(1) / 2, pi**2 / 6, riemann_zeta(3)
+    lerch = hurwitz_zeta_deriv(0, half)
     roots = make_preset("roots")
-    checks.append(("roots: b_5 = 11", to_mpf(roots.b(5)), mpf(11), mpf(0)))
-    sd_std = derive_spectrum(make_preset("standard"))
-    checks.append(("standard: h_1 = pi^2/6", sd_std.poles[0].h, pi**2 / 6, mpf("1e-13")))
-    checks.append(("standard: A0 = -1/2", sd_std.A0, mpf(-1) / 2, mpf("1e-13")))
-    checks.append(
-        ("standard: h0 = -log(2 pi)/2", sd_std.h0, -mp.log(2 * pi) / 2, mpf("1e-12"))
-    )
-    checks.append(
-        ("standard: D(-1) = 1/24", sd_std.d_neg[0], mpf(1) / 24, mpf("1e-13"))
-    )
-    checks.append(("standard: kappa = -1", kappa(sd_std), mpf(-1), mpf("1e-13")))
-
-    sd_roots = derive_spectrum(roots)
-    z3 = riemann_zeta(3)
-    checks.append(("roots: A0 = -2/3", sd_roots.A0, mpf(-2) / 3, mpf("1e-13")))
-    checks.append(("roots: h_1 = zeta(2)", sd_roots.poles[0].h, pi**2 / 6, mpf("1e-13")))
-    checks.append(("roots: h_2 = 2 zeta(3)", sd_roots.poles[1].h, 2 * z3, mpf("1e-13")))
-    checks.append(
-        (
-            "roots: critical (2 rho_1 - rho_2 = 0)",
-            sd_roots.gap,
-            mpf(0),
-            mpf("1e-13"),
-        )
-    )
-    checks.append(("roots: kappa = -8/9", kappa(sd_roots), mpf(-8) / 9, mpf("1e-12")))
-    checks.append(
-        (
-            "roots: Q = h0 - zeta(2)^2/(24 zeta(3))",
-            q_constant(sd_roots),
-            sd_roots.h0 - (pi**2 / 6) ** 2 / (24 * z3),
-            mpf("1e-12"),
-        )
-    )
-
-    sd_cong = derive_spectrum(make_preset("congruent", 2, 1))
-    checks.append(
-        ("congruent(2,1): h_1 = zeta(2)/2", sd_cong.poles[0].h, pi**2 / 12,
-         mpf("1e-13"))
-    )
-    checks.append(("congruent(2,1): A0 = 0", sd_cong.A0, mpf(0), mpf("1e-13")))
-    checks.append(
-        ("congruent(2,1): h0 = -log(2)/2", sd_cong.h0, -mp.log(2) / 2, mpf("1e-12"))
-    )
-    checks.append(
-        ("congruent(2,1): kappa = -3/4", kappa(sd_cong), mpf(-3) / 4, mpf("1e-12"))
-    )
-    expo = log_estimate_explicit(sd_cong, 1000).terms["exponent_sum"]
-    checks.append(
-        (
-            "congruent(2,1): exponent at n=1000 is pi*sqrt(2n/(3a))",
-            expo,
-            pi * mp.sqrt(mpf(2000) / 6),
-            mpf("1e-12") * abs(expo),
-        )
-    )
-
-    for n in (10, 100, 1000):
-        hr = -mp.log(4 * mp.sqrt(3)) - mp.log(n) + pi * mp.sqrt(mpf(2 * n) / 3)
-        checks.append(
-            (
-                f"standard: explicit estimate at n={n} matches the leading "
-                "Hardy-Ramanujan term",
-                log_estimate_explicit(sd_std, n).log_value,
-                hr,
-                mpf("1e-10"),
-            )
-        )
-
+    std, sd_roots, cong = (derive_spectrum(m) for m in (
+        make_preset("standard"), roots, make_preset("congruent", 2, 1)))
+    expo = log_estimate_explicit(cong, 1000).terms["exponent_sum"]
     series = exact_coefficients(make_preset("standard"), 100)
-    checks.append(("standard: c_10 = 42", to_mpf(series[10]), mpf(42), mpf(0)))
-    checks.append(
-        ("standard: c_100 = 190569292", to_mpf(series[100]), mpf(190569292), mpf(0))
-    )
-    return checks
+    return [
+        ("zeta(2) = pi^2/6", riemann_zeta(2), z2, tight),
+        ("zeta(4) = pi^4/90", riemann_zeta(4), pi**4 / 90, tight),
+        ("zeta(0) = -1/2", exact_zeta(0, 1), -half, tight),
+        ("zeta(-1) = -1/12", exact_zeta(-1, 1), mpf(-1) / 12, tight),
+        ("zeta'(0) = -log(2 pi)/2", riemann_zeta_deriv(0), -log(2 * pi) / 2, loose),
+        ("zeta'(-1) = 1/12 - log(glaisher)", riemann_zeta_deriv(-1),
+         mpf(1) / 12 - log(mp.glaisher), loose),
+        *((f"hurwitz zeta(0, {b}/{a}) = 1/2 - {b}/{a}", exact_zeta(0, Fraction(b, a)),
+           half - mpf(b) / a, tight) for a, b in ((2, 1), (3, 2), (10, 7))),
+        ("hurwitz zeta'(0, 1/2) = -log(2)/2", lerch, -log(2) / 2, loose),
+        ("log_gamma(1/2) = log(pi)/2", lerch + log(2 * pi) / 2, log(pi) / 2, loose),
+        ("roots: b_5 = 11", to_mpf(roots.b(5)), mpf(11), mpf(0)),
+        ("standard: h_1 = pi^2/6", std.poles[0].h, z2, tight),
+        ("standard: A0 = -1/2", std.A0, -half, tight),
+        ("standard: h0 = -log(2 pi)/2", std.h0, -log(2 * pi) / 2, loose),
+        ("standard: D(-1) = 1/24", std.d_neg[0], mpf(1) / 24, tight),
+        ("standard: kappa = -1", kappa(std), mpf(-1), tight),
+        ("roots: A0 = -2/3", sd_roots.A0, mpf(-2) / 3, tight),
+        ("roots: h_1 = zeta(2)", sd_roots.poles[0].h, z2, tight),
+        ("roots: h_2 = 2 zeta(3)", sd_roots.poles[1].h, 2 * z3, tight),
+        ("roots: critical (2 rho_1 - rho_2 = 0)", sd_roots.gap, mpf(0), tight),
+        ("roots: kappa = -8/9", kappa(sd_roots), mpf(-8) / 9, loose),
+        ("roots: Q = h0 - zeta(2)^2/(24 zeta(3))", q_constant(sd_roots),
+         sd_roots.h0 - z2**2 / (24 * z3), loose),
+        ("congruent(2,1): h_1 = zeta(2)/2", cong.poles[0].h, pi**2 / 12, tight),
+        ("congruent(2,1): A0 = 0", cong.A0, mpf(0), tight),
+        ("congruent(2,1): h0 = -log(2)/2", cong.h0, -log(2) / 2, loose),
+        ("congruent(2,1): kappa = -3/4", kappa(cong), mpf(-3) / 4, loose),
+        ("congruent(2,1): exponent at n=1000 is pi*sqrt(2n/(3a))", expo,
+         pi * sqrt(mpf(2000) / 6), loose * abs(expo)),
+        *((f"standard: explicit estimate at n={n} matches the leading "
+           "Hardy-Ramanujan term", log_estimate_explicit(std, n).log_value,
+           -log(4 * sqrt(3)) - log(n) + pi * sqrt(mpf(2 * n) / 3), mpf("1e-10"))
+          for n in (10, 100, 1000)),
+        ("standard: c_10 = 42", to_mpf(series[10]), mpf(42), mpf(0)),
+        ("standard: c_100 = 190569292", to_mpf(series[100]), mpf(190569292), mpf(0)),
+    ]
 
 
 def cmd_verify(args, parser) -> int:

@@ -238,8 +238,8 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     operations.  On the int path an inexact division means a wrong block
     product, and raises InexactDivisionError naming n, the model kind and N.
     """
-    if N < 0:
-        raise InvalidParametersError(f"need N >= 0; got N={N}")
+    if type(N) is not int or N < 0:  # no bool, float or str
+        raise InvalidParametersError(f"need an int N >= 0; got N={N!r}")
     if N == 0:
         return ExactSeries((1,))
     kl = lambda_coeffs(model, N).k_values
@@ -261,8 +261,8 @@ def pentagonal_oracle(N: int) -> ExactSeries:
     two plain sums of p(n - g) over the offsets g <= n.  Independent of
     the Lambda machinery; standard model only.
     """
-    if N < 0:
-        raise InvalidParametersError(f"need N >= 0; got N={N}")
+    if type(N) is not int or N < 0:  # no bool, float or str
+        raise InvalidParametersError(f"need an int N >= 0; got N={N!r}")
     offsets = []  # (g, k odd), ascending in g
     k = 1
     while k * (3 * k - 1) // 2 <= N:
@@ -300,8 +300,8 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     models qualify; exists purely as an independent verifier for
     exact_coefficients.
     """
-    if N < 0:
-        raise InvalidParametersError(f"need N >= 0; got N={N}")
+    if type(N) is not int or N < 0:  # no bool, float or str
+        raise InvalidParametersError(f"need an int N >= 0; got N={N!r}")
     if model.base is not MULTISET:
         raise UnsupportedModelError(
             f"product evaluation needs the multiset base; model has {model.base.value}"

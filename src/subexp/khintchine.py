@@ -204,6 +204,8 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     """
     # set-up and polish loop on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
+    if isinstance(n, (str, bool)):
+        raise InvalidParametersError(f"need a number n >= 1; got {n!r}")
     n = to_mpf(n)
     n_ = n._mpf_
     if not mpf_ge(n_, fone):  # n >= 1

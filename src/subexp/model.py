@@ -184,7 +184,7 @@ def custom_model(
     """Model from an explicit weight table b_1..b_N (undefined beyond N).
 
     Each entry is an int, a Fraction, a decimal or p/q string, or a whole
-    float such as 2.0."""
+    float such as 2.0, and none is negative (InvalidParametersError)."""
     if isinstance(weights, str) or not isinstance(weights, Sequence):
         raise InvalidParametersError(f"weights must be a list; got {weights!r}")
     table = []
@@ -198,6 +198,8 @@ def custom_model(
             msg = (f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number; "
                    "give a fraction as a decimal or p/q string")
             raise InvalidParametersError(msg) from None
+        if table[-1] < 0:
+            raise InvalidParametersError(f"weights[{i}] = {w!r}: b_{i + 1} < 0")
     return ModelSpec(kind, base, _WeightTable(tuple(table)))
 
 

@@ -10,15 +10,18 @@ function here is otherwise pure.
 
 from mpmath import mp, mpmathify
 
+from .errors import InvalidParametersError
+
 DEFAULT_DPS = 38
 
 mp.dps = DEFAULT_DPS
 
 
 def set_working_precision(dps: int) -> None:
-    """Set the global precision to `dps` significant decimal digits."""
-    if dps < 15:
-        raise ValueError(f"working precision must be >= 15 digits, got {dps}")
+    """Set the global precision to `dps` significant decimal digits, an int >= 15."""
+    if type(dps) is not int or dps < 15:  # InvalidParametersError is a ValueError
+        raise InvalidParametersError(
+            f"working precision must be >= 15 digits, got {dps!r}")
     mp.dps = dps
 
 

@@ -61,7 +61,8 @@ class SpectralData:
     theta = h0 + euler_gamma*A0.
 
     Construction converts each number by to_mpf (an mpf stays as it is)
-    and each (rho, h) pair to a Pole, then enforces the contract every
+    and each (rho, h) pair to a Pole (poles, each pair and d_neg must be
+    sequences, not strs), then enforces the contract every
     estimate relies on (a pole, 0 < rho_1 < ... < rho_r, h_l > 0,
     nonempty d_neg, all numbers real and finite); SpectrumDataError names
     each violation.
@@ -87,10 +88,22 @@ class SpectralData:
                 nonfinite.append(f"{name}={x} not finite")
             return x
 
+        def items(name, x, size=None):  # x as a tuple, of size entries if given
+            try:
+                t = tuple(x) if not isinstance(x, str) else None
+            except TypeError:
+                t = None
+            if t is None or size not in (None, len(t)):
+                raise SpectrumDataError(f"{name}={x!r} not a sequence"
+                                        + (f" of {size}" if size else ""))
+            return t
+
         A0, h0 = real("A0", self.A0), real("h0", self.h0)
         poles = tuple(Pole(real(f"pole {l}: rho", rho), real(f"pole {l}: h", h))
-                      for l, (rho, h) in enumerate(self.poles, start=1))
-        d_neg = tuple(real(f"D(-{l})", d) for l, d in enumerate(self.d_neg, start=1))
+                      for l, pole in enumerate(items("poles", self.poles), start=1)
+                      for rho, h in [items(f"pole {l}", pole, 2)])
+        d_neg = tuple(real(f"D(-{l})", d)
+                      for l, d in enumerate(items("d_neg", self.d_neg), start=1))
         problems = [] if poles else ["no poles"]
         if not d_neg:
             problems.append("d_neg empty")
@@ -160,7 +173,7 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
 
     A0 and D(-l) are exact rationals (Bernoulli polynomial values) rounded
     once, to nearest; the residues and h0 are evaluated in mpmath.
-    L defaults to 8.  Over standard, roots and the coprime congruent(a, b)
+    L is an int and defaults to 8.  Over standard, roots and the coprime congruent(a, b)
     with a <= 12, the largest Delta-series term beyond l=8 at the solved
     tau (derived with L=20) is 2.6e-9 at n=10 (congruent(12,1); roots
     1.4e-11), 6.7e-15 at n=100, 2e-18 at n=1000 and 8.4e-22 at n=10^4
@@ -170,8 +183,8 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     InvalidParametersError otherwise).  Other models have no derivable
     data; supply it via load_custom_spectrum.
     """
-    if not (1 <= L <= 20):
-        raise InvalidParametersError(f"need 1 <= L <= 20; got L={L}")
+    if type(L) is not int or not 1 <= L <= 20:
+        raise InvalidParametersError(f"need an int 1 <= L <= 20; got L={L!r}")
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
         raise CustomModelError(
             f"no derivable spectral data for model kind {model.kind!r}; "

@@ -69,6 +69,11 @@ def test_remainder_delta_domain():
         remainder_delta(STD, 0)
     with pytest.raises(DomainError):
         remainder_delta(STD, 1)
+    for tau in ("x", "0.5"):  # not a ValueError from to_mpf
+        with pytest.raises(DomainError, match="needs a number tau"):
+            remainder_delta(STD, tau)
+    with pytest.raises(DomainError, match="needs 0 < tau < 1"):
+        remainder_delta(STD, True)
 
 
 def test_kappa_values():
@@ -308,6 +313,9 @@ def test_explicit_requires_positive_n():
         with pytest.raises(DomainError):
             estimate(STD, 100.5)
         assert estimate(STD, 1e8).n == 10**8
+        for n in ("10", "x", True, False):  # a str raised TypeError, True read as 1
+            with pytest.raises(DomainError, match=f"need a whole n >= 1; got n={n!r}"):
+                estimate(STD, n)
 
 
 def test_khintchine_estimate_calls_solver_and_series_once_through_the_module(

@@ -370,3 +370,10 @@ def test_n_zero_and_negative():
         pentagonal_oracle(-1)
     with pytest.raises(InvalidParametersError):
         product_dp(make_preset("standard"), -1)
+    std = make_preset("standard")  # and N an int, where True read as 1
+    for N in (2.5, 5.0, "5", True):
+        for count in (lambda: exact_coefficients(std, N), lambda: product_dp(std, N),
+                      lambda: pentagonal_oracle(N)):
+            with pytest.raises(InvalidParametersError, match="need an int N >= 0"):
+                count()
+

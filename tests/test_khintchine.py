@@ -170,6 +170,10 @@ def test_solve_delta_preconditions():
     # n must exceed D(-1); D(-1)=1/24 for the standard model, so n >= 1 passes
     sol = solve_delta(STD, 1)
     assert sol.delta > 0
+    for n in ("10", "x", True, False):  # "10" used to solve, True as n = 1
+        with pytest.raises(InvalidParametersError,
+                           match=f"need a number n >= 1; got {n!r}$"):
+            solve_delta(STD, n)
 
 
 @pytest.mark.parametrize("args", ALL_PRESETS, ids=lambda args: "-".join(map(str, args)))

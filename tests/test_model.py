@@ -19,6 +19,7 @@ from subexp.model import (
     SELECTION,
     ModelSpec,
     QuasiPolynomial,
+    _WeightTable,
     custom_model,
     lambda_coeffs,
     llt_condition_report,
@@ -245,7 +246,10 @@ def _boom(j):
 @pytest.mark.parametrize(
     "model, j, error",
     [
-        (custom_model([1, 2, -1, -5]), 3, InvalidParametersError),
+        # custom_model rejects a negative entry, so the table is built directly
+        (ModelSpec("custom", MULTISET,
+                   _WeightTable(tuple(map(Fraction, (1, 2, -1, -5))))),
+         3, InvalidParametersError),
         (ModelSpec("q", MULTISET, QuasiPolynomial(4, ((1, 0, 1), (3, 1, -1)))),
          3, InvalidParametersError),
         (ModelSpec("l", MULTISET, lambda j: 3 - j), 4, InvalidParametersError),
@@ -279,9 +283,10 @@ def test_weight_table_exhaustion():
 
 
 def test_negative_weight_rejected():
-    bad = custom_model([1, -1])
-    with pytest.raises(InvalidParametersError):
-        lambda_coeffs(bad, 2)
+    # when the model is built, not when b_2 is first read
+    for weights in ([1, -1], [-1], ["-1/2"], [Fraction(-1, 3)]):
+        with pytest.raises(InvalidParametersError, match=r"b_\d+ < 0"):
+            custom_model(weights)
 
 
 def test_llt_report_counts():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from subexp.errors import InvalidParametersError
 from subexp.precision import DEFAULT_DPS, set_working_precision, to_mpf
 
 
@@ -25,6 +26,12 @@ def test_set_working_precision_roundtrip():
 def test_set_working_precision_rejects_low():
     with pytest.raises(ValueError):
         set_working_precision(10)
+    # InvalidParametersError is a ValueError, which the CLI reports as exit 2
+    before = mp.dps
+    for dps in (10, 14, "x", "40", 40.0, True):
+        with pytest.raises(InvalidParametersError, match=f"got {dps!r}$"):
+            set_working_precision(dps)
+    assert mp.dps == before
 
 
 def test_to_mpf_conversions():

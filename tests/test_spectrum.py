@@ -295,6 +295,9 @@ def test_derive_spectrum_L():
         derive_spectrum(make_preset("standard"), L=0)
     with pytest.raises(InvalidParametersError):
         derive_spectrum(make_preset("standard"), L=21)
+    for L in (2.5, 8.0, "8", True):
+        with pytest.raises(InvalidParametersError, match="need an int 1 <= L <= 20"):
+            derive_spectrum(make_preset("standard"), L=L)
     # D(-L) reads B_(degree+L+1), and the Bernoulli table ends at B_22
     degree = lambda i: ModelSpec(f"degree {i}", MULTISET, QuasiPolynomial(1, ((1, i, 1),)))
     assert len(derive_spectrum(degree(13), L=8).d_neg) == 8
@@ -490,3 +493,18 @@ def test_load_custom_keeps_weights_out():
     sd = load_custom_spectrum(doc)
     assert sd.label == "mine"
     assert not hasattr(sd, "weights")
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"poles": (1,)}, "pole 1=1 not a sequence of 2"),
+    ({"poles": ((1, 2, 3),)}, r"pole 1=\(1, 2, 3\) not a sequence of 2"),
+    ({"poles": 5}, "poles=5 not a sequence"),
+    ({"d_neg": 5}, "d_neg=5 not a sequence"),
+    ({"d_neg": "12"}, "d_neg='12' not a sequence"),
+], ids=("pole-not-a-pair", "pole-of-three", "poles-not-a-sequence",
+        "d_neg-not-a-sequence", "d_neg-a-str"))
+def test_spectral_data_names_a_shape_it_cannot_read(fields, name):
+    fields = {"poles": ((1, 1),), "A0": 0, "h0": 0, "d_neg": (0,), **fields}
+    with pytest.raises(SpectrumDataError, match=f"^{name}$"):
+        SpectralData("x", **fields)
+
