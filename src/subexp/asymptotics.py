@@ -42,7 +42,7 @@ from mpmath.libmp import (
 
 from .errors import DomainError, IneligibleSpectrumError, TruncationWarning
 from .khintchine import khintchine_lhs, solve_delta
-from .precision import to_mpf
+from .precision import as_real
 from .spectrum import CRITICAL, INELIGIBLE, SpectralData, validate_spectrum
 
 KHINTCHINE = "khintchine"
@@ -112,10 +112,10 @@ def remainder_delta(sd: SpectralData, tau) -> mpf:
     """
     # the checks and the sum on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
-    if isinstance(tau, str):
+    v = as_real(tau)
+    if v is None:
         raise DomainError(f"correction series needs a number tau; got {tau!r}")
-    tau = to_mpf(tau)
-    t = tau._mpf_
+    tau, t = v, v._mpf_
     if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):  # 0 < tau < 1
         raise DomainError(f"correction series needs 0 < tau < 1; got tau={tau}")
     eps = DELTA_SERIES_TOL._mpf_
@@ -185,8 +185,9 @@ def _raw_sum(values):
 
 
 def _whole_n(n) -> int:
-    """n as an int; DomainError unless n is a whole number >= 1 (no str or bool)."""
-    if isinstance(n, (str, bool)) or n < 1 or n % 1:  # n % 1 is true at inf, nan
+    """n as an int; DomainError unless n is a whole real number >= 1."""
+    # an int skips as_real; n % 1 is true at inf, nan
+    if (type(n) is not int and as_real(n) is None) or n < 1 or n % 1:
         raise DomainError(f"need a whole n >= 1; got n={n!r}")
     return int(n)  # exact for a whole n
 
@@ -227,10 +228,6 @@ def _explicit_constants(sd: SpectralData) -> tuple:
     t = mpf_mul(mpf_div(t, two_rho_1, prec, rounding), mpf_log(rh, prec, rounding),
                 prec, rounding)
     prefactor = mpf_add(mpf_neg(half_log_variance, prec, rounding), t, prec, rounding)
-    # kappa = (-rho_r / 2 - 1 + sd.A0) / (rho_r + 1)
-    t = mpf_sub(mpf_div(mpf_neg(rho_r, prec, rounding), ftwo, prec, rounding), fone,
-                prec, rounding)
-    kappa = mpf_div(mpf_add(t, A0, prec, rounding), rho_1, prec, rounding)
     Q = sd.h0._mpf_
     if classification == CRITICAL:
         # sd.h0 - rh ** (-(2 * rho_p + 1) / (rho_r + 1)) * (rho_p * h_p)**2 / two_rho_1
@@ -247,7 +244,8 @@ def _explicit_constants(sd: SpectralData) -> tuple:
     hs = [mpf_mul(rho_1, sd.poles[-1].h._mpf_, prec, rounding)]
     hs += [h._mpf_ for _, h in sd.poles[:-1]]
     terms = zip(hs, _powers(rh, negs, prec, rounding))
-    return (prefactor, kappa, Q, tuple(mpf_mul(h, p, prec, rounding) for h, p in terms),
+    return (prefactor, kappa(sd)._mpf_, Q,
+            tuple(mpf_mul(h, p, prec, rounding) for h, p in terms),
             tuple(mpf_div(rho, rho_1, prec, rounding) for rho in rhos))
 
 

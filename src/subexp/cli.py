@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeError, json.JSONDecodeError) as exc:  # an unreadable --spec
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
     except SubexpError as exc:

@@ -17,15 +17,16 @@ long ones as Decimals at 10^S by libmpdec's number-theoretic transform.
 Two independent verifiers back it: the classical pentagonal-number
 recurrence (ordinary partitions only) and a direct truncated-product
 evaluation (integer-weight multiset models).  Redundancy is the test
-strategy for exact counting; none of the three shares code.
+strategy for exact counting; the three share no counting code.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .errors import InexactDivisionError, InvalidParametersError, UnsupportedModelError
+from .errors import InexactDivisionError, UnsupportedModelError
 from .model import MULTISET, ModelSpec, lambda_coeffs
+from .precision import int_arg
 
 # blocks of the online convolution at most this long run the direct sum
 _LEAF = 32
@@ -238,8 +239,7 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     operations.  On the int path an inexact division means a wrong block
     product, and raises InexactDivisionError naming n, the model kind and N.
     """
-    if type(N) is not int or N < 0:  # no bool, float or str
-        raise InvalidParametersError(f"need an int N >= 0; got N={N!r}")
+    int_arg("N", N, 0)
     if N == 0:
         return ExactSeries((1,))
     kl = lambda_coeffs(model, N).k_values
@@ -261,8 +261,7 @@ def pentagonal_oracle(N: int) -> ExactSeries:
     two plain sums of p(n - g) over the offsets g <= n.  Independent of
     the Lambda machinery; standard model only.
     """
-    if type(N) is not int or N < 0:  # no bool, float or str
-        raise InvalidParametersError(f"need an int N >= 0; got N={N!r}")
+    int_arg("N", N, 0)
     offsets = []  # (g, k odd), ascending in g
     k = 1
     while k * (3 * k - 1) // 2 <= N:
@@ -296,12 +295,11 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     big-int additions of ascending order (2.09 against 4.17 million on
     congruent(3,1) at N = 5000).  The factors and the exact ints are
     those of the plain product, and nothing here reads a Lambda_k or
-    shares code with the recurrence.  Only integer-weight multiset
+    shares counting code with the recurrence.  Only integer-weight multiset
     models qualify; exists purely as an independent verifier for
     exact_coefficients.
     """
-    if type(N) is not int or N < 0:  # no bool, float or str
-        raise InvalidParametersError(f"need an int N >= 0; got N={N!r}")
+    int_arg("N", N, 0)
     if model.base is not MULTISET:
         raise UnsupportedModelError(
             f"product evaluation needs the multiset base; model has {model.base.value}"

@@ -51,7 +51,7 @@ from .errors import (
     NoBracketError,
     NonConvergenceError,
 )
-from .precision import to_mpf
+from .precision import as_real
 from .spectrum import SpectralData
 
 MAX_ITER = 200
@@ -112,11 +112,11 @@ def _lhs_and_slope(sd: SpectralData, x) -> tuple:
 
 
 def khintchine_lhs(sd: SpectralData, delta) -> mpf:
-    """Left side of the equation at a given delta > 0."""
-    delta = to_mpf(delta)
-    if not delta > 0:
-        raise DomainError(f"delta must be positive; got {delta}")
-    return mp.make_mpf(_lhs_and_slope(sd, delta._mpf_)[0])
+    """Left side of the equation at a given real delta > 0."""
+    v = as_real(delta)
+    if v is None or not v > 0:
+        raise DomainError(f"delta must be a positive number; got {delta!r}")
+    return mp.make_mpf(_lhs_and_slope(sd, v._mpf_)[0])
 
 
 def _as_float(v) -> float:
@@ -204,10 +204,10 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     """
     # set-up and polish loop on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
-    if isinstance(n, (str, bool)):
+    v = as_real(n)
+    if v is None:
         raise InvalidParametersError(f"need a number n >= 1; got {n!r}")
-    n = to_mpf(n)
-    n_ = n._mpf_
+    n, n_ = v, v._mpf_
     if not mpf_ge(n_, fone):  # n >= 1
         raise InvalidParametersError(f"need n >= 1; got {n}")
     if not mpf_gt(n_, sd.d_neg[0]._mpf_):  # n > D(-1)

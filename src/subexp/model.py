@@ -21,6 +21,7 @@ from operator import add
 from typing import Callable, Sequence
 
 from .errors import InvalidParametersError, UndefinedWeightError
+from .precision import int_arg
 
 
 class BaseFunction(Enum):
@@ -34,6 +35,10 @@ class BaseFunction(Enum):
     MULTISET = "multiset"
     SELECTION = "selection"
     EXPONENTIAL = "exponential"
+
+    @classmethod
+    def _missing_(cls, value):  # a SubexpError, not the bare ValueError of Enum
+        raise InvalidParametersError(f"not a base function value: {value!r}")
 
 
 MULTISET, SELECTION, EXPONENTIAL = BaseFunction
@@ -53,8 +58,7 @@ class ModelSpec:
             raise InvalidParametersError(f"not a BaseFunction: {self.base!r}")
 
     def b(self, j: int) -> Fraction:
-        if j < 1:
-            raise UndefinedWeightError(f"weights are indexed from 1; got j={j}")
+        int_arg("j", j, 1)  # weights are indexed from 1
         try:
             bj = self.weight(j)
         except Exception as exc:
@@ -77,6 +81,7 @@ class ModelSpec:
         any other rule is called through b once per j.  Either way the
         error is the one b raises at the first j where b fails.
         """
+        int_arg("N", N, 0)
         if isinstance(self.weight, (QuasiPolynomial, _WeightTable)):
             vals = self.weight.table(N)  # a custom table may stop short of N
             if len(vals) < N or (vals and min(vals) < 0):
@@ -150,9 +155,8 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
         return ModelSpec(kind, MULTISET, QuasiPolynomial(1, _PRESET_TERMS[kind]))
     if kind != "congruent":
         raise InvalidParametersError(f"unknown preset kind: {kind!r}")
-    if not (type(a) is int and type(b) is int and a >= 1 and b >= 1):
-        raise InvalidParametersError(
-            f"congruent preset needs positive int a and b; got a={a!r}, b={b!r}")
+    int_arg("a", a, 1)
+    int_arg("b", b, 1)
     if math.gcd(a, b) != 1:
         raise InvalidParametersError(
             f"congruent preset requires gcd(a,b)=1; got gcd({a},{b})={math.gcd(a, b)}"
@@ -226,9 +230,7 @@ def lambda_coeffs(model: ModelSpec, N: int) -> LambdaSeries:
     A divisor sieve of O(N log N) additions: k*Lambda_k sums j*b_j * m*g_m
     over j*m = k, and m*g_m is 1, (-1)^(m+1) or [m = 1] by base.
     """
-    if N < 1:
-        raise InvalidParametersError(f"need N >= 1; got N={N}")
-    b = model.weights(N)
+    b = model.weights(int_arg("N", N, 1))
     if model.base is EXPONENTIAL:
         b = [Fraction(x) for x in b]
     acc = [type(b[0])()] * (N + 1)
@@ -255,10 +257,8 @@ def llt_condition_report(model: ModelSpec, n_max: int, q_max: int) -> list:
 
     Returns a list of dicts with keys q, n, count, log_sq, ratio.
     """
-    if n_max < 16:
-        raise InvalidParametersError(f"need n_max >= 16; got {n_max}")
-    if not (2 <= q_max <= 64):
-        raise InvalidParametersError(f"need 2 <= q_max <= 64; got {q_max}")
+    int_arg("n_max", n_max, 16)
+    int_arg("q_max", q_max, 2, 64)
     grid = []
     n = 16
     while n < n_max:
@@ -273,13 +273,6 @@ def llt_condition_report(model: ModelSpec, n_max: int, q_max: int) -> list:
         for n in grid:
             count = total[n] - multiples[n // q]
             log_sq = math.log(n) ** 2
-            rows.append(
-                {
-                    "q": q,
-                    "n": n,
-                    "count": count,
-                    "log_sq": log_sq,
-                    "ratio": float(count) / log_sq,
-                }
-            )
+            rows.append({"q": q, "n": n, "count": count, "log_sq": log_sq,
+                         "ratio": float(count) / log_sq})
     return rows

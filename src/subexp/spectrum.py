@@ -33,7 +33,7 @@ from .errors import (
     SpectrumSchemaError,
 )
 from .model import MULTISET, ModelSpec, QuasiPolynomial
-from .precision import to_mpf
+from .precision import int_arg, to_mpf
 from .specfun import BERNOULLI_MAX, hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
 
 # classification tolerance on 2*rho_{r-1} - rho_r; preset poles are exact
@@ -60,12 +60,12 @@ class SpectralData:
     is derived: Gamma(s) = 1/s - euler_gamma + O(s) gives
     theta = h0 + euler_gamma*A0.
 
-    Construction converts each number by to_mpf (an mpf stays as it is)
-    and each (rho, h) pair to a Pole (poles, each pair and d_neg must be
-    sequences, not strs), then enforces the contract every
-    estimate relies on (a pole, 0 < rho_1 < ... < rho_r, h_l > 0,
-    nonempty d_neg, all numbers real and finite); SpectrumDataError names
-    each violation.
+    Construction converts each number by to_mpf (an mpf stays as it is, a
+    numeric str is read, a bool is no number) and each (rho, h) pair to a
+    Pole (poles, each pair and d_neg must be sequences, not strs), then
+    enforces the contract every estimate relies on (a pole, 0 < rho_1 <
+    ... < rho_r, h_l > 0, nonempty d_neg, all numbers real and finite);
+    SpectrumDataError names each violation.
     """
 
     label: str
@@ -80,10 +80,8 @@ class SpectralData:
         def real(name, x):
             try:
                 x = to_mpf(x)
-            except (TypeError, ValueError):
-                pass
-            if not isinstance(x, mpf):
-                raise SpectrumDataError(f"{name}={x!r} not a real number")
+            except InvalidParametersError:
+                raise SpectrumDataError(f"{name}={x!r} not a real number") from None
             if not mp.isfinite(x):
                 nonfinite.append(f"{name}={x} not finite")
             return x
@@ -183,8 +181,7 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     InvalidParametersError otherwise).  Other models have no derivable
     data; supply it via load_custom_spectrum.
     """
-    if type(L) is not int or not 1 <= L <= 20:
-        raise InvalidParametersError(f"need an int 1 <= L <= 20; got L={L!r}")
+    int_arg("L", L, 1, 20)
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
         raise CustomModelError(
             f"no derivable spectral data for model kind {model.kind!r}; "
@@ -243,12 +240,10 @@ def load_custom_spectrum(document: dict) -> SpectralData:
         raise SpectrumSchemaError(f"missing required keys: {sorted(missing)}")
 
     def _num(x, where):
-        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
-            raise SpectrumSchemaError(f"{where}: expected a number, got {x!r}")
         try:
             return to_mpf(x)
-        except Exception as exc:
-            raise SpectrumSchemaError(f"{where}: cannot parse {x!r}: {exc}") from None
+        except InvalidParametersError:
+            raise SpectrumSchemaError(f"{where}: expected a number, got {x!r}") from None
 
     raw_poles = document["poles"]
     if not isinstance(raw_poles, list) or not raw_poles:
