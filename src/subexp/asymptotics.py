@@ -276,7 +276,7 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     prec, rounding = mp._prec_rounding
     half_rho_1, half_log_variance, neg_A0, h0, poles = sd.memo(_khintchine_constants)
     log_delta = mpf_log(d, prec, rounding)  # mp.log(delta)
-    # (sd.rho_r / 2 + 1) * log_delta - sd.memo(_half_log_variance)
+    # (sd.rho_r / 2 + 1) * log_delta - the half log variance of _top_pole_constants
     prefactor = mpf_sub(mpf_mul(half_rho_1, log_delta, prec, rounding),
                         half_log_variance, prec, rounding)
     power = mpf_mul(neg_A0, log_delta, prec, rounding)  # -sd.A0 * log_delta

@@ -181,8 +181,8 @@ def _parse_grid(expr: str, geometric: bool, parser) -> list:
         start, stop, step = (int(p) for p in parts)
     except ValueError:
         parser.error(f"grid components must be integers; got {expr!r}")
-    if start < 1:
-        parser.error("grid START must be >= 1")
+    if start < 1 or stop > sys.maxsize:  # no list holds a grid past sys.maxsize
+        parser.error("grid needs START >= 1 and STOP <= sys.maxsize")
     if geometric:
         if step < 2:
             parser.error("geometric FACTOR must be >= 2")

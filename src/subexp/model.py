@@ -21,7 +21,7 @@ from operator import add
 from typing import Callable, Sequence
 
 from .errors import InvalidParametersError, UndefinedWeightError
-from .precision import int_arg
+from .precision import as_rational, int_arg
 
 
 class BaseFunction(Enum):
@@ -69,10 +69,12 @@ class ModelSpec:
             raise UndefinedWeightError(
                 f"weight rule of model '{self.kind}' undefined at j={j}"
             )
-        bj = Fraction(bj)
-        if bj < 0:
-            raise InvalidParametersError(f"b_{j} = {bj} < 0")
-        return bj
+        v = as_rational(bj)
+        if v is None:
+            raise InvalidParametersError(f"b_{j} = {bj!r} is not a rational number")
+        if v < 0:
+            raise InvalidParametersError(f"b_{j} = {v} < 0")
+        return v
 
     def weights(self, N: int) -> list:
         """b_1..b_N: all ints when every b_j is whole, else all Fractions.
@@ -100,31 +102,30 @@ class ModelSpec:
 class QuasiPolynomial:
     """Weight rule: b_j sums c*j^i over the terms (r, i, c) with j = r mod a.
 
-    a, r and i are ints with residues r in 1..a and degrees i >= 0; c is
-    rational, a float only when whole.  Callable as b_j, so it serves as a
-    ModelSpec weight; derive_spectrum reads the spectrum off its terms.
+    a, r and i are ints with residues r in 1..a and degrees i >= 0; each c
+    is kept exact as as_rational reads it.  Callable as b_j, so it serves as
+    a ModelSpec weight; derive_spectrum reads the spectrum off its terms.
     """
 
     a: int
     terms: tuple  # (r, i, c)
 
     def __post_init__(self):
-        # type(x) is int rules out bools; Fraction(c) raises on a c it cannot
-        # read, b_j would repeat a str, and a float 0.1 would be its binary value
+        # type(x) is int rules out bools; each c is kept exact, so that a
+        # whole float 2.0 counts as 2 and c*j^i is never a float
         try:
-            ok = type(self.a) is int and self.a >= 1 and all(
+            terms = tuple((r, i, as_rational(c)) for r, i, c in self.terms)
+        except (TypeError, ValueError):  # terms not a sequence of triples
+            terms = None
+        if not (type(self.a) is int and self.a >= 1 and terms is not None and all(
                 type(r) is int and type(i) is int and 0 < r <= self.a and i >= 0
-                and not isinstance(c, (bool, str)) and Fraction(c) == c
-                and (not isinstance(c, float) or c.is_integer())
-                for r, i, c in self.terms)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
+                and c is not None for r, i, c in terms)):
             raise InvalidParametersError(
                 f"need int a >= 1, int 0 < r <= a, int i >= 0, rational c; got {self}")
+        object.__setattr__(self, "terms", terms)
 
     def __call__(self, j: int) -> Fraction:
-        return Fraction(sum(c * j**i for r, i, c in self.terms if not (j - r) % self.a))
+        return sum(c * j**i for r, i, c in self.terms if not (j - r) % self.a)
 
     def table(self, N: int) -> list:
         # b_1..b_N before Fraction(), each summed in __call__'s order
@@ -169,7 +170,7 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
 class _WeightTable:
     """Weight rule read off a table b_1..b_N, undefined beyond N."""
 
-    values: tuple  # Fractions
+    values: tuple  # ints and Fractions, as as_rational gives them
 
     def __call__(self, j: int) -> Fraction:
         if j > len(self.values):
@@ -193,17 +194,17 @@ def custom_model(
         raise InvalidParametersError(f"weights must be a list; got {weights!r}")
     table = []
     for i, w in enumerate(weights):
-        try:
-            # Fraction(True) == 1, and a float 0.1 would be its binary value
-            if isinstance(w, bool) or (isinstance(w, float) and not w.is_integer()):
-                raise TypeError
-            table.append(Fraction(w))
-        except (TypeError, ValueError, OverflowError):
+        try:  # a str is read by Fraction, every other value by as_rational
+            v = as_rational(Fraction(w) if isinstance(w, str) else w)
+        except (ValueError, ZeroDivisionError):  # "abc", "1/0"
+            v = None
+        if v is None:
             msg = (f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number; "
                    "give a fraction as a decimal or p/q string")
-            raise InvalidParametersError(msg) from None
-        if table[-1] < 0:
+            raise InvalidParametersError(msg)
+        if v < 0:
             raise InvalidParametersError(f"weights[{i}] = {w!r}: b_{i + 1} < 0")
+        table.append(v)
     return ModelSpec(kind, base, _WeightTable(tuple(table)))
 
 

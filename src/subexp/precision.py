@@ -1,6 +1,7 @@
 """Global working-precision configuration, and the argument domains every
 entry point reads through: int_arg for an int parameter (N, L, dps, a, b,
-j), as_real for a real one (n, tau, delta), to_mpf where a str is data too.
+j), as_real for a real one (n, tau, delta), to_mpf where a str is data too,
+and as_rational for a weight value (b_j, or a rule coefficient c).
 
 All numeric evaluation in this package runs on mpmath's global real
 context.  The default of 38 significant digits leaves ample headroom for
@@ -9,6 +10,10 @@ between predictions sit many orders of magnitude below the values
 themselves.  Set the precision once, before any parallel use; every
 function here is otherwise pure.
 """
+
+import sys
+from fractions import Fraction
+from numbers import Rational
 
 from mpmath import mp, mpf, mpmathify
 
@@ -19,13 +24,27 @@ DEFAULT_DPS = 38
 mp.dps = DEFAULT_DPS
 
 
-def int_arg(name: str, x, lo: int, hi: int = None) -> int:
-    """x when it is an int (not a bool, float or str) with lo <= x <= hi, no
-    bound above when hi is None; InvalidParametersError otherwise."""
-    if type(x) is not int or x < lo or (hi is not None and x > hi):
-        bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
-        raise InvalidParametersError(f"need an int {bounds}; got {x!r}")
+def int_arg(name: str, x, lo: int, hi: int = sys.maxsize) -> int:
+    """x when it is an int (not a bool, float or str) with lo <= x <= hi;
+    InvalidParametersError otherwise.  hi defaults to sys.maxsize, past which
+    no list or range can hold a size."""
+    if type(x) is not int or not lo <= x <= hi:
+        bounds = f"{name} >= {lo}" if hi == sys.maxsize else f"{lo} <= {name} <= {hi}"
+        got = repr(x) if type(x) is not int or abs(x) <= sys.maxsize else (
+            f"an int of {x.bit_length()} bits")  # its repr may pass the str limit
+        raise InvalidParametersError(f"need an int {bounds}; got {got}")
     return x
+
+
+def as_rational(x):
+    """The exact value of x (an int when whole, else a Fraction) when x is an
+    int, a Fraction or a whole float; None for a bool, str, other float (0.1
+    would be its binary value), nan, inf or complex, for the caller to raise on."""
+    if isinstance(x, float) and x.is_integer():  # False at nan and inf
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, Rational):
+        return None
+    return int(x) if x.denominator == 1 else Fraction(x)
 
 
 def as_real(x):
@@ -55,12 +74,6 @@ def to_mpf(x):
 
 
 def set_working_precision(dps: int) -> None:
-    """Set the global precision to `dps` significant decimal digits, an int >= 15.
-
-    No upper bound: time and memory grow with dps.  Past about 5e307 digits
-    mpmath's float conversion overflows, which raises InvalidParametersError
-    too, with mp unchanged."""
-    try:
-        mp.dps = int_arg("dps", dps, 15)
-    except OverflowError:
-        raise InvalidParametersError(f"dps={dps} is past what mpmath can hold") from None
+    """Set the global precision to `dps` significant decimal digits, an int
+    from 15 to sys.maxsize; time and memory grow with dps."""
+    mp.dps = int_arg("dps", dps, 15)

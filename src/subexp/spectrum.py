@@ -204,7 +204,7 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     # every Hurwitz value zeta(s-i, r/a) that D_b(0), ..., D_b(-L) need, once
     keys = {(s - i, r) for r, i, _ in terms for s in range(-L, 1)}
     hz = {(m, r): hurwitz_zeta_exact(m, Fraction(r, a)) for m, r in keys}
-    db = lambda s: sum(Fraction(c) * a ** (i - s) * hz[s - i, r] for r, i, c in terms)
+    db = lambda s: sum(c * a ** (i - s) * hz[s - i, r] for r, i, c in terms)
     exact = [db(0)] + [hurwitz_zeta_exact(1 - l, 1) * db(-l) for l in range(1, L + 1)]
     # each rounded once, to nearest (mpf(Fraction) rounds toward zero, and
     # mpf(p)/q twice once p outgrows mp.prec)
@@ -222,13 +222,13 @@ _SCHEMA_KEYS = {"poles", "A0", "h0", "d_neg", "theta", "weights", "label"}
 def load_custom_spectrum(document: dict) -> SpectralData:
     """Parse explicit spectral data from a mapping (decoded JSON).
 
-    Required keys: poles (nonempty array of {rho, h}), A0, h0, d_neg
-    (nonempty array).  Optional: label, weights (consumed by the
-    command layer for exact counting, ignored here) and theta, which is
-    derived from h0 and A0 and, when given, must agree with that to
-    1e-12 relative, loose enough for values rounded to JSON doubles.
-    Numbers may be given as strings to survive the decimal-to-binary
-    round trip at full working precision.
+    Required keys: poles (an array of {rho, h}), A0, h0, d_neg (an array).
+    Optional: label, weights (consumed by the command layer for exact
+    counting, ignored here) and theta, derived from h0 and A0; a given theta
+    must be finite and agree with that to 1e-12 relative, loose enough for
+    JSON doubles.  Numbers may be strings, to survive the decimal-to-binary
+    round trip.  SpectrumSchemaError for a wrong shape or a theta that is no
+    number; SpectralData reads and checks every other value (SpectrumDataError).
     """
     if not isinstance(document, dict):
         raise SpectrumSchemaError(f"expected a mapping, got {type(document).__name__}")
@@ -238,40 +238,24 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     missing = {"poles", "A0", "h0", "d_neg"} - set(document)
     if missing:
         raise SpectrumSchemaError(f"missing required keys: {sorted(missing)}")
-
-    def _num(x, where):
-        try:
-            return to_mpf(x)
-        except InvalidParametersError:
-            raise SpectrumSchemaError(f"{where}: expected a number, got {x!r}") from None
-
-    raw_poles = document["poles"]
-    if not isinstance(raw_poles, list) or not raw_poles:
-        raise SpectrumSchemaError("poles must be a nonempty array of {rho, h}")
-    poles = []
-    for i, entry in enumerate(raw_poles, start=1):
-        if not isinstance(entry, dict) or set(entry) != {"rho", "h"}:
-            raise SpectrumSchemaError(
-                f"poles[{i}]: expected an object with exactly keys rho, h"
-            )
-        poles.append((_num(entry["rho"], f"poles[{i}].rho"),
-                      _num(entry["h"], f"poles[{i}].h")))
-    raw_dneg = document["d_neg"]
-    if not isinstance(raw_dneg, list) or not raw_dneg:
-        raise SpectrumSchemaError("d_neg must be a nonempty array")
-    d_neg = tuple(_num(x, f"d_neg[{i}]") for i, x in enumerate(raw_dneg, start=1))
+    poles, d_neg = document["poles"], document["d_neg"]
+    if not (isinstance(poles, list) and isinstance(d_neg, list)):
+        raise SpectrumSchemaError("poles and d_neg must be arrays")
+    bad = [i for i, p in enumerate(poles, start=1)
+           if not isinstance(p, dict) or set(p) != {"rho", "h"}]
+    if bad:
+        raise SpectrumSchemaError(f"poles{bad}: expected objects with keys rho, h only")
+    sd = SpectralData(str(document.get("label", "custom")),
+                      tuple((p["rho"], p["h"]) for p in poles),
+                      document["A0"], document["h0"], tuple(d_neg))
     theta = document.get("theta")
-    if theta is not None:
-        theta = _num(theta, "theta")
-    sd = SpectralData(
-        str(document.get("label", "custom")),
-        tuple(poles),
-        _num(document["A0"], "A0"),
-        _num(document["h0"], "h0"),
-        d_neg,
-    )
-    if theta is not None and abs(theta - sd.theta) > mpf("1e-12") * (1 + abs(theta)):
-        raise SpectrumDataError(
-            f"theta = {theta} disagrees with h0 + euler_gamma*A0 = {sd.theta}"
-        )
+    if theta is None:
+        return sd
+    try:
+        gap = abs(to_mpf(theta) - sd.theta)  # nan or inf when theta is not finite
+    except InvalidParametersError:
+        raise SpectrumSchemaError(f"theta: expected a number, got {theta!r}") from None
+    if not gap <= mpf("1e-12") * (1 + abs(sd.theta)):
+        raise SpectrumDataError(f"theta = {theta} disagrees with h0 + euler_gamma*A0"
+                                f" = {sd.theta}")
     return sd

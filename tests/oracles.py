@@ -282,6 +282,36 @@ def hardy_ramanujan_log(n):
     return -mp.log(4 * mp.sqrt(3)) - mp.log(n) + mp.pi * mp.sqrt(2 * n / 3)
 
 
+def log_f_direct(b, tau):
+    """log f(e^-tau) = sum_j b_j * (-log(1 - e^(-j tau))) for a multiset model,
+    summed directly at the working precision for a weight callable b with
+    b_j = O(j^2).  It stops at the first J with J*tau past (prec + 64)*log(2)
+    + 3*log(J), where the rest of the sum, at most sum_(j>J) b_j
+    e^(-j tau)/(1 - e^(-tau)), is below 2^-prec."""
+    tau = mpmathify(tau)
+    cutoff = (mp.prec + 64) * math.log(2)
+    J = 1
+    while J * tau < cutoff + 3 * math.log(J):
+        J += 1
+    q = mp.exp(-tau)
+    total, qj = mpf(0), q  # qj = e^(-j tau), one rounding per step
+    for j in range(1, J):
+        bj = b(j)
+        if bj:
+            total -= mpmathify(bj) * mp.log(1 - qj)
+        qj *= q
+    return total
+
+
+def delta_direct(sd, b, tau):
+    """The true correction Delta(tau) of a SpectralData-like object sd (poles,
+    A0, h0) for the weights b: the direct sum minus the Mellin expansion's
+    other parts, sum_l h_l tau^(-rho_l) - A0 log tau + h0."""
+    tau = mpmathify(tau)
+    main = mp.fsum(h * tau ** (-rho) for rho, h in sd.poles)
+    return log_f_direct(b, tau) - (main - sd.A0 * mp.log(tau) + sd.h0)
+
+
 # The estimate pair as mpf expressions.  The library evaluates these
 # formulas on raw libmp values, with the same operations in the same order;
 # these literal mpf versions are what its results must equal bit for bit.

@@ -122,9 +122,14 @@ def test_exact_listing(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "0 1"
     assert lines[-1] == "10 42"
+    assert run(capsys, "exact", "--model", "standard", "--N", "-1")[:2] == (2, "")
+    # past sys.maxsize: the warning, then a typed error, not a traceback
+    code, out, err = run(capsys, "exact", "--model", "standard", "--N", str(10**400))
+    assert (code, out) == (3, "")
+    assert "warning: N=" in err and "error: need an int N >= 0" in err
 
 
-def test_exact_oracle_flag(capsys):
+def test_exact_oracle_flag(capsys, monkeypatch):
     code, out, err = run(capsys, "exact", "--model", "standard", "--N", "30",
                          "--oracle")
     assert code == 0
@@ -132,6 +137,11 @@ def test_exact_oracle_flag(capsys):
     code, _, err = run(capsys, "exact", "--model", "roots", "--N", "30", "--oracle")
     assert code == 0
     assert "direct product" in err
+    # an oracle that disagrees: exit 4 and no listing
+    monkeypatch.setattr(cli, "product_dp", lambda model, N: [0] * (N + 1))
+    code, out, err = run(capsys, "exact", "--model", "roots", "--N", "30", "--oracle")
+    assert (code, out) == (4, "")
+    assert "oracle mismatch (direct product evaluation) at n = [0, 1, 2" in err
 
 
 def test_exact_congruent(capsys):
@@ -205,6 +215,11 @@ def test_compare_bad_grid_syntax(capsys):
     assert code == 2
     code, _, _ = run(capsys, "compare", "--model", "standard", "--geom", "10:100:1")
     assert code == 2
+    # a part that is no integer, START < 1, and a STOP past sys.maxsize, which
+    # used to reach range() and exit 1 with an OverflowError traceback
+    for grid in ("1:5.5:1", "0:5:1", f"1:{10**400}:1"):
+        code, out, _ = run(capsys, "compare", "--model", "standard", "--grid", grid)
+        assert (code, out) == (2, ""), grid
 
 
 def test_determinism(capsys):
@@ -216,13 +231,23 @@ def test_determinism(capsys):
     assert a == b
 
 
-def test_verify_passes(capsys):
+def test_verify_passes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "roots: kappa = -8/9 OK" in out
     assert "congruent(2,1): exponent at n=1000 is pi*sqrt(2n/(3a)) OK" in out
     assert "Hardy-Ramanujan" in out
     assert "FAIL" not in out
+    # one row off by more than its tolerance: its FAIL line, the count, exit 4
+    checks = cli._verify_checks()
+    name, got, want, tol = checks[3]
+    checks[3] = (name, got, want + 1, tol)
+    monkeypatch.setattr(cli, "_verify_checks", lambda: checks)
+    code, out, _ = run(capsys, "verify")
+    assert code == 4
+    assert f"{name} FAIL: got -0.0833333333333333, want 0.916666666666667" in out
+    assert out.count("FAIL") == 1
+    assert out.endswith("1 of 33 checks failed\n")
 
 
 def test_custom_spectrum_file(tmp_path, capsys):
@@ -309,6 +334,7 @@ def test_malformed_weights_fail_before_output(tmp_path, capsys, weights, named):
 
 
 def test_custom_spectrum_schema_error(tmp_path, capsys):
+    assert run(capsys, "spectrum", "--model", "custom")[:2] == (2, "")  # no --spec
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps({"poles": []}))
     code, _, err = run(capsys, "spectrum", "--model", "custom", "--spec", str(spec))

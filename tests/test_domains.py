@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -63,9 +64,6 @@ BIG = 10**400
 # each value lies outside the domain of some parameter
 POOL = (None, True, False, 2.5, math.nan, math.inf, -math.inf, "5", "x",
         Fraction(5, 2), 1j, -3, BIG, (), (1, 2, 3), ((1, 2, 3),))
-# 10**400 as a table size or a count order would allocate or loop without
-# bound: N, n_max and the CLI's --N and grid have no upper bound
-SIZE_POOL = tuple(v for v in POOL if v is not BIG)
 
 MODELS = (
     make_preset("standard"),
@@ -84,7 +82,8 @@ ESTIMATES = tuple(f(sd, 1000) for sd in SPECTRA[:3]
 
 
 def not_int(v):
-    return type(v) is not int or v < 0  # every int parameter starts at 0 or above
+    # every int parameter starts at 0 or above, and no size passes sys.maxsize
+    return type(v) is not int or not 0 <= v <= sys.maxsize
 
 
 def not_real(v):
@@ -109,7 +108,7 @@ def fixed(values):
     return st.sampled_from(values), never
 
 
-N = param(st.integers(0, 50), not_int, SIZE_POOL)
+N = param(st.integers(0, 50), not_int)
 SD = fixed(SPECTRA)
 WHOLE_N = st.one_of(st.integers(1, 10**8), st.integers(1, 10**8).map(float))
 BASE_VALUES = ("multiset", "selection", "exponential")
@@ -230,9 +229,9 @@ def _argv(draw, specs):
     value from the pool or valid."""
     command = draw(st.sampled_from(["spectrum", "predict", "exact", "compare", "verify"]))
     required = {"predict": {"--n": _words(WHOLE_N.map(int))},
-                "exact": {"--N": _words(st.integers(0, 50), SIZE_POOL)},
+                "exact": {"--N": _words(st.integers(0, 50))},
                 "compare": {draw(st.sampled_from(["--grid", "--geom"])): st.lists(
-                    _words(st.integers(1, 50), SIZE_POOL), min_size=1, max_size=4).map(
+                    _words(st.integers(1, 50)), min_size=1, max_size=4).map(
                     ":".join)}}.get(command, {})
     optional = {"--precision": _words(st.integers(15, 60)), **{
         "spectrum": {"--require-eligible": None},
@@ -294,13 +293,16 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
     lambda: SpectralData("x", ((1, 1),), True, 0, (0,)),
     lambda: set_working_precision(BIG),
     lambda: BaseFunction("x"),
+    lambda: lambda_coeffs(MODELS[0], BIG),
+    lambda: MODELS[0].weights(BIG),
+    lambda: llt_condition_report(MODELS[0], BIG, 2),
 ] + [lambda f=f, v=v: f(SPECTRA[0], v)
      for f in (solve_delta, remainder_delta, log_estimate_khintchine,
                log_estimate_explicit)
      for v in (None, 1j)],
     ids=["lambda-True", "lambda-float", "llt-float", "llt-bool", "b-float",
          "weights-negative", "lhs-bool", "lhs-str", "spectral-bool", "dps-huge",
-         "base-unknown"] + [f"{f}-{v}" for f in ("solve", "series", "khintchine",
+         "base-unknown", "lambda-huge", "weights-huge", "llt-huge"] + [f"{f}-{v}" for f in ("solve", "series", "khintchine",
                                                  "explicit")
                             for v in ("None", "complex")])
 def test_each_former_hole_raises_a_subexp_error(call):

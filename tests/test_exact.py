@@ -376,4 +376,10 @@ def test_n_zero_and_negative():
                       lambda: pentagonal_oracle(N)):
             with pytest.raises(InvalidParametersError, match="need an int N >= 0"):
                 count()
+    # past sys.maxsize no list holds the series; its repr may pass the str limit
+    for N in (10**400, -10**5000):
+        for count in (lambda: exact_coefficients(std, N), lambda: product_dp(std, N),
+                      lambda: pentagonal_oracle(N)):
+            with pytest.raises(InvalidParametersError, match="got an int of .* bits$"):
+                count()
 

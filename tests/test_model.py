@@ -13,6 +13,7 @@ from oracles import (
     log_coefficients,
 )
 from subexp.errors import InvalidParametersError, UndefinedWeightError
+from subexp.exact import exact_coefficients, product_dp
 from subexp.model import (
     EXPONENTIAL,
     MULTISET,
@@ -87,6 +88,28 @@ def test_quasi_polynomial_rejects_fractional_float_coefficients():
     assert QuasiPolynomial(1, ((1, 0, Fraction(1, 10)),)).table(1) == [Fraction(1, 10)]
 
 
+def test_whole_float_coefficients_count_exactly():
+    # c*j^i used to be a float for c = 2.0: b_1553 = 2*1553**5 was rounded,
+    # and the counters, which all read the same table, agreed on wrong counts
+    rule = lambda i, c: ModelSpec("q", MULTISET, QuasiPolynomial(1, ((1, i, c),)))
+    assert rule(5, 2.0).weights(5000) == rule(5, 2).weights(5000)
+    assert exact_coefficients(rule(5, 2.0), 1600) == exact_coefficients(rule(5, 2), 1600)
+    # product_dp takes 4 s at N = 1600; 2*7**19 is the first weight a double rounds
+    assert QuasiPolynomial(1, ((1, 19, 2.0),)).terms == ((1, 19, 2),)
+    assert product_dp(rule(19, 2.0), 40) == product_dp(rule(19, 2), 40)
+
+
+def test_a_rule_returns_a_rational_weight():
+    # b reads what a callable rule returns as a QuasiPolynomial reads c: 0.1
+    # used to be its binary value, True 1 and "1/2" one half
+    for bad in (0.1, True, "1/2", math.nan, math.inf, 1j, [1]):
+        with pytest.raises(InvalidParametersError, match=r"^b_3 = .* not a rational"):
+            ModelSpec("r", MULTISET, lambda j: bad).b(3)
+    for good, want in ((2.0, 2), (Fraction(4, 2), 2), (Fraction(1, 3), Fraction(1, 3))):
+        got = ModelSpec("r", MULTISET, lambda j: good).b(3)
+        assert got == want and type(got) is type(want)
+
+
 def test_custom_model_rejects_fractional_float_weights():
     # the same rule for a weight table: 0.1 names its index, 2.0 is exact
     for w in (0.1, 0.5, 1e-300):
@@ -94,6 +117,8 @@ def test_custom_model_rejects_fractional_float_weights():
             custom_model([1, w])
     assert custom_model([2.0, "1/10", "0.1"]).weights(3) == [2, Fraction(1, 10),
                                                               Fraction(1, 10)]
+    with pytest.raises(InvalidParametersError, match=r"weights\[0\] = '1/0'"):
+        custom_model(["1/0"])  # a bare ZeroDivisionError before
 
 
 def test_unknown_preset():
