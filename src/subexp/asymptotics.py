@@ -42,7 +42,7 @@ from mpmath.libmp import (
 
 from .errors import DomainError, IneligibleSpectrumError, TruncationWarning
 from .khintchine import khintchine_lhs, solve_delta
-from .precision import as_real
+from .precision import as_real, shown
 from .spectrum import CRITICAL, INELIGIBLE, SpectralData, validate_spectrum
 
 KHINTCHINE = "khintchine"
@@ -188,7 +188,7 @@ def _whole_n(n) -> int:
     """n as an int; DomainError unless n is a whole real number >= 1."""
     # an int skips as_real; n % 1 is true at inf, nan
     if (type(n) is not int and as_real(n) is None) or n < 1 or n % 1:
-        raise DomainError(f"need a whole n >= 1; got n={n!r}")
+        raise DomainError(f"need a whole n >= 1; got n={shown(n)}")
     return int(n)  # exact for a whole n
 
 

@@ -13,6 +13,8 @@ Kronecker substitution, with slots wide enough that no coefficient
 carries: short blocks as ints in binary limb planes by two-point
 substitution (at +2^s and -2^s, Harvey's KS2) under CPython's Karatsuba,
 long ones as Decimals at 10^S by libmpdec's number-theoretic transform.
+Blocks [l, r) of at most max(32, bits of c_{l-1} // 2) terms are direct
+sums: there dot products of wide c_i and narrower k*Lambda_k are faster.
 
 Two independent verifiers back it: the classical pentagonal-number
 recurrence (ordinary partitions only) and a direct truncated-product
@@ -28,8 +30,14 @@ from .errors import InexactDivisionError, UnsupportedModelError
 from .model import MULTISET, ModelSpec, lambda_coeffs
 from .precision import int_arg
 
-# blocks of the online convolution at most this long run the direct sum
+# blocks [l, r) with r - l <= max(_LEAF, bits of c[l-1] // _BITS_PER_LEAF_TERM)
+# run the direct sum.  Its time over one split's (two direct halves and a block
+# product), median of 15 interleaved pairs on roots and standard at N = 5000
+# (2-core x86-64 VM, Python 3.11): 0.56-0.72x at length 32 and 1.0-1.2x at
+# 128 for c[l-1] of 105-234 bits, 0.49-0.54x at 64 and 0.94-1.0x at 384 for
+# 679-929 bits; the two cost the same at length 0.47-0.67 times the bits
 _LEAF = 32
+_BITS_PER_LEAF_TERM = 2
 # wide coefficients are cut into limb planes of this many bytes, so a
 # narrow operand is not padded to the wide one's slot width
 _LIMB_BYTES = 16
@@ -74,7 +82,8 @@ def _solve(a: list, c: list, acc: list, l: int, r: int):
     # Online convolution over [l, r).  On entry acc[n] holds
     # sum_{i<l} c_i a_{n-i} for every n in [l, r).  Module-level rather
     # than a closure, so no reference cycle keeps acc alive after return.
-    if r - l <= _LEAF:
+    # At l = 0, c[l - 1] is c[N], still 0.
+    if r - l <= max(_LEAF, c[l - 1].bit_length() // _BITS_PER_LEAF_TERM):
         for n in range(max(l, 1), r):
             total = acc[n] + sum(map(mul, c[l:n], a[n - l : 0 : -1]))
             acc[n] = 0
@@ -188,27 +197,33 @@ def _decimal_product(x: list, y: list, lo: int, hi: int, out: list, negative: bo
     O(n log n).  S = w + widest y + digits of the term count, so no slot
     carries, and x (the c_n, in the recurrence) is cut into as few decimal
     planes of w digits as keep each product under _DIGIT_CAP digits, with
-    w >= S - w.  Ints and digits meet only in Decimal or in int() on at most
-    640 digits (sys.int_info.str_digits_check_threshold), so no limit applies.
+    w >= S - w.  A plane skips the low x entries with no digit in it, and
+    the y entries that then reach only coefficients >= hi.  Ints and digits
+    meet only in Decimal or in int() on at most 640 digits
+    (sys.int_info.str_digits_check_threshold), so no limit applies.
     """
-    xs = [str(Decimal(v)) for v in reversed(x)]
+    xs = [str(Decimal(v)) for v in x]
     ys = [str(Decimal(v)) for v in reversed(y)]
     x_width = max(map(len, xs))
     rest = max(map(len, ys)) + len(str(min(len(xs), len(ys))))
     planes = -(-x_width // max(rest, _DIGIT_CAP // (len(xs) + len(ys)) - rest))
     w = -(-x_width // planes)
     S = w + rest
-    y_dec = Decimal("".join(v.zfill(S) for v in ys))
+    lengths = list(map(len, xs))
     xs = [v.zfill(planes * w) for v in xs]
     read = int if S <= 640 else (lambda v: int(Decimal(v)))
     for p in range(planes):
+        # x entries below start have no digit in plane p
+        start = next(i for i, n in enumerate(lengths) if n > w * p)
         i = (planes - 1 - p) * w
-        x_dec = Decimal("".join(v[i : i + w].zfill(S) for v in xs))
-        z = str(_CTX.multiply(x_dec, y_dec)).zfill(S * hi)
-        # slots hi-1 down to lo of plane p, whose digits sit w*p places up
-        z = z[len(z) - S * hi : len(z) - S * lo]
+        x_dec = Decimal("".join(v[i : i + w].zfill(S) for v in reversed(xs[start:])))
+        y_dec = Decimal("".join(v.zfill(S) for v in ys[max(0, len(ys) + start - hi) :]))
+        z = str(_CTX.multiply(x_dec, y_dec)).zfill(S * (hi - start))
+        # slots hi-1 down to first of plane p, whose digits sit w*p places up
+        first = max(lo, start)
+        z = z[len(z) - S * (hi - start) : len(z) - S * (first - start)]
         scale = 10 ** (w * p)
-        for k, j in enumerate(range(len(z) - S, -1, -S)):
+        for k, j in enumerate(range(len(z) - S, -1, -S), first - lo):
             v = read(z[j : j + S]) * scale
             out[k] += -v if negative else v
 
@@ -234,10 +249,14 @@ def exact_coefficients(model: ModelSpec, N: int) -> ExactSeries:
     product of two N-coefficient polynomials: blocks shorter than
     _DECIMAL_MIN_LEN take two half-length int multiplies per pair of limb
     planes (_ks2_product, under CPython's O(n^1.585) Karatsuba), longer ones
-    O(n log n) Decimal multiplies (_decimal_product).  Every other model,
-    told apart by its Fraction k*Lambda_k, takes a Fraction loop of O(N^2)
-    operations.  On the int path an inexact division means a wrong block
-    product, and raises InexactDivisionError naming n, the model kind and N.
+    O(n log n) Decimal multiplies (_decimal_product).  Blocks of h <=
+    max(32, bits of c_{l-1} // 2) terms are O(h^2) direct products c_i *
+    k*Lambda_k: 14% less time than 32-term leaves on roots at N = 5000
+    (c_N of about 1080 bits), 26% on b_j = 2j^5 at N = 1600.  Every other
+    model, told apart by its Fraction k*Lambda_k, takes a Fraction loop of
+    O(N^2) operations.  On the int path an inexact division means a wrong
+    block product, and raises InexactDivisionError naming n, the model kind
+    and N.
     """
     int_arg("N", N, 0)
     if N == 0:

@@ -21,7 +21,7 @@ from operator import add
 from typing import Callable, Sequence
 
 from .errors import InvalidParametersError, UndefinedWeightError
-from .precision import as_rational, int_arg
+from .precision import as_rational, int_arg, shown
 
 
 class BaseFunction(Enum):
@@ -73,7 +73,7 @@ class ModelSpec:
         if v is None:
             raise InvalidParametersError(f"b_{j} = {bj!r} is not a rational number")
         if v < 0:
-            raise InvalidParametersError(f"b_{j} = {v} < 0")
+            raise InvalidParametersError(f"b_{j} = {shown(bj)} < 0")
         return v
 
     def weights(self, N: int) -> list:
@@ -203,7 +203,7 @@ def custom_model(
                    "give a fraction as a decimal or p/q string")
             raise InvalidParametersError(msg)
         if v < 0:
-            raise InvalidParametersError(f"weights[{i}] = {w!r}: b_{i + 1} < 0")
+            raise InvalidParametersError(f"weights[{i}] = {shown(w)}: b_{i + 1} < 0")
         table.append(v)
     return ModelSpec(kind, base, _WeightTable(tuple(table)))
 

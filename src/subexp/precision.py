@@ -1,7 +1,8 @@
 """Global working-precision configuration, and the argument domains every
 entry point reads through: int_arg for an int parameter (N, L, dps, a, b,
 j), as_real for a real one (n, tau, delta), to_mpf where a str is data too,
-and as_rational for a weight value (b_j, or a rule coefficient c).
+and as_rational for a weight value (b_j, or a rule coefficient c); shown
+formats a rejected value for the error message.
 
 All numeric evaluation in this package runs on mpmath's global real
 context.  The default of 38 significant digits leaves ample headroom for
@@ -30,10 +31,20 @@ def int_arg(name: str, x, lo: int, hi: int = sys.maxsize) -> int:
     no list or range can hold a size."""
     if type(x) is not int or not lo <= x <= hi:
         bounds = f"{name} >= {lo}" if hi == sys.maxsize else f"{lo} <= {name} <= {hi}"
-        got = repr(x) if type(x) is not int or abs(x) <= sys.maxsize else (
-            f"an int of {x.bit_length()} bits")  # its repr may pass the str limit
-        raise InvalidParametersError(f"need an int {bounds}; got {got}")
+        raise InvalidParametersError(f"need an int {bounds}; got {shown(x)}")
     return x
+
+
+def shown(x) -> str:
+    """repr(x) for an error message, but an int past sys.maxsize, or a
+    Fraction with such a part, by its bit length: its repr may pass the
+    int-to-str limit (sys.get_int_max_str_digits) and raise ValueError."""
+    if isinstance(x, int) and abs(x) > sys.maxsize:
+        return f"an int of {x.bit_length()} bits"
+    if isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) > sys.maxsize:
+        num, den = x.numerator.bit_length(), x.denominator.bit_length()
+        return f"a Fraction of {num}/{den} bits"
+    return repr(x)
 
 
 def as_rational(x):

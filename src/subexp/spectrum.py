@@ -75,13 +75,14 @@ class SpectralData:
     d_neg: tuple
 
     def __post_init__(self):
-        nonfinite = []
+        unread, nonfinite = [], []
 
-        def real(name, x):
+        def real(name, x):  # None for a value that is no number
             try:
                 x = to_mpf(x)
             except InvalidParametersError:
-                raise SpectrumDataError(f"{name}={x!r} not a real number") from None
+                unread.append(f"{name}={x!r} not a real number")
+                return None
             if not mp.isfinite(x):
                 nonfinite.append(f"{name}={x} not finite")
             return x
@@ -107,13 +108,14 @@ class SpectralData:
             problems.append("d_neg empty")
         prev = 0
         for l, (rho, h) in enumerate(poles, start=1):
-            if not rho > prev:
-                problems.append(f"pole {l}: rho={rho} not greater than {prev}")
-            if not h > 0:
+            if rho is not None:  # compared with the last rho read
+                if not rho > prev:
+                    problems.append(f"pole {l}: rho={rho} not greater than {prev}")
+                prev = rho
+            if h is not None and not h > 0:
                 problems.append(f"pole {l}: residue h={h} not positive")
-            prev = rho
-        if problems + nonfinite:
-            raise SpectrumDataError("; ".join(problems + nonfinite))
+        if unread + problems + nonfinite:
+            raise SpectrumDataError("; ".join(unread + problems + nonfinite))
         # _memo is not a field, so ==, hash and repr ignore it (see memo)
         vars(self).update(poles=poles, A0=A0, h0=h0, d_neg=d_neg, _memo={})
 

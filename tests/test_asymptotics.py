@@ -306,6 +306,9 @@ def test_explicit_requires_positive_n():
         for n in (0, -3):
             with pytest.raises(DomainError, match="n >= 1"):
                 estimate(STD, n)
+        # past the int-to-str limit the message names n by its bits
+        with pytest.raises(DomainError, match="got n=an int of 16610 bits$"):
+            estimate(STD, -(10**5000))
     # c_n exists at whole n only; 1e8 is a whole float
     for estimate in (log_estimate_explicit, log_estimate_khintchine):
         with pytest.raises(DomainError):

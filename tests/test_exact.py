@@ -212,6 +212,10 @@ def test_middle_product_matches_schoolbook(case):
     assert exact._middle_product(x, y, lo, hi) == want
 
 
+ASCENDING = [2 ** (100 * i) - 1 for i in range(25)]
+SIGNED = [(-1) ** k * (2**300 + k) for k in range(20)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     # up to 753 digits, over the 640-digit int-to-str floor
@@ -220,6 +224,10 @@ def test_middle_product_matches_schoolbook(case):
 )
 @example(([2**2500 - 1] * 3, [-(2**2500) + 1] * 2, 0, 5), 2_000)
 @example(([2**2500 - 1] * 30, [5, -7] * 10, 3, 40), 2_000)  # 21 planes
+# widths ascend, so each higher plane starts at a later x entry, and at
+# hi = 30 reaches fewer y entries; y is signed
+@example((ASCENDING, SIGNED, 0, 44), 2_000)
+@example((ASCENDING, SIGNED, 12, 30), 20_000)
 def test_decimal_product_matches_schoolbook(case, cap):
     # every block goes to the decimal kernel, under the lowest int-to-str
     # limit Python allows; small caps cut x into several planes
@@ -262,6 +270,51 @@ def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
         monkeypatch.setattr(exact, "_DECIMAL_MIN_LEN", 10**9)
         spy.reset_mock()
         assert got == exact._recurrence_int(kl, 2100)
+        assert spy.call_count == 0
+
+
+def _leaf_lengths(kl: list, N: int) -> tuple:
+    # c_0..c_N, and the lengths of the blocks _solve ran as direct sums:
+    # those it did not split at their midpoint
+    with mock.patch.object(exact, "_solve", wraps=exact._solve) as spy:
+        c = exact._recurrence_int(kl, N)
+    blocks = {call.args[3:] for call in spy.call_args_list}
+    return c, [r - l for l, r in blocks if (l, (l + r) // 2) not in blocks]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_preset("roots"),
+        custom_model([4 if j % 2 == 0 else 1 for j in range(2100)], base=SELECTION),
+    ],
+    ids=("roots", "selection"),
+)
+def test_width_rule_leaves_match_fixed_leaves(model, monkeypatch):
+    # c_2100 has 605 bits on roots and 180 on the selection table, so
+    # blocks of up to 263 and 66 terms are direct sums; without the width
+    # rule no leaf is longer than 32
+    kl = _k_lambda(model, 2100)
+    got, leaves = _leaf_lengths(kl, 2100)
+    assert max(leaves) > 32
+    monkeypatch.setattr(exact, "_BITS_PER_LEAF_TERM", 10**9)
+    want, leaves = _leaf_lengths(kl, 2100)
+    assert max(leaves) <= 32
+    assert got == want
+
+
+def test_without_libmpdec_every_block_runs_ks2(monkeypatch):
+    # the C decimal module may be missing; at N = 1100 the top block
+    # (1101 terms) crosses _DECIMAL_MIN_LEN
+    model = make_preset("roots")
+    with mock.patch.object(
+        exact, "_decimal_product", wraps=exact._decimal_product
+    ) as spy:
+        want = exact_coefficients(model, 1100)
+        assert spy.call_count >= 1
+        monkeypatch.setattr(exact, "_CTX", None)
+        spy.reset_mock()
+        assert exact_coefficients(model, 1100) == want
         assert spy.call_count == 0
 
 

@@ -308,10 +308,15 @@ def test_weight_table_exhaustion():
 
 
 def test_negative_weight_rejected():
-    # when the model is built, not when b_2 is first read
-    for weights in ([1, -1], [-1], ["-1/2"], [Fraction(-1, 3)]):
+    # when the model is built, not when b_2 is first read; past the
+    # int-to-str limit, where its repr would raise, a weight is named by bits
+    huge = -(10**5000)
+    for weights in ([1, -1], [-1], ["-1/2"], [Fraction(-1, 3)], [1, huge],
+                    [Fraction(huge, 3)]):
         with pytest.raises(InvalidParametersError, match=r"b_\d+ < 0"):
             custom_model(weights)
+    with pytest.raises(InvalidParametersError, match=r"^b_1 = an int of 16610 bits < 0$"):
+        ModelSpec("r", MULTISET, lambda j: huge).b(1)
 
 
 def test_llt_report_counts():

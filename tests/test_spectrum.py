@@ -411,6 +411,20 @@ def test_spectral_data_names_a_value_it_cannot_read(bad):
         SpectralData("x", ((1, 1), (3, bad)), 0, 0, (0,))
 
 
+def test_spectral_data_names_every_problem_beside_a_value_it_cannot_read():
+    with pytest.raises(SpectrumDataError) as got:
+        SpectralData("x", (("x", -1),), "nan", 0, ())
+    assert str(got.value) == (
+        "pole 1: rho='x' not a real number; d_neg empty; "
+        "pole 1: residue h=-1.0 not positive; A0=nan not finite")
+    # a rho that is no number is skipped in the order check, not compared
+    with pytest.raises(SpectrumDataError) as got:
+        SpectralData("x", ((1, 1), ("a", 2), (0.5, "b")), 0, None, (0,))
+    assert str(got.value) == (
+        "h0=None not a real number; pole 2: rho='a' not a real number; "
+        "pole 3: h='b' not a real number; pole 3: rho=0.5 not greater than 1.0")
+
+
 def test_classification():
     assert derive_spectrum(make_preset("standard")).gap is None
     assert validate_spectrum(derive_spectrum(make_preset("standard"))) == SUBCRITICAL
