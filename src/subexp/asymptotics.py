@@ -340,10 +340,7 @@ def to_decimal(le: LogEstimate):
     exponent10 = int(mp.floor(log10_value))
     mantissa = mp.power(10, log10_value - exponent10)
     mantissa = mp.mpf(mp.nstr(mantissa, 12, strip_zeros=False))
-    if mantissa >= 10:
+    if mantissa >= 10:  # 10^t, t in [0, 1), rounds up to 10 at 12 digits
         mantissa = mantissa / 10
         exponent10 += 1
-    if mantissa < 1:
-        mantissa = mantissa * 10
-        exponent10 -= 1
     return mantissa, exponent10

@@ -71,18 +71,23 @@ class ExactSeries:
 
 def _recurrence_int(k_lambda: list, N: int) -> list:
     # int k*Lambda_k; an inexact division, which for integer-coefficient f
-    # means a wrong block product, raises InexactDivisionError
+    # means a wrong block product, raises InexactDivisionError.  Every c_n is
+    # >= 0; k*Lambda_k, < 0 only on the selection base, is split by sign once
     a = [0, *k_lambda]
+    parts = [(False, a)]
+    if min(a) < 0:
+        parts = [(False, [max(v, 0) for v in a]), (True, [max(-v, 0) for v in a])]
     c = [1] + [0] * N
-    _solve(a, c, [0] * (N + 1), 0, N + 1)
+    _solve(a, parts, c, [0] * (N + 1), 0, N + 1)
     return c
 
 
-def _solve(a: list, c: list, acc: list, l: int, r: int):
+def _solve(a: list, parts: list, c: list, acc: list, l: int, r: int):
     # Online convolution over [l, r).  On entry acc[n] holds
     # sum_{i<l} c_i a_{n-i} for every n in [l, r).  Module-level rather
     # than a closure, so no reference cycle keeps acc alive after return.
-    # At l = 0, c[l - 1] is c[N], still 0.
+    # At l = 0, c[l - 1] is c[N], still 0.  Each block product meets a
+    # kernel's contract: x = c[l:m] >= 0 of length lo = m - l < hi = r - l
     if r - l <= max(_LEAF, c[l - 1].bit_length() // _BITS_PER_LEAF_TERM):
         for n in range(max(l, 1), r):
             total = acc[n] + sum(map(mul, c[l:n], a[n - l : 0 : -1]))
@@ -93,40 +98,24 @@ def _solve(a: list, c: list, acc: list, l: int, r: int):
             c[n] = q
         return
     m = (l + r) // 2
-    _solve(a, c, acc, l, m)
-    for n, v in enumerate(_middle_product(c[l:m], a[: r - l], m - l, r - l), m):
-        acc[n] += v
-    _solve(a, c, acc, m, r)
+    _solve(a, parts, c, acc, l, m)
+    kernel = _decimal_product if _CTX and r - l >= _DECIMAL_MIN_LEN else _ks2_product
+    for negative, y in parts:
+        kernel(c[l:m], y[: r - l], m - l, r - l, acc, l, negative)
+    _solve(a, parts, c, acc, m, r)
 
 
-def _middle_product(x: list, y: list, lo: int, hi: int) -> list:
-    """Coefficients lo..hi-1 of the product of int polynomials x and y.
+def _ks2_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
+                 negative: bool):
+    """Add (or, if negative, subtract) coefficient k of x*y to acc[at + k],
+    for k in lo..hi-1.
 
-    Entries at index >= hi only reach coefficients >= hi.  Each pair of
-    the operands' positive and negative parts goes to one kernel.
-    """
-    out = [0] * (hi - lo)
-    kernel = _decimal_product if _CTX and hi >= _DECIMAL_MIN_LEN else _ks2_product
-    y_parts = _signed_parts(y[:hi])
-    for x_sign, x_part in _signed_parts(x[:hi]):
-        for y_sign, y_part in y_parts:
-            kernel(x_part, y_part, lo, hi, out, x_sign != y_sign)
-    return out
-
-
-def _signed_parts(x: list) -> list:
-    # (sign, nonnegative part) pairs with x = sum of sign * part
-    if min(x) >= 0:
-        return [(1, x)]
-    return [(1, [v if v > 0 else 0 for v in x]), (-1, [-v if v < 0 else 0 for v in x])]
-
-
-def _ks2_product(x: list, y: list, lo: int, hi: int, out: list, negative: bool):
-    """Add (or, if negative, subtract) coefficients lo..hi-1 of x*y to out.
-
-    x, y >= 0.  Two-point Kronecker substitution (KS2; Harvey 2009, "Faster
-    polynomial multiplication via multipoint Kronecker substitution"): for
-    each pair of limb planes, X(z) = Xe(z^2) + z Xo(z^2) has its even- and
+    The contract: x, y >= 0 and len(x) <= hi (in _solve, len(x) is lo), so
+    every x entry reaches a coefficient below hi; _decimal_product can fail
+    on a longer x, when a plane's first entry sits at or past hi.  Two-point
+    Kronecker substitution (KS2; Harvey 2009, "Faster polynomial
+    multiplication via multipoint Kronecker substitution"): for each pair
+    of limb planes, X(z) = Xe(z^2) + z Xo(z^2) has its even- and
     odd-indexed chunks packed into ints at z^2 = 2^(8*slot), so wide that no
     coefficient of P = X Y reaches 2^(8*slot).  P(+-2^s) = X(+-2^s) Y(+-2^s),
     s = 4*slot bits, are two half-length products; (P(2^s) + P(-2^s))/2 and
@@ -161,7 +150,7 @@ def _ks2_product(x: list, y: list, lo: int, hi: int, out: list, negative: bool):
                 for k in range(first + (first - start - parity) % 2, hi, 2):
                     i = (k - start) // 2 * slot
                     v = int.from_bytes(buf[i : i + slot], "little") << shift
-                    out[k - lo] += -v if negative else v
+                    acc[at + k] += -v if negative else v
 
 
 def _pack(chunks: list, width: int, slot: int) -> int:
@@ -190,8 +179,9 @@ def _planes(x: list) -> list:
     return planes
 
 
-def _decimal_product(x: list, y: list, lo: int, hi: int, out: list, negative: bool):
-    """Like _ks2_product, by Kronecker substitution at 10^S in Decimals.
+def _decimal_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
+                     negative: bool):
+    """Like _ks2_product (same contract), by Kronecker substitution at 10^S.
 
     libmpdec multiplies long Decimals by a number-theoretic transform in
     O(n log n).  S = w + widest y + digits of the term count, so no slot
@@ -223,9 +213,9 @@ def _decimal_product(x: list, y: list, lo: int, hi: int, out: list, negative: bo
         first = max(lo, start)
         z = z[len(z) - S * (hi - start) : len(z) - S * (first - start)]
         scale = 10 ** (w * p)
-        for k, j in enumerate(range(len(z) - S, -1, -S), first - lo):
+        for k, j in enumerate(range(len(z) - S, -1, -S), at + first):
             v = read(z[j : j + S]) * scale
-            out[k] += -v if negative else v
+            acc[k] += -v if negative else v
 
 
 def _recurrence_frac(k_lambda: list, N: int):

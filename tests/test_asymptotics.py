@@ -298,6 +298,10 @@ def test_to_decimal():
     big = type(le)(EXPLICIT, 1, 100 * mp.log(10), {})
     mant, e10 = to_decimal(big)
     assert (mant, e10) == (1, 100)
+    # log10 of 10^6 lands just below 6: the mantissa 9.99... rounds to 10
+    # at 12 digits and carries into the exponent
+    million = type(le)(EXPLICIT, 1, mp.log(mpf(10) ** 6), {})
+    assert to_decimal(million) == (1, 6)
 
 
 def test_explicit_requires_positive_n():

@@ -32,12 +32,12 @@ weight_tables = st.integers(1, 300).flatmap(
 )
 
 
-def int_polys(max_bits: int, max_len: int):
+def int_polys(max_bits: int, max_len: int, signed: bool):
     """Int lists of length 1..max_len: a run of leading zeros, so limb
-    planes start at odd and even indices, then signed entries of 0 to
-    max_bits bits."""
+    planes start at odd and even indices, then entries of 0 to max_bits
+    bits, nonnegative unless signed."""
     entries = st.integers(0, max_bits).flatmap(
-        lambda b: st.integers(-(2**b) + 1, 2**b - 1)
+        lambda b: st.integers(-(2**b) + 1 if signed else 0, 2**b - 1)
     )
     return st.integers(1, max_len).flatmap(
         lambda n: st.integers(0, n - 1).flatmap(
@@ -50,12 +50,25 @@ def int_polys(max_bits: int, max_len: int):
 
 @st.composite
 def middle_product_cases(draw, max_bits=700, max_len=70):
-    # 700 bits: 1 to 6 limb planes
-    x = draw(int_polys(max_bits, max_len))
-    y = draw(int_polys(max_bits, max_len))
+    # 700 bits: 1 to 6 limb planes.  x >= 0, as the c_n are in _solve
+    x = draw(int_polys(max_bits, max_len, signed=False))
+    y = draw(int_polys(max_bits, max_len, signed=True))
     hi = draw(st.integers(1, len(x) + len(y)))
     lo = draw(st.integers(0, hi - 1))
     return x, y, lo, hi
+
+
+def _kernel_product(kernel, x: list, y: list, lo: int, hi: int) -> list:
+    # coefficients lo..hi-1 of x*y from one kernel, called as _solve calls
+    # it: x cut to hi entries, y split by sign as _recurrence_int splits
+    # k*Lambda_k, and both parts added into one accumulator
+    parts = [(False, y)]
+    if min(y) < 0:
+        parts = [(False, [max(v, 0) for v in y]), (True, [max(-v, 0) for v in y])]
+    acc = [0] * (hi - lo)
+    for negative, part in parts:
+        kernel(x[:hi], part[:hi], lo, hi, acc, -lo, negative)
+    return acc
 
 
 def _k_lambda(model, N):
@@ -209,7 +222,7 @@ def test_middle_product_matches_schoolbook(case):
         sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
         for k in range(lo, hi)
     ]
-    assert exact._middle_product(x, y, lo, hi) == want
+    assert _kernel_product(exact._ks2_product, x, y, lo, hi) == want
 
 
 ASCENDING = [2 ** (100 * i) - 1 for i in range(25)]
@@ -229,8 +242,8 @@ SIGNED = [(-1) ** k * (2**300 + k) for k in range(20)]
 @example((ASCENDING, SIGNED, 0, 44), 2_000)
 @example((ASCENDING, SIGNED, 12, 30), 20_000)
 def test_decimal_product_matches_schoolbook(case, cap):
-    # every block goes to the decimal kernel, under the lowest int-to-str
-    # limit Python allows; small caps cut x into several planes
+    # the decimal kernel under the lowest int-to-str limit Python allows;
+    # small caps cut x into several planes
     x, y, lo, hi = case
     want = [
         sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
@@ -239,10 +252,8 @@ def test_decimal_product_matches_schoolbook(case, cap):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        with mock.patch.object(exact, "_DECIMAL_MIN_LEN", 1), mock.patch.object(
-            exact, "_DIGIT_CAP", cap
-        ):
-            got = exact._middle_product(x, y, lo, hi)
+        with mock.patch.object(exact, "_DIGIT_CAP", cap):
+            got = _kernel_product(exact._decimal_product, x, y, lo, hi)
     finally:
         sys.set_int_max_str_digits(old)
     assert got == want
@@ -273,12 +284,45 @@ def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
         assert spy.call_count == 0
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_preset("roots"),
+        custom_model([4 if j % 2 == 0 else 1 for j in range(2100)], base=SELECTION),
+    ],
+    ids=("roots", "selection"),
+)
+def test_kernels_get_nonnegative_operands_of_the_block_length(model):
+    # the kernels' contract, as _solve keeps it: x = c[l:m] and each sign
+    # part of k*Lambda_k are >= 0, and len(x) is lo; at N = 2100 both
+    # kernels run, and on the selection table with both parts
+    operands = []
+
+    def spy(kernel):
+        def record(x, y, lo, hi, acc, at, negative):
+            operands.append((kernel, x, y, lo, negative))
+            kernel(x, y, lo, hi, acc, at, negative)
+        return record
+
+    kernels = {exact._ks2_product, exact._decimal_product}
+    with (
+        mock.patch.object(exact, "_ks2_product", spy(exact._ks2_product)),
+        mock.patch.object(exact, "_decimal_product", spy(exact._decimal_product)),
+    ):
+        exact_coefficients(model, 2100)
+    assert {kernel for kernel, *_ in operands} == kernels
+    assert any(negative for *_, negative in operands) == (model.base is SELECTION)
+    for _, x, y, lo, _ in operands:
+        assert len(x) == lo
+        assert min(x) >= 0 and min(y) >= 0
+
+
 def _leaf_lengths(kl: list, N: int) -> tuple:
     # c_0..c_N, and the lengths of the blocks _solve ran as direct sums:
     # those it did not split at their midpoint
     with mock.patch.object(exact, "_solve", wraps=exact._solve) as spy:
         c = exact._recurrence_int(kl, N)
-    blocks = {call.args[3:] for call in spy.call_args_list}
+    blocks = {call.args[4:] for call in spy.call_args_list}
     return c, [r - l for l, r in blocks if (l, (l + r) // 2) not in blocks]
 
 
@@ -360,8 +404,8 @@ def test_wrong_block_product_raises(monkeypatch):
     # path must fail, not hand the model to the Fraction loop
     ks2 = exact._ks2_product
 
-    def ks2_always_adding(x, y, lo, hi, out, negative):
-        ks2(x, y, lo, hi, out, False)
+    def ks2_always_adding(x, y, lo, hi, acc, at, negative):
+        ks2(x, y, lo, hi, acc, at, False)
 
     monkeypatch.setattr(exact, "_ks2_product", ks2_always_adding)
     model = custom_model([4 if j % 2 == 0 else 1 for j in range(300)], base=SELECTION)

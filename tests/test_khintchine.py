@@ -266,6 +266,12 @@ def test_float_phase_hands_over_on_overflow(monkeypatch):
     # the slope (rho+1) h rho delta^(-rho-1) ~ 4e308 overflows at the root
     sd = _one_pole(1, 0, 0, rho=40)
     _assert_power_law_root(_solve_via_fallback(monkeypatch, sd, 10**307), sd, 10**307)
+    # and a pole's term underflows: rho = 30 gives 30 delta^-31 = 0.0 as the
+    # float iterates near the root delta = 1e11, which the rho = 1 pole sets
+    sd = SpectralData("u", ((1, "1e22"), (30, 1)), 0, 0, (0,))
+    sol = _solve_via_fallback(monkeypatch, sd, 1)
+    assert abs(sol.delta / mpf("1e11") - 1) < mpf("1e-18")
+    assert (sol.newton_steps, sol.bisection_steps) == (2, 0)
 
 
 def test_float_phase_hands_over_when_it_does_not_converge(monkeypatch):

@@ -69,11 +69,13 @@ def test_congruent_requires_coprime():
 
 def test_quasi_polynomial_rejects_bad_terms():
     # modulus below 1, residue outside 1..a, negative degree; a non-int
-    # modulus, residue or degree; a coefficient that is no rational number
+    # modulus, residue or degree; a coefficient that is no rational number;
+    # terms that are not a sequence of triples
     for a, terms in ((0, ()), (3, ((0, 0, 1),)), (3, ((4, 0, 1),)), (1, ((1, -1, 1),)),
                      (2.0, ((1, 0, 1),)), (True, ((1, 0, 1),)), (2, ((1.0, 0, 1),)),
                      (2, ((1, 1.0, 1),)), (2, ((1, 0, "x"),)), (2, ((1, 0, "1"),)),
-                     (2, ((1, 0, None),)), (2, ((1, 0, float("nan")),))):
+                     (2, ((1, 0, None),)), (2, ((1, 0, float("nan")),)),
+                     (1, 5), (1, ((1, 0),))):
         with pytest.raises(InvalidParametersError):
             QuasiPolynomial(a, terms)
 

@@ -506,6 +506,12 @@ def test_load_custom_schema_errors():
         load_custom_spectrum(
             {"poles": [{"rho": 1, "h": True}], "A0": 0, "h0": 0, "d_neg": [0]}
         )
+    # an object where an array belongs, and a string, which is iterable
+    for bad in ({"poles": {"rho": 1, "h": 1}}, {"d_neg": "0"}):
+        with pytest.raises(SpectrumSchemaError, match="^poles and d_neg must be arrays$"):
+            load_custom_spectrum(
+                {"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0, "d_neg": [0], **bad}
+            )
 
 
 def test_load_custom_data_errors():
