@@ -31,7 +31,7 @@ from .asymptotics import (
     q_constant,
     to_decimal,
 )
-from .errors import DomainError, SubexpError
+from .errors import DomainError, SpectrumSchemaError, SubexpError
 from .exact import exact_coefficients, pentagonal_oracle, product_dp
 from .model import custom_model, make_preset
 from .precision import set_working_precision, to_mpf
@@ -151,8 +151,11 @@ def _resolve_model(args, parser):
     if args.model == "custom":
         if not args.spec:
             parser.error("--model custom requires --spec FILE")
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int past the str limit
+            raise SpectrumSchemaError(f"{args.spec}: {exc}") from None
         sd = load_custom_spectrum(doc)
         model = None
         if doc.get("weights") is not None:
@@ -404,10 +407,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (OSError, UnicodeError, json.JSONDecodeError) as exc:  # an unreadable --spec
-        print(f"error: {exc}", file=sys.stderr)
-        return MODEL_ERROR
-    except SubexpError as exc:
+    except (OSError, SubexpError) as exc:  # OSError: an unreadable --spec
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
 

@@ -72,47 +72,46 @@ class ExactSeries:
 def _recurrence_int(k_lambda: list, N: int) -> list:
     # int k*Lambda_k; an inexact division, which for integer-coefficient f
     # means a wrong block product, raises InexactDivisionError.  Every c_n is
-    # >= 0; k*Lambda_k, < 0 only on the selection base, is split by sign once
+    # >= 0; k*Lambda_k, < 0 only on the selection base, is split by sign once,
+    # each part paired with its own accumulator: acc for + and neg for -
     a = [0, *k_lambda]
-    parts = [(False, a)]
+    acc, neg = [0] * (N + 1), [0] * (N + 1)
+    pairs = [(a, acc)]
     if min(a) < 0:
-        parts = [(False, [max(v, 0) for v in a]), (True, [max(-v, 0) for v in a])]
+        pairs = [([max(v, 0) for v in a], acc), ([max(-v, 0) for v in a], neg)]
     c = [1] + [0] * N
-    _solve(a, parts, c, [0] * (N + 1), 0, N + 1)
+    _solve(a, pairs, c, acc, neg, 0, N + 1)
     return c
 
 
-def _solve(a: list, parts: list, c: list, acc: list, l: int, r: int):
-    # Online convolution over [l, r).  On entry acc[n] holds
+def _solve(a: list, pairs: list, c: list, acc: list, neg: list, l: int, r: int):
+    # Online convolution over [l, r).  On entry acc[n] - neg[n] holds
     # sum_{i<l} c_i a_{n-i} for every n in [l, r).  Module-level rather
     # than a closure, so no reference cycle keeps acc alive after return.
-    # At l = 0, c[l - 1] is c[N], still 0.  Each block product meets a
-    # kernel's contract: x = c[l:m] >= 0 of length lo = m - l < hi = r - l
+    # At l = 0, c[l - 1] is c[N], still 0
     if r - l <= max(_LEAF, c[l - 1].bit_length() // _BITS_PER_LEAF_TERM):
         for n in range(max(l, 1), r):
-            total = acc[n] + sum(map(mul, c[l:n], a[n - l : 0 : -1]))
-            acc[n] = 0
+            total = acc[n] - neg[n] + sum(map(mul, c[l:n], a[n - l : 0 : -1]))
+            acc[n] = neg[n] = 0
             q, rem = divmod(total, n)
             if rem:
                 raise InexactDivisionError(f"inexact division at n={n}")
             c[n] = q
         return
     m = (l + r) // 2
-    _solve(a, parts, c, acc, l, m)
+    _solve(a, pairs, c, acc, neg, l, m)
     kernel = _decimal_product if _CTX and r - l >= _DECIMAL_MIN_LEN else _ks2_product
-    for negative, y in parts:
-        kernel(c[l:m], y[: r - l], m - l, r - l, acc, l, negative)
-    _solve(a, parts, c, acc, m, r)
+    for y, into in pairs:
+        kernel(c[l:m], y[: r - l], into, l)
+    _solve(a, pairs, c, acc, neg, m, r)
 
 
-def _ks2_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
-                 negative: bool):
-    """Add (or, if negative, subtract) coefficient k of x*y to acc[at + k],
-    for k in lo..hi-1.
+def _ks2_product(x: list, y: list, acc: list, at: int):
+    """Add coefficient k of x*y to acc[at + k] for k in len(x)..len(y)-1.
 
-    The contract: x, y >= 0 and len(x) <= hi (in _solve, len(x) is lo), so
-    every x entry reaches a coefficient below hi; _decimal_product can fail
-    on a longer x, when a plane's first entry sits at or past hi.  Two-point
+    The contract: x, y >= 0 and len(x) < len(y).  That is a block's middle
+    product in _solve: x = c[l:m] and y one sign part of k*Lambda_k, each
+    part with its own accumulator.  Two-point
     Kronecker substitution (KS2; Harvey 2009, "Faster polynomial
     multiplication via multipoint Kronecker substitution"): for each pair
     of limb planes, X(z) = Xe(z^2) + z Xo(z^2) has its even- and
@@ -122,6 +121,7 @@ def _ks2_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
     (P(2^s) - P(-2^s))/2^(s+1) hold P's even- and odd-indexed coefficients
     in their slots, which are read back, shifted to the planes' place and summed.
     """
+    lo, hi = len(x), len(y)
     y_planes = _planes(y)
     for x_off, x_start, x_width, x_chunks in _planes(x):
         for y_off, y_start, y_width, y_chunks in y_planes:
@@ -149,8 +149,7 @@ def _ks2_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
                 buf = half.to_bytes((half.bit_length() + 7) // 8, "little")
                 for k in range(first + (first - start - parity) % 2, hi, 2):
                     i = (k - start) // 2 * slot
-                    v = int.from_bytes(buf[i : i + slot], "little") << shift
-                    acc[at + k] += -v if negative else v
+                    acc[at + k] += int.from_bytes(buf[i : i + slot], "little") << shift
 
 
 def _pack(chunks: list, width: int, slot: int) -> int:
@@ -179,24 +178,24 @@ def _planes(x: list) -> list:
     return planes
 
 
-def _decimal_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
-                     negative: bool):
+def _decimal_product(x: list, y: list, acc: list, at: int):
     """Like _ks2_product (same contract), by Kronecker substitution at 10^S.
 
     libmpdec multiplies long Decimals by a number-theoretic transform in
-    O(n log n).  S = w + widest y + digits of the term count, so no slot
+    O(n log n).  S = w + widest y + digits of len(x), so no slot
     carries, and x (the c_n, in the recurrence) is cut into as few decimal
     planes of w digits as keep each product under _DIGIT_CAP digits, with
     w >= S - w.  A plane skips the low x entries with no digit in it, and
-    the y entries that then reach only coefficients >= hi.  Ints and digits
-    meet only in Decimal or in int() on at most 640 digits
+    the y entries that then reach only coefficients >= len(y).  Ints and
+    digits meet only in Decimal or in int() on at most 640 digits
     (sys.int_info.str_digits_check_threshold), so no limit applies.
     """
+    lo, hi = len(x), len(y)
     xs = [str(Decimal(v)) for v in x]
     ys = [str(Decimal(v)) for v in reversed(y)]
     x_width = max(map(len, xs))
-    rest = max(map(len, ys)) + len(str(min(len(xs), len(ys))))
-    planes = -(-x_width // max(rest, _DIGIT_CAP // (len(xs) + len(ys)) - rest))
+    rest = max(map(len, ys)) + len(str(lo))
+    planes = -(-x_width // max(rest, _DIGIT_CAP // (lo + hi) - rest))
     w = -(-x_width // planes)
     S = w + rest
     lengths = list(map(len, xs))
@@ -207,15 +206,13 @@ def _decimal_product(x: list, y: list, lo: int, hi: int, acc: list, at: int,
         start = next(i for i, n in enumerate(lengths) if n > w * p)
         i = (planes - 1 - p) * w
         x_dec = Decimal("".join(v[i : i + w].zfill(S) for v in reversed(xs[start:])))
-        y_dec = Decimal("".join(v.zfill(S) for v in ys[max(0, len(ys) + start - hi) :]))
+        y_dec = Decimal("".join(v.zfill(S) for v in ys[start:]))
         z = str(_CTX.multiply(x_dec, y_dec)).zfill(S * (hi - start))
-        # slots hi-1 down to first of plane p, whose digits sit w*p places up
-        first = max(lo, start)
-        z = z[len(z) - S * (hi - start) : len(z) - S * (first - start)]
+        # slots hi-1 down to lo of plane p, whose digits sit w*p places up
+        z = z[len(z) - S * (hi - start) : len(z) - S * (lo - start)]
         scale = 10 ** (w * p)
-        for k, j in enumerate(range(len(z) - S, -1, -S), at + first):
-            v = read(z[j : j + S]) * scale
-            acc[k] += -v if negative else v
+        for k, j in enumerate(range(len(z) - S, -1, -S), at + lo):
+            acc[k] += read(z[j : j + S]) * scale
 
 
 def _recurrence_frac(k_lambda: list, N: int):

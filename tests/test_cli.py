@@ -342,6 +342,22 @@ def test_custom_spectrum_schema_error(tmp_path, capsys):
     code, _, _ = run(capsys, "spectrum", "--model", "custom", "--spec",
                      str(tmp_path / "absent.json"))
     assert code == 3
+    # an int literal past the int-to-str limit: json raises a plain ValueError
+    spec.write_text('{"A0": ' + "9" * 5000 + "}")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (
+            ("spectrum",),
+            ("predict", "--n", "100"),
+            ("exact", "--N", "5"),
+            ("compare", "--grid", "10:12:1"),
+        ):
+            code, out, err = run(capsys, *argv, "--model", "custom", "--spec", str(spec))
+            assert (code, out) == (3, ""), argv
+            assert str(spec) in err
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("A0", ("nan", float("nan")), ids=("string", "literal"))

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import sys
 from fractions import Fraction
@@ -32,14 +33,12 @@ weight_tables = st.integers(1, 300).flatmap(
 )
 
 
-def int_polys(max_bits: int, max_len: int, signed: bool):
-    """Int lists of length 1..max_len: a run of leading zeros, so limb
-    planes start at odd and even indices, then entries of 0 to max_bits
-    bits, nonnegative unless signed."""
-    entries = st.integers(0, max_bits).flatmap(
-        lambda b: st.integers(-(2**b) + 1 if signed else 0, 2**b - 1)
-    )
-    return st.integers(1, max_len).flatmap(
+def int_polys(max_bits: int, max_len: int, min_len: int = 1):
+    """Nonnegative int lists of length min_len..max_len: a run of leading
+    zeros, so limb planes start at odd and even indices, then entries of 0
+    to max_bits bits."""
+    entries = st.integers(0, max_bits).flatmap(lambda b: st.integers(0, 2**b - 1))
+    return st.integers(min_len, max_len).flatmap(
         lambda n: st.integers(0, n - 1).flatmap(
             lambda z: st.lists(entries, min_size=n - z, max_size=n - z).map(
                 lambda body: [0] * z + body
@@ -50,24 +49,22 @@ def int_polys(max_bits: int, max_len: int, signed: bool):
 
 @st.composite
 def middle_product_cases(draw, max_bits=700, max_len=70):
-    # 700 bits: 1 to 6 limb planes.  x >= 0, as the c_n are in _solve
-    x = draw(int_polys(max_bits, max_len, signed=False))
-    y = draw(int_polys(max_bits, max_len, signed=True))
-    hi = draw(st.integers(1, len(x) + len(y)))
-    lo = draw(st.integers(0, hi - 1))
-    return x, y, lo, hi
+    # 700 bits: 1 to 6 limb planes.  The kernels' contract, as _solve keeps
+    # it: x, y >= 0 and len(x) < len(y)
+    y = draw(int_polys(max_bits, max_len, min_len=2))
+    x = draw(int_polys(max_bits, len(y) - 1))
+    return x, y
 
 
-def _kernel_product(kernel, x: list, y: list, lo: int, hi: int) -> list:
-    # coefficients lo..hi-1 of x*y from one kernel, called as _solve calls
-    # it: x cut to hi entries, y split by sign as _recurrence_int splits
-    # k*Lambda_k, and both parts added into one accumulator
-    parts = [(False, y)]
-    if min(y) < 0:
-        parts = [(False, [max(v, 0) for v in y]), (True, [max(-v, 0) for v in y])]
-    acc = [0] * (hi - lo)
-    for negative, part in parts:
-        kernel(x[:hi], part[:hi], lo, hi, acc, -lo, negative)
+def _middle_product(x: list, y: list) -> list:
+    # coefficients len(x)..len(y)-1 of x*y, schoolbook
+    return [sum(x[i] * y[k - i] for i in range(len(x))) for k in range(len(x), len(y))]
+
+
+def _kernel_product(kernel, x: list, y: list) -> list:
+    # the same coefficients from one kernel, added into a zero list
+    acc = [0] * (len(y) - len(x))
+    kernel(x, y, acc, -len(x))
     return acc
 
 
@@ -214,19 +211,16 @@ def test_kernel_matches_naive_selection(weights):
 
 @settings(max_examples=200, deadline=None)
 @given(middle_product_cases())
-@example(([7], [-(2**700) + 1], 0, 1))  # length 1: no odd-indexed chunks
-@example(([0, 0, 0, 2**300], [0, -5, 2**200, -(2**600)], 0, 8))
+@example(([7], [2**700 - 1] * 2))  # x of length 1: no odd-indexed chunks
+# planes start at index 3 in x and at 1, 2 and 3 in y
+@example(([0, 0, 0, 2**300], [0, 5, 2**200, 2**600, 0, 0, 0, 0]))
 def test_middle_product_matches_schoolbook(case):
-    x, y, lo, hi = case
-    want = [
-        sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
-        for k in range(lo, hi)
-    ]
-    assert _kernel_product(exact._ks2_product, x, y, lo, hi) == want
+    x, y = case
+    assert _kernel_product(exact._ks2_product, x, y) == _middle_product(x, y)
 
 
 ASCENDING = [2 ** (100 * i) - 1 for i in range(25)]
-SIGNED = [(-1) ** k * (2**300 + k) for k in range(20)]
+WIDE = [2**300 + k for k in range(44)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,28 +229,24 @@ SIGNED = [(-1) ** k * (2**300 + k) for k in range(20)]
     middle_product_cases(2500, 40),
     st.sampled_from([exact._DIGIT_CAP, 20_000, 2_000]),
 )
-@example(([2**2500 - 1] * 3, [-(2**2500) + 1] * 2, 0, 5), 2_000)
-@example(([2**2500 - 1] * 30, [5, -7] * 10, 3, 40), 2_000)  # 21 planes
-# widths ascend, so each higher plane starts at a later x entry, and at
-# hi = 30 reaches fewer y entries; y is signed
-@example((ASCENDING, SIGNED, 0, 44), 2_000)
-@example((ASCENDING, SIGNED, 12, 30), 20_000)
+@example(([2**2500 - 1] * 3, [2**2500 - 1] * 5), 2_000)  # slots over 640 digits
+@example(([2**2500 - 1] * 20, [5, 7] * 15), 2_000)  # 21 planes
+# widths ascend, so each higher plane starts at a later x entry, and
+# reaches fewer y entries: 44 of them, and at len(y) = 30, 13 in plane 2
+@example((ASCENDING, WIDE), 2_000)
+@example((ASCENDING, WIDE[:30]), 20_000)
 def test_decimal_product_matches_schoolbook(case, cap):
     # the decimal kernel under the lowest int-to-str limit Python allows;
     # small caps cut x into several planes
-    x, y, lo, hi = case
-    want = [
-        sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
-        for k in range(lo, hi)
-    ]
+    x, y = case
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         with mock.patch.object(exact, "_DIGIT_CAP", cap):
-            got = _kernel_product(exact._decimal_product, x, y, lo, hi)
+            got = _kernel_product(exact._decimal_product, x, y)
     finally:
         sys.set_int_max_str_digits(old)
-    assert got == want
+    assert got == _middle_product(x, y)
 
 
 @pytest.mark.parametrize(
@@ -294,14 +284,15 @@ def test_decimal_kernel_matches_ks2_across_crossover(model, monkeypatch):
 )
 def test_kernels_get_nonnegative_operands_of_the_block_length(model):
     # the kernels' contract, as _solve keeps it: x = c[l:m] and each sign
-    # part of k*Lambda_k are >= 0, and len(x) is lo; at N = 2100 both
-    # kernels run, and on the selection table with both parts
+    # part of k*Lambda_k are >= 0, and len(x) < len(y); at N = 2100 both
+    # kernels run, and on the selection table each sign part reaches its
+    # own accumulator
     operands = []
 
     def spy(kernel):
-        def record(x, y, lo, hi, acc, at, negative):
-            operands.append((kernel, x, y, lo, negative))
-            kernel(x, y, lo, hi, acc, at, negative)
+        def record(x, y, acc, at):
+            operands.append((kernel, x, y, acc))
+            kernel(x, y, acc, at)
         return record
 
     kernels = {exact._ks2_product, exact._decimal_product}
@@ -311,9 +302,9 @@ def test_kernels_get_nonnegative_operands_of_the_block_length(model):
     ):
         exact_coefficients(model, 2100)
     assert {kernel for kernel, *_ in operands} == kernels
-    assert any(negative for *_, negative in operands) == (model.base is SELECTION)
-    for _, x, y, lo, _ in operands:
-        assert len(x) == lo
+    assert len({id(acc) for *_, acc in operands}) == (2 if model.base is SELECTION else 1)
+    for _, x, y, _ in operands:
+        assert len(x) < len(y)
         assert min(x) >= 0 and min(y) >= 0
 
 
@@ -322,7 +313,7 @@ def _leaf_lengths(kl: list, N: int) -> tuple:
     # those it did not split at their midpoint
     with mock.patch.object(exact, "_solve", wraps=exact._solve) as spy:
         c = exact._recurrence_int(kl, N)
-    blocks = {call.args[4:] for call in spy.call_args_list}
+    blocks = {call.args[5:] for call in spy.call_args_list}
     return c, [r - l for l, r in blocks if (l, (l + r) // 2) not in blocks]
 
 
@@ -348,18 +339,26 @@ def test_width_rule_leaves_match_fixed_leaves(model, monkeypatch):
 
 
 def test_without_libmpdec_every_block_runs_ks2(monkeypatch):
-    # the C decimal module may be missing; at N = 1100 the top block
-    # (1101 terms) crosses _DECIMAL_MIN_LEN
+    # where import _decimal fails, exact.py still loads, with _CTX None,
+    # and counts the same by KS2 alone; at N = 1100 the top block (1101
+    # terms) crosses _DECIMAL_MIN_LEN.  A second copy is loaded from the
+    # same file, so subexp.exact and the names bound from it stay as they are
     model = make_preset("roots")
     with mock.patch.object(
         exact, "_decimal_product", wraps=exact._decimal_product
     ) as spy:
-        want = exact_coefficients(model, 1100)
-        assert spy.call_count >= 1
-        monkeypatch.setattr(exact, "_CTX", None)
-        spy.reset_mock()
-        assert exact_coefficients(model, 1100) == want
-        assert spy.call_count == 0
+        want = exact_coefficients(model, 1100).coeffs
+    assert spy.call_count >= 1
+    monkeypatch.setitem(sys.modules, "_decimal", None)
+    spec = importlib.util.spec_from_file_location("subexp.exact_copy", exact.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert copy._CTX is None
+    with mock.patch.object(
+        copy, "_decimal_product", wraps=copy._decimal_product
+    ) as spy:
+        assert copy.exact_coefficients(model, 1100).coeffs == want
+    assert spy.call_count == 0
 
 
 def test_decimal_kernel_standard_matches_pentagonal():
@@ -399,18 +398,31 @@ def test_integral_k_lambda_with_rational_coeffs_names_n(j):
 
 
 def test_wrong_block_product_raises(monkeypatch):
-    # a KS2 that adds where it should subtract makes some division inexact
+    # a KS2 that adds the negative part of k*Lambda_k where it should
+    # subtract it (into the first accumulator it is given, the positive
+    # part's), or that adds each product twice, makes some division inexact
     # on a selection table (k*Lambda_k < 0 at every even k); the integer
     # path must fail, not hand the model to the Fraction loop
     ks2 = exact._ks2_product
-
-    def ks2_always_adding(x, y, lo, hi, acc, at, negative):
-        ks2(x, y, lo, hi, acc, at, False)
-
-    monkeypatch.setattr(exact, "_ks2_product", ks2_always_adding)
     model = custom_model([4 if j % 2 == 0 else 1 for j in range(300)], base=SELECTION)
-    with pytest.raises(InexactDivisionError, match=r"\bn=\d+ .*N=300"):
-        exact_coefficients(model, 300)
+    first = []
+
+    def ks2_one_accumulator(x, y, acc, at):
+        first.append(acc)
+        ks2(x, y, first[0], at)
+
+    def ks2_twice(x, y, acc, at):
+        ks2(x, y, acc, at)
+        ks2(x, y, acc, at)
+
+    for wrong, n in ((ks2_one_accumulator, 18), (ks2_twice, 37)):
+        monkeypatch.setattr(exact, "_ks2_product", wrong)
+        with (
+            mock.patch.object(exact, "_recurrence_frac") as frac,
+            pytest.raises(InexactDivisionError, match=rf"\bn={n} .*N=300"),
+        ):
+            exact_coefficients(model, 300)
+        assert frac.call_count == 0
 
 
 @pytest.mark.parametrize(

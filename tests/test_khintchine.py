@@ -14,7 +14,12 @@ from oracles import (
     tilt_equation_lhs,
 )
 from subexp import khintchine
-from subexp.errors import DomainError, InvalidParametersError, NoBracketError
+from subexp.errors import (
+    DomainError,
+    InvalidParametersError,
+    NoBracketError,
+    NonConvergenceError,
+)
 from subexp.khintchine import _float_root, khintchine_lhs, solve_delta
 from subexp.model import make_preset
 from subexp.precision import to_mpf
@@ -222,6 +227,20 @@ def test_float_seed_needs_few_working_precision_evaluations(dps, evals):
 
 def _one_pole(h, A0, d1, rho=1):
     return SpectralData("one pole", (Pole(mpf(rho), mpf(h)),), mpf(A0), mpf(0), (mpf(d1),))
+
+
+def test_steep_pole_at_low_precision_does_not_converge():
+    # rho = 1e8: at 15 digits one ulp of delta moves lhs by about
+    # rho * 2^-53 * n, about 1e-8 n, so the residual test max(1e-10 n, 1e-12)
+    # cannot be met, and the polish loop stops after MAX_ITER steps with
+    # the root bracketed.  At 38 digits one Newton step meets it
+    sd = _one_pole(1, 0, 0, rho="1e8")
+    with mp.workdps(15), pytest.raises(
+        NonConvergenceError, match=rf"after {khintchine.MAX_ITER} iterations for n=10"
+    ):
+        solve_delta(sd, 10)
+    with mp.workdps(38):
+        assert solve_delta(sd, 10).newton_steps == 1
 
 
 def _solve_via_fallback(monkeypatch, sd, n):
