@@ -10,10 +10,13 @@ Both formulas predict log c_n up to o(1):
 
 Everything is assembled additively in log-space; exp is taken only when
 rendering a decimal.  Each estimate carries a four-part breakdown whose
-sum is exactly the returned log value.  The per-spectrum constants, the
-series and both sums run on raw mpmath.libmp values, operation for operation
-as the mpf expressions quoted beside them, so results are bit for bit equal;
-the series' stop test reads binary exponents where they settle it.
+sum is exactly the returned log value.  Everything but n (and delta_n) is
+one record per estimate, built once per spectrum and working precision
+(SpectralData.memo); the explicit formula's checks eligibility, then reads
+the Khintchine record.  The records, the series and both sums run on raw
+mpmath.libmp values, operation for operation as the mpf expressions quoted
+beside them, so results are bit for bit equal; the series' stop test reads
+binary exponents where they settle it.
 """
 
 import warnings
@@ -72,19 +75,6 @@ class LogEstimate:
     terms: dict
 
 
-def _correction_coefficients(sd: SpectralData) -> tuple:
-    """(-1)^l D(-l) / l! for l = 1, 2, ..., the series' tau-free factors,
-    as raw values."""
-    prec, rounding = mp._prec_rounding
-    coefficients = []
-    fact = fone  # mpf(1)
-    for l, d in enumerate(sd.d_neg, start=1):
-        fact = mpf_mul_int(fact, l, prec, rounding)  # fact *= l
-        c = mpf_mul_int(d._mpf_, (-1) ** l, prec, rounding)  # (-1) ** l * d
-        coefficients.append(mpf_div(c, fact, prec, rounding))  # c / fact
-    return tuple(coefficients)
-
-
 def _term_below(term, partial, eps, prec, rounding) -> bool:
     """abs(term) < eps * (1 + abs(partial)) for raw values at the working
     precision, partial finite.  The bound rounds into [2^(e-2), 2^(e+1)] for
@@ -121,7 +111,7 @@ def remainder_delta(sd: SpectralData, tau) -> mpf:
     eps = DELTA_SERIES_TOL._mpf_
     partial = fzero  # mpf(0)
     tau_pow = fone  # mpf(1)
-    for c in sd.memo(_correction_coefficients):
+    for c in sd.memo(_khintchine_constants)[5]:
         if c == fzero:  # term = 0, below any bound: partial stays finite
             return mp.make_mpf(partial)
         tau_pow = mpf_mul(tau_pow, t, prec, rounding)  # tau_pow *= tau
@@ -156,19 +146,6 @@ def q_constant(sd: SpectralData) -> mpf:
     return mp.make_mpf(sd.memo(_explicit_constants)[2])
 
 
-def _top_pole_constants(sd: SpectralData) -> tuple:
-    """rho_r + 1, rho_r h_r and the Gaussian prefactor's log
-    (1/2) log(2 pi rho_r h_r (rho_r+1)) as raw values, for both estimates."""
-    prec, rounding = mp._prec_rounding
-    rho_r, h_r = sd.rho_r._mpf_, sd.poles[-1].h._mpf_
-    rho_1 = mpf_add(rho_r, fone, prec, rounding)  # rho_r + 1
-    v = mpf_mul_int(mpf_pi(prec, rounding), 2, prec, rounding)  # 2 * mp.pi
-    for x in (rho_r, h_r, rho_1):  # * rho_r * h_r * (rho_r + 1)
-        v = mpf_mul(v, x, prec, rounding)
-    half_log = mpf_div(mpf_log(v, prec, rounding), ftwo, prec, rounding)  # mp.log(v) / 2
-    return rho_1, mpf_mul(rho_r, h_r, prec, rounding), half_log
-
-
 _TERM_NAMES = ("prefactor_log", "power_log", "exponent_sum", "Q_or_delta")
 
 
@@ -200,26 +177,41 @@ def _log_estimate(formula: str, n, terms: tuple) -> LogEstimate:
 
 
 def _khintchine_constants(sd: SpectralData) -> tuple:
-    """rho_r/2 + 1, the half log variance, -A0, h0 and (-rho, h) per pole
-    as raw values: everything in the Khintchine estimate but n and delta_n."""
+    """Everything in the Khintchine estimate but n and delta_n, as raw values:
+    rho_r/2 + 1, the half log variance (1/2) log(2 pi rho_r h_r (rho_r+1)),
+    -A0, h0, (-rho, h) per pole and the correction series' tau-free factors
+    (-1)^l D(-l) / l!, l = 1, 2, ...; then rho_r + 1 and rho_r h_r, which
+    the explicit formula reads too."""
     prec, rounding = mp._prec_rounding
-    half_rho = mpf_div(sd.rho_r._mpf_, ftwo, prec, rounding)  # sd.rho_r / 2 + 1
+    rho_r, h_r = sd.rho_r._mpf_, sd.poles[-1].h._mpf_
+    half_rho = mpf_div(rho_r, ftwo, prec, rounding)  # sd.rho_r / 2 + 1
     poles = tuple((mpf_neg(rho._mpf_, prec, rounding), h._mpf_) for rho, h in sd.poles)
-    return (mpf_add(half_rho, fone, prec, rounding), sd.memo(_top_pole_constants)[2],
-            mpf_neg(sd.A0._mpf_, prec, rounding), sd.h0._mpf_, poles)  # -sd.A0
+    rho_1 = mpf_add(rho_r, fone, prec, rounding)  # rho_r + 1
+    v = mpf_mul_int(mpf_pi(prec, rounding), 2, prec, rounding)  # 2 * mp.pi
+    for x in (rho_r, h_r, rho_1):  # * rho_r * h_r * (rho_r + 1)
+        v = mpf_mul(v, x, prec, rounding)
+    half_log = mpf_div(mpf_log(v, prec, rounding), ftwo, prec, rounding)  # mp.log(v) / 2
+    corrections, fact = [], fone  # fact = mpf(1)
+    for l, d in enumerate(sd.d_neg, start=1):
+        fact = mpf_mul_int(fact, l, prec, rounding)  # fact *= l
+        c = mpf_mul_int(d._mpf_, (-1) ** l, prec, rounding)  # (-1) ** l * d
+        corrections.append(mpf_div(c, fact, prec, rounding))  # c / fact
+    return (mpf_add(half_rho, fone, prec, rounding), half_log,
+            mpf_neg(sd.A0._mpf_, prec, rounding), sd.h0._mpf_, poles,  # -sd.A0
+            tuple(corrections), rho_1, mpf_mul(rho_r, h_r, prec, rounding))
 
 
 def _explicit_constants(sd: SpectralData) -> tuple:
-    """The explicit formula but n as raw values, built once per spectrum
-    (SpectralData.memo): the prefactor, kappa, Q, and the coefficients c_l and
-    exponents e_l = rho_l/(rho_r+1) of its terms c_l n^e_l, l = r, 1, ..., r-1.
-    Raises IneligibleSpectrumError when the formula does not apply."""
+    """The explicit formula but n as raw values: the prefactor, kappa, Q, and
+    the coefficients c_l and exponents e_l = rho_l/(rho_r+1) of its terms
+    c_l n^e_l, l = r, 1, ..., r-1.  Raises IneligibleSpectrumError when the
+    formula does not apply, before it reads the Khintchine record."""
     classification = validate_spectrum(sd)
     if classification == INELIGIBLE:
         raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {sd.gap} > 0: "
                                       "the explicit formula does not apply")
     prec, rounding = mp._prec_rounding
-    rho_1, rh, half_log_variance = sd.memo(_top_pole_constants)
+    _, half_log_variance, *_, rho_1, rh = sd.memo(_khintchine_constants)
     rho_r, A0 = sd.rho_r._mpf_, sd.A0._mpf_
     two_rho_1 = mpf_mul_int(rho_1, 2, prec, rounding)  # 2 * (rho_r + 1)
     # -half_log_variance + (rho_r + 2 - 2 * sd.A0) / two_rho_1 * mp.log(rh)
@@ -261,10 +253,8 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
     The Gaussian prefactor carries the local variance rho_r h_r (rho_r+1)
     of the tilted distribution; with it, the estimate and the explicit
     formula agree to o(1) (their shared derivation fixes the constant).
-    Requires a whole n >= 1, and delta_n < 1 for the correction series
-    (that DomainError names n_min, the least n with lhs(1) < n: 6 for
-    roots).  Everything but n and delta_n is built once per spectrum and
-    working precision (SpectralData.memo), and the sum runs on raw values.
+    Requires a whole n >= 1, and delta_n < 1 for the correction series (that
+    DomainError names n_min, the least n with lhs(1) < n: 6 for roots).
     """
     n = _whole_n(n)
     delta = solve_delta(sd, n).delta
@@ -274,9 +264,9 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
         raise DomainError(f"correction series needs 0 < tau < 1, so n >= {n_min}; "
                           f"got tau = delta_n = {delta} at n = {n}")
     prec, rounding = mp._prec_rounding
-    half_rho_1, half_log_variance, neg_A0, h0, poles = sd.memo(_khintchine_constants)
+    half_rho_1, half_log_variance, neg_A0, h0, poles, *_ = sd.memo(_khintchine_constants)
     log_delta = mpf_log(d, prec, rounding)  # mp.log(delta)
-    # (sd.rho_r / 2 + 1) * log_delta - the half log variance of _top_pole_constants
+    # (sd.rho_r / 2 + 1) * log_delta - the half log variance
     prefactor = mpf_sub(mpf_mul(half_rho_1, log_delta, prec, rounding),
                         half_log_variance, prec, rounding)
     power = mpf_mul(neg_A0, log_delta, prec, rounding)  # -sd.A0 * log_delta
@@ -314,9 +304,7 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
         + sum_{l=1}^{r-1} h_l (rho_r h_r)^(-rho_l/(rho_r+1)) n^(rho_l/(rho_r+1))
 
     Needs a whole n >= 1 and a subcritical or critical spectrum
-    (IneligibleSpectrumError otherwise).  Everything but n is built once
-    per spectrum and working precision and kept on sd (SpectralData.memo);
-    the sum runs on raw values.
+    (IneligibleSpectrumError otherwise).
     """
     n = _whole_n(n)
     prefactor, kappa, Q, coefficients, exponents = sd.memo(_explicit_constants)
@@ -335,10 +323,16 @@ def to_decimal(le: LogEstimate):
 
     The mantissa carries 12 significant digits; the pair is exact in the
     sense mantissa * 10^exponent10 = exp(log_value) to that precision.
+    Its error, about mantissa |log_value| 2^(1-prec), must stay within half
+    a unit of the 12th digit: DomainError, naming the digits needed, if not.
     """
     log10_value = le.log_value / mp.log(10)
     exponent10 = int(mp.floor(log10_value))
     mantissa = mp.power(10, log10_value - exponent10)
+    excess = mantissa * abs(le.log_value) * mp.ldexp(1, 1 - mp.prec) / mpf("5e-12")
+    if excess > 1:
+        raise DomainError(f"12 digits of exp({shown(le.log_value)}) need a precision "
+                          f"of {mp.dps + 1 + int(mp.ceil(mp.log10(excess)))} digits")
     mantissa = mp.mpf(mp.nstr(mantissa, 12, strip_zeros=False))
     if mantissa >= 10:  # 10^t, t in [0, 1), rounds up to 10 at 12 digits
         mantissa = mantissa / 10

@@ -223,26 +223,22 @@ def cmd_spectrum(args, parser) -> int:
     return OK
 
 
-def _print_estimate(le, log10: bool) -> None:
-    label = "log10" if log10 else "log"
-    value = le.log_value / mp.log(10) if log10 else le.log_value
-    print(f"{le.formula} {label} c_n: {fmt(value)}")
-    mantissa, exponent10 = to_decimal(le)
-    print(f"{le.formula} c_n ~ {mp.nstr(mantissa, 12)}e{exponent10}")
-
-
 def cmd_predict(args, parser) -> int:
     if args.n < 1:
         parser.error(f"--n must be >= 1; got {args.n}")
     _, sd = _resolve_model(args, parser)
     formulas = (KHINTCHINE, EXPLICIT) if args.formula == "both" else (args.formula,)
     estimators = {KHINTCHINE: log_estimate_khintchine, EXPLICIT: log_estimate_explicit}
-    # every estimate is made before the first print, so a failure prints nothing
-    estimates = [estimators[f](sd, args.n) for f in formulas]
-    print(f"model: {sd.label}")
-    print(f"n: {args.n}")
-    for le in estimates:
-        _print_estimate(le, args.log10)
+    label = "log10" if args.log10 else "log"
+    # every line is made before the first print, so a failure prints nothing
+    lines = [f"model: {sd.label}", f"n: {args.n}"]
+    for f in formulas:
+        le = estimators[f](sd, args.n)
+        value = le.log_value / mp.log(10) if args.log10 else le.log_value
+        mantissa, exponent10 = to_decimal(le)
+        lines += [f"{f} {label} c_n: {fmt(value)}",
+                  f"{f} c_n ~ {mp.nstr(mantissa, 12)}e{exponent10}"]
+    print("\n".join(lines))
     return OK
 
 
@@ -409,6 +405,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (OSError, SubexpError) as exc:  # OSError: an unreadable --spec
         print(f"error: {exc}", file=sys.stderr)
+        return MODEL_ERROR
+    except MemoryError:  # a size no allocation can hold, such as --N 10**18
+        print("error: out of memory", file=sys.stderr)
         return MODEL_ERROR
 
 

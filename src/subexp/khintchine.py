@@ -12,7 +12,9 @@ bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
 root, the same safeguarded loop starts instead from that leading term,
 computed at the working precision.
 
-The left side, its per-spectrum constants and the solver's set-up and
+The solver's per-spectrum constants are one record, built once per spectrum
+and working precision (SpectralData.memo): raw values for the left side and
+floats for the float phase.  The left side, that record and the set-up and
 polish loop run on raw mpmath.libmp values: the same operations, in the same
 order and at mp's precision and rounding, as the mpf expressions quoted
 beside them, so every result is bit for bit what mpf arithmetic gives.
@@ -83,23 +85,11 @@ def _stop_constants(prec: int) -> tuple:
         return tuple(v._mpf_ for v in (mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)))
 
 
-def _lhs_constants(sd: SpectralData) -> tuple:
-    """D(-1), A0 and (h rho, -rho-1, rho+1) per pole as raw values, the
-    constants of _lhs_and_slope."""
-    prec, rounding = mp._prec_rounding
-    # (h * rho, -rho - 1, rho + 1) per pole
-    poles = tuple((mpf_mul(h, rho, prec, rounding),
-                   mpf_sub(mpf_neg(rho, prec, rounding), fone, prec, rounding),
-                   mpf_add(rho, fone, prec, rounding))
-                  for rho, h in ((rho._mpf_, h._mpf_) for rho, h in sd.poles))
-    return sd.d_neg[0]._mpf_, sd.A0._mpf_, poles
-
-
 def _lhs_and_slope(sd: SpectralData, x) -> tuple:
     """lhs(x) and x*lhs'(x) together, with one power per pole, for a raw
     x > 0; raw results."""
     prec, rounding = mp._prec_rounding
-    d1, A0, poles = sd.memo(_lhs_constants)
+    d1, A0, poles, _ = sd.memo(_solver_constants)
     a0 = mpf_div(A0, x, prec, rounding)  # a0 = sd.A0 / x
     lhs = mpf_add(d1, a0, prec, rounding)  # lhs = D(-1) + a0
     slope = mpf_neg(a0, prec, rounding)  # slope = -a0
@@ -127,18 +117,25 @@ def _as_float(v) -> float:
     return f
 
 
-def _float_constants(sd: SpectralData) -> "tuple | None":
-    """The constants of _float_root as floats: rho_r h_r, 1/(rho_r+1), A0,
-    D(-1) and (h rho, -rho-1, rho+1) per pole; None when one is out of
-    float range."""
+def _solver_constants(sd: SpectralData) -> tuple:
+    """D(-1), A0 and (h rho, -rho-1, rho+1) per pole, raw, for _lhs_and_slope;
+    then _float_root's rho_r h_r, 1/(rho_r+1), A0, D(-1) and those triples
+    in floats, or None when a value is out of float range."""
+    prec, rounding = mp._prec_rounding
+    rho_h = [(rho._mpf_, h._mpf_) for rho, h in sd.poles]
+    d1, A0 = sd.d_neg[0]._mpf_, sd.A0._mpf_
+    # (h * rho, -rho - 1, rho + 1) per pole
+    poles = tuple((mpf_mul(h, rho, prec, rounding),
+                   mpf_sub(mpf_neg(rho, prec, rounding), fone, prec, rounding),
+                   mpf_add(rho, fone, prec, rounding)) for rho, h in rho_h)
     try:
-        a0, d1 = _as_float(sd.A0._mpf_), _as_float(sd.d_neg[0]._mpf_)
-        poles = [(_as_float(rho._mpf_), _as_float(h._mpf_)) for rho, h in sd.poles]
+        floats = [(_as_float(rho), _as_float(h)) for rho, h in rho_h]
+        a0, d1f = _as_float(A0), _as_float(d1)
     except OverflowError:
-        return None
-    rho_r, h_r = poles[-1]
-    factors = tuple((h * rho, -rho - 1, rho + 1) for rho, h in poles)
-    return rho_r * h_r, 1 / (rho_r + 1), a0, d1, factors
+        return d1, A0, poles, None
+    rho_r, h_r = floats[-1]
+    factors = tuple((h * rho, -rho - 1, rho + 1) for rho, h in floats)
+    return d1, A0, poles, (rho_r * h_r, 1 / (rho_r + 1), a0, d1f, factors)
 
 
 def _float_root(sd: SpectralData, n) -> "float | None":
@@ -149,7 +146,7 @@ def _float_root(sd: SpectralData, n) -> "float | None":
     is not finite, lhs <= 0, an iterate leaves [BRACKET_MIN, BRACKET_MAX], or
     FLOAT_MAX_ITER steps do not converge.
     """
-    constants = sd.memo(_float_constants)
+    constants = sd.memo(_solver_constants)[3]
     if constants is None:
         return None
     seed_base, seed_power, a0, d1, poles = constants

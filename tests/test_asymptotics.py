@@ -121,14 +121,13 @@ def test_estimate_constants_leave_equality_hash_and_repr_alone():
     assert repr(sd) == repr(twin) == before[1]
 
 
-# the per-spectrum constant builders, each kept on SpectralData.memo
+# the per-spectrum constant records, one per consumer, each kept on
+# SpectralData.memo: the solver's, the Khintchine estimate's and the
+# explicit formula's, which reads the Khintchine record
 BUILDERS = (
-    (asymptotics, "_correction_coefficients"),
-    (asymptotics, "_top_pole_constants"),
+    (khintchine, "_solver_constants"),
     (asymptotics, "_khintchine_constants"),
     (asymptotics, "_explicit_constants"),
-    (khintchine, "_lhs_constants"),
-    (khintchine, "_float_constants"),
 )
 
 
@@ -163,8 +162,20 @@ def test_each_builder_runs_once_per_spectrum_and_precision(monkeypatch, args):
     assert set(calls.values()) == {3}, calls
 
 
+def test_explicit_record_builds_the_khintchine_record_once(monkeypatch):
+    calls = _spy_on_builders(monkeypatch)
+    sd = derive_spectrum(make_preset("roots"))
+    explicit = log_estimate_explicit(sd, 1000)
+    assert calls == {"_solver_constants": 0, "_khintchine_constants": 1,
+                     "_explicit_constants": 1}
+    log_estimate_khintchine(sd, 1000)
+    assert log_estimate_explicit(sd, 1000) == explicit
+    assert set(calls.values()) == {1}, calls
+
+
 def test_ineligible_spectrum_raises_on_every_call(monkeypatch):
     # a failed build stores nothing, so each call builds and raises again;
+    # eligibility is checked before the Khintchine record is read, and
     # kappa and the Khintchine estimate need no eligibility
     calls = _spy_on_builders(monkeypatch)
     inel = SpectralData(
@@ -177,8 +188,13 @@ def test_ineligible_spectrum_raises_on_every_call(monkeypatch):
         with pytest.raises(IneligibleSpectrumError):
             q_constant(inel)
         assert calls["_explicit_constants"] == 2 * k
-        assert asymptotics._explicit_constants not in inel._memo
+        assert calls["_khintchine_constants"] == 0
     assert mp.isfinite(log_estimate_khintchine(inel, 100).log_value)
+    with pytest.raises(IneligibleSpectrumError):
+        log_estimate_explicit(inel, 100)
+    assert calls["_khintchine_constants"] == 1
+    assert asymptotics._khintchine_constants in inel._memo
+    assert asymptotics._explicit_constants not in inel._memo
     assert kappa(inel) == mpf(-2) / 3
 
 
@@ -302,6 +318,21 @@ def test_to_decimal():
     # at 12 digits and carries into the exponent
     million = type(le)(EXPLICIT, 1, mp.log(mpf(10) ** 6), {})
     assert to_decimal(million) == (1, 6)
+
+
+def test_to_decimal_refuses_digits_the_precision_does_not_hold():
+    # the mantissa's error is about |log_value| 2^(1-prec) relative: at 15
+    # digits roots' explicit estimate at n = 10^8 (log c_n near 545881)
+    # would print 1.65212235398e237073, wrong from the 10th digit
+    sd = derive_spectrum(make_preset("roots"))
+    with mp.workdps(15):
+        le = log_estimate_explicit(sd, 10**8)
+        with pytest.raises(DomainError, match="need a precision of 18 digits"):
+            to_decimal(le)
+    for dps in (18, 60):
+        with mp.workdps(dps):
+            mantissa, exponent10 = to_decimal(log_estimate_explicit(sd, 10**8))
+            assert (mp.nstr(mantissa, 12), exponent10) == ("1.65212235457", 237073)
 
 
 def test_explicit_requires_positive_n():

@@ -111,6 +111,22 @@ def test_predict_failure_names_the_largest_n(capsys):
     assert "needs n < 1644934066847726436472415.2" in err
 
 
+def test_predict_refuses_digits_the_precision_does_not_hold(capsys):
+    # at n = 10^60, 38 digits would print 5.06236552775e..., wrong from the
+    # 9th digit; the model and n lines are not printed either
+    n = str(10**60)
+    code, out, err = run(capsys, "predict", "--model", "standard", "--n", n,
+                         "--formula", "explicit")
+    assert (code, out) == (3, "")
+    assert "need a precision of 43 digits" in err
+    code, out, _ = run(capsys, "predict", "--model", "standard", "--n", n,
+                       "--formula", "explicit", "--precision", "43")
+    assert code == 0 and "explicit c_n ~ 5.06236553957e" in out
+    code, out, _ = run(capsys, "predict", "--model", "roots", "--n", str(10**8),
+                       "--precision", "15")
+    assert (code, out) == (3, "")
+
+
 def test_predict_rejects_n_zero(capsys):
     code, _, _ = run(capsys, "predict", "--model", "standard", "--n", "0")
     assert code == 2
@@ -127,6 +143,15 @@ def test_exact_listing(capsys):
     code, out, err = run(capsys, "exact", "--model", "standard", "--N", str(10**400))
     assert (code, out) == (3, "")
     assert "warning: N=" in err and "error: need an int N >= 0" in err
+
+
+def test_a_size_no_allocation_holds_exits_3(capsys):
+    # 10**18 entries of 8 bytes each: the first allocation fails at once, and
+    # its MemoryError becomes exit 3, not a traceback
+    for argv in (("exact", "--N", str(10**18)), ("compare", "--grid", f"1:{10**18}:1")):
+        code, out, err = run(capsys, *argv, "--model", "standard")
+        assert (code, out) == (3, ""), argv
+        assert "error: out of memory" in err
 
 
 def test_exact_oracle_flag(capsys, monkeypatch):
