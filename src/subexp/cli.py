@@ -8,14 +8,23 @@ Subcommands:
     compare    CSV table of exact vs predicted values over a grid of n
     verify     run the built-in constant self-checks
 
-Exit codes: 0 success, 2 usage error, 3 model or eligibility error,
-4 verification failure.  Output is deterministic: identical invocations
-produce byte-identical bytes.  All reals are printed with 15 significant
-digits; logs are natural unless --log10 is passed.
+The model is a preset (--model standard, roots, or congruent with --a
+and --b) or --model custom with --spec FILE, a JSON spectrum document.
+
+Each command returns its exit code and its stdout lines, and main alone
+writes them, in one write once the command has returned; so a failure
+leaves stdout empty, and a failing verify or --require-eligible still
+prints its lines.  Exit codes: 0 success, 1 stdout closed early (as by
+`| head -1`; stderr stays quiet), 2 usage error, 3 model or eligibility
+error (an unreadable --spec too), 4 verification failure.  Output is
+deterministic: identical invocations produce byte-identical bytes.  All
+reals are printed with 15 significant digits; logs are natural unless
+--log10 is passed.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -61,119 +70,85 @@ def fmt(x) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subexp",
-        description="Exact and asymptotic enumeration of multiplicative "
-        "structures (weighted partitions).",
-    )
+    parser = argparse.ArgumentParser(prog="subexp", description="Exact and asymptotic "
+                                     "enumeration of multiplicative structures "
+                                     "(weighted partitions).")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision",
-        type=int,
-        metavar="DIGITS",
-        help="working precision in significant decimal digits (default 38)",
-    )
+    common.add_argument("--precision", type=int, metavar="DIGITS", help="working "
+                        "precision in significant decimal digits (default 38)")
     selector = argparse.ArgumentParser(add_help=False)
-    selector.add_argument(
-        "--model",
-        required=True,
-        choices=["standard", "roots", "congruent", "custom"],
-        help="preset model, or 'custom' with --spec",
-    )
+    selector.add_argument("--model", required=True,
+                          choices=["standard", "roots", "congruent", "custom"],
+                          help="preset model, or 'custom' with --spec")
     selector.add_argument("--a", type=int, help="modulus for congruent")
     selector.add_argument("--b", type=int, help="residue for congruent")
-    selector.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="JSON file with keys poles ([{rho, h}, ...]), A0, h0, d_neg, "
-        "and optionally weights (b_1..b_N table for exact counting)",
-    )
+    selector.add_argument("--spec", metavar="FILE", help="JSON file with keys poles "
+                          "([{rho, h}, ...]), A0, h0, d_neg, and optionally weights "
+                          "(b_1..b_N table for exact counting)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "spectrum", parents=[common, selector], help="print spectral data"
-    )
-    p.add_argument(
-        "--require-eligible",
-        action="store_true",
-        help="exit nonzero when the spectrum admits no explicit formula",
-    )
+    p = sub.add_parser("spectrum", parents=[common, selector],
+                       help="print spectral data")
+    p.add_argument("--require-eligible", action="store_true",
+                   help="exit nonzero when the spectrum admits no explicit formula")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser(
-        "predict", parents=[common, selector], help="asymptotic estimate at one n"
-    )
+    p = sub.add_parser("predict", parents=[common, selector],
+                       help="asymptotic estimate at one n")
     p.add_argument("--n", type=int, required=True, help="target index n >= 1")
-    p.add_argument(
-        "--formula",
-        choices=[KHINTCHINE, EXPLICIT, "both"],
-        default="both",
-    )
+    p.add_argument("--formula", choices=[KHINTCHINE, EXPLICIT, "both"], default="both")
     p.add_argument("--log10", action="store_true", help="print base-10 logs")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser(
-        "exact", parents=[common, selector], help="exact coefficients c_0..c_N"
-    )
+    p = sub.add_parser("exact", parents=[common, selector],
+                       help="exact coefficients c_0..c_N")
     p.add_argument("--N", type=int, required=True, help="truncation order")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against an independent algorithm; exit 4 on mismatch",
-    )
+    p.add_argument("--oracle", action="store_true", help="cross-check against an "
+                   "independent algorithm; exit 4 on mismatch")
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser(
-        "compare", parents=[common, selector], help="exact vs predicted CSV"
-    )
+    p = sub.add_parser("compare", parents=[common, selector],
+                       help="exact vs predicted CSV")
     p.add_argument("--grid", metavar="START:STOP:STEP", help="arithmetic grid of n")
     p.add_argument("--geom", metavar="START:STOP:FACTOR", help="geometric grid of n")
     p.add_argument("--log10", action="store_true", help="print base-10 logs")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="run the built-in constant checks"
-    )
+    p = sub.add_parser("verify", parents=[common],
+                       help="run the built-in constant checks")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
-def _resolve_model(args, parser):
-    """Model selector -> (ModelSpec or None, SpectralData)."""
+def _resolve_model(args, parser, countable=False):
+    """Model selector -> (ModelSpec, SpectralData); the ModelSpec is None for
+    a custom document without weights, unless countable makes that an error."""
     if args.model != "congruent" and (args.a is not None or args.b is not None):
         parser.error(f"--a and --b need --model congruent; got --model {args.model}")
-    if args.model == "congruent":
-        if args.a is None or args.b is None:
-            parser.error("--model congruent requires --a and --b")
-        model = make_preset("congruent", args.a, args.b)
+    if args.model == "congruent" and (args.a is None or args.b is None):
+        parser.error("--model congruent requires --a and --b")
+    if args.model != "custom":
+        if args.spec is not None:
+            parser.error(f"--spec needs --model custom; got --model {args.model}")
+        model = make_preset(args.model, args.a, args.b)
         return model, derive_spectrum(model)
-    if args.model == "custom":
-        if not args.spec:
-            parser.error("--model custom requires --spec FILE")
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as exc:  # bad UTF-8 or JSON, or an int past the str limit
-            raise SpectrumSchemaError(f"{args.spec}: {exc}") from None
-        sd = load_custom_spectrum(doc)
-        model = None
-        if doc.get("weights") is not None:
-            model = custom_model(doc["weights"])
-        return model, sd
-    model = make_preset(args.model)
-    return model, derive_spectrum(model)
-
-
-def _exact_model(args, parser):
-    """Like _resolve_model, but the model must be countable."""
-    model, sd = _resolve_model(args, parser)
-    if model is None:
-        raise SubexpError(
-            "exact counting for a custom model needs a weights table in the "
-            "spec file"
-        )
-    return model, sd
+    if not args.spec:
+        parser.error("--model custom requires --spec FILE")
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:  # its text names the file
+        raise SubexpError(str(exc)) from None
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the str limit
+        raise SpectrumSchemaError(f"{args.spec}: {exc}") from None
+    sd = load_custom_spectrum(doc)
+    if doc.get("weights") is not None:
+        return custom_model(doc["weights"]), sd
+    if countable:
+        raise SubexpError("exact counting for a custom model needs a weights table "
+                          "in the spec file")
+    return None, sd
 
 
 def _parse_grid(expr: str, geometric: bool, parser) -> list:
@@ -186,51 +161,43 @@ def _parse_grid(expr: str, geometric: bool, parser) -> list:
         parser.error(f"grid components must be integers; got {expr!r}")
     if start < 1 or stop > sys.maxsize:  # no list holds a grid past sys.maxsize
         parser.error("grid needs START >= 1 and STOP <= sys.maxsize")
-    if geometric:
-        if step < 2:
-            parser.error("geometric FACTOR must be >= 2")
-        out = []
-        n = start
-        while n <= stop:
-            out.append(n)
-            n *= step
-        return out
-    if step < 1:
-        parser.error("grid STEP must be >= 1")
-    return list(range(start, stop + 1, step))
+    if step < 1 + geometric:
+        parser.error("geometric FACTOR must be >= 2" if geometric
+                     else "grid STEP must be >= 1")
+    if not geometric:
+        return list(range(start, stop + 1, step))
+    out, n = [], start
+    while n <= stop:
+        out.append(n)
+        n *= step
+    return out
 
 
-def cmd_spectrum(args, parser) -> int:
+def cmd_spectrum(args, parser):
     _, sd = _resolve_model(args, parser)
     classification = validate_spectrum(sd)
-    print(f"model: {sd.label}")
-    print(f"r: {sd.r}")
-    for l, (rho, h) in enumerate(sd.poles, start=1):
-        print(f"pole {l}: rho = {fmt(rho)}  h = {fmt(h)}")
-    print(f"A0: {fmt(sd.A0)}")
-    print(f"h0: {fmt(sd.h0)}")
-    print(f"theta: {fmt(sd.theta)}")
-    dneg = ", ".join(fmt(d) for d in sd.d_neg)
-    print(f"D(-l), l = 1..{len(sd.d_neg)}: {dneg}")
-    print(f"gap 2*rho_(r-1) - rho_r: {'n/a' if sd.gap is None else fmt(sd.gap)}")
-    print(f"classification: {classification}")
+    lines = [f"model: {sd.label}", f"r: {sd.r}",
+             *(f"pole {l}: rho = {fmt(rho)}  h = {fmt(h)}"
+               for l, (rho, h) in enumerate(sd.poles, start=1)),
+             f"A0: {fmt(sd.A0)}", f"h0: {fmt(sd.h0)}", f"theta: {fmt(sd.theta)}",
+             f"D(-l), l = 1..{len(sd.d_neg)}: {', '.join(map(fmt, sd.d_neg))}",
+             f"gap 2*rho_(r-1) - rho_r: {'n/a' if sd.gap is None else fmt(sd.gap)}",
+             f"classification: {classification}"]
     if classification != INELIGIBLE:
-        print(f"kappa: {fmt(kappa(sd))}")
-        print(f"Q: {fmt(q_constant(sd))}")
-    if args.require_eligible and classification == INELIGIBLE:
+        lines += [f"kappa: {fmt(kappa(sd))}", f"Q: {fmt(q_constant(sd))}"]
+    elif args.require_eligible:
         print("spectrum is ineligible for the explicit formula", file=sys.stderr)
-        return MODEL_ERROR
-    return OK
+        return MODEL_ERROR, lines
+    return OK, lines
 
 
-def cmd_predict(args, parser) -> int:
+def cmd_predict(args, parser):
     if args.n < 1:
         parser.error(f"--n must be >= 1; got {args.n}")
     _, sd = _resolve_model(args, parser)
     formulas = (KHINTCHINE, EXPLICIT) if args.formula == "both" else (args.formula,)
     estimators = {KHINTCHINE: log_estimate_khintchine, EXPLICIT: log_estimate_explicit}
     label = "log10" if args.log10 else "log"
-    # every line is made before the first print, so a failure prints nothing
     lines = [f"model: {sd.label}", f"n: {args.n}"]
     for f in formulas:
         le = estimators[f](sd, args.n)
@@ -238,42 +205,32 @@ def cmd_predict(args, parser) -> int:
         mantissa, exponent10 = to_decimal(le)
         lines += [f"{f} {label} c_n: {fmt(value)}",
                   f"{f} c_n ~ {mp.nstr(mantissa, 12)}e{exponent10}"]
-    print("\n".join(lines))
-    return OK
+    return OK, lines
 
 
-def cmd_exact(args, parser) -> int:
+def cmd_exact(args, parser):
     if args.N < 0:
         parser.error(f"--N must be >= 0; got {args.N}")
     if args.N > EXACT_N_WARN:
-        print(
-            f"warning: N={args.N} implies ~log2(N) levels of big-integer "
-            "products over N coefficients; expect a long run",
-            file=sys.stderr,
-        )
-    model, _ = _exact_model(args, parser)
+        print(f"warning: N={args.N} implies ~log2(N) levels of big-integer "
+              "products over N coefficients; expect a long run", file=sys.stderr)
+    model, _ = _resolve_model(args, parser, countable=True)
     series = exact_coefficients(model, args.N)
-    try:  # every line is built before the oracle and the first print
+    try:
         lines = [f"{n} {series[n]}" for n in range(args.N + 1)]
     except ValueError:  # a c_n longer than sys.get_int_max_str_digits()
         raise DomainError(f"a c_n has over {sys.get_int_max_str_digits()} digits, "
                           "the int-to-str limit (PYTHONINTMAXSTRDIGITS)") from None
     if args.oracle:
-        if args.model == "standard":
-            other = pentagonal_oracle(args.N)
-            oracle_name = "pentagonal recurrence"
-        else:
-            other = product_dp(model, args.N)
-            oracle_name = "direct product evaluation"
+        std = args.model == "standard"
+        other = pentagonal_oracle(args.N) if std else product_dp(model, args.N)
+        oracle_name = "pentagonal recurrence" if std else "direct product evaluation"
         bad = [n for n in range(args.N + 1) if series[n] != other[n]]
         if bad:
-            print(
-                f"oracle mismatch ({oracle_name}) at n = {bad[:10]}", file=sys.stderr
-            )
-            return VERIFY_FAILURE
+            print(f"oracle mismatch ({oracle_name}) at n = {bad[:10]}", file=sys.stderr)
+            return VERIFY_FAILURE, []
         print(f"oracle check passed: {oracle_name}, N={args.N}", file=sys.stderr)
-    print("\n".join(lines))
-    return OK
+    return OK, lines
 
 
 CSV_HEADER = (
@@ -282,14 +239,12 @@ CSV_HEADER = (
 )
 
 
-def cmd_compare(args, parser) -> int:
+def cmd_compare(args, parser):
     if (args.grid is None) == (args.geom is None):
         parser.error("compare needs exactly one of --grid or --geom")
-    if args.grid is not None:
-        grid = _parse_grid(args.grid, False, parser)
-    else:
-        grid = _parse_grid(args.geom, True, parser)
-    model, sd = _exact_model(args, parser)
+    geometric = args.grid is None
+    grid = _parse_grid(args.geom if geometric else args.grid, geometric, parser)
+    model, sd = _resolve_model(args, parser, countable=True)
     series = exact_coefficients(model, max(grid, default=0))
     # rows on raw values, each comment the mpf expression; fmt(x) is to_str(x, 15)
     prec, rounding = mp._prec_rounding
@@ -298,8 +253,6 @@ def cmd_compare(args, parser) -> int:
     def log_cell(x):  # fmt(x / mp.log(10)) with --log10, else fmt(x)
         return to_str(x if log10 is None else mpf_div(x, log10, prec, rounding), 15)
 
-    # every row is built before the header is written, so a failure
-    # leaves stdout empty rather than holding a partial table
     rows = [CSV_HEADER]
     for n in grid:
         # mp.log(to_mpf(series[n])): an int enters exact, a Fraction rounded once
@@ -311,8 +264,7 @@ def cmd_compare(args, parser) -> int:
                   for pred in (kh, ex))
         rows.append(",".join([str(n), *map(log_cell, (exact_log, kh, ex)),
                               *(to_str(r, 15) for r in ratios)]))
-    print("\n".join(rows))
-    return OK
+    return OK, rows
 
 
 def _verify_checks():
@@ -371,44 +323,46 @@ def _verify_checks():
     ]
 
 
-def cmd_verify(args, parser) -> int:
-    failures = 0
+def cmd_verify(args, parser):
     checks = _verify_checks()
-    for name, got, want, tol in checks:
-        if abs(got - want) <= tol:
-            print(f"{name} OK")
-        else:
-            failures += 1
-            print(f"{name} FAIL: got {fmt(got)}, want {fmt(want)}")
-    if failures:
-        print(f"{failures} of {len(checks)} checks failed")
-        return VERIFY_FAILURE
-    print(f"all {len(checks)} checks passed")
-    return OK
+    failed = [not abs(got - want) <= tol for _, got, want, tol in checks]
+    lines = [f"{name} FAIL: got {fmt(got)}, want {fmt(want)}" if bad else f"{name} OK"
+             for bad, (name, got, want, _) in zip(failed, checks)]
+    if any(failed):
+        return VERIFY_FAILURE, lines + [f"{sum(failed)} of {len(checks)} checks failed"]
+    return OK, lines + [f"all {len(checks)} checks passed"]
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The one writer of stdout:
+    the command's lines go out in one print once it has returned, so a
+    failure at any step leaves stdout empty."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.precision is not None:
+            try:
+                set_working_precision(args.precision)
+            except ValueError as exc:
+                parser.error(f"bad precision: {exc}")
+        code, lines = args.func(args, parser)
+        if lines:
+            print("\n".join(lines), flush=True)
+        return code
+    except SystemExit as exc:  # parser.error, or --help
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.precision is not None:
-        try:
-            set_working_precision(args.precision)
-        except ValueError as exc:
-            print(f"bad precision: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    try:
-        return args.func(args, parser)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (OSError, SubexpError) as exc:  # OSError: an unreadable --spec
+    except SubexpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MODEL_ERROR
     except MemoryError:  # a size no allocation can hold, such as --N 10**18
         print("error: out of memory", file=sys.stderr)
         return MODEL_ERROR
+    except BrokenPipeError:  # stdout's reader has gone, as under `| head -1`
+        # stdout to devnull, so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1  # Python's own exit code on EPIPE (its docs' note on SIGPIPE)
 
 
 if __name__ == "__main__":

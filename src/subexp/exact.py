@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import InexactDivisionError, UnsupportedModelError
-from .model import MULTISET, ModelSpec, lambda_coeffs
+from .model import EXPONENTIAL, MULTISET, ModelSpec, lambda_coeffs
 from .precision import int_arg
 
 # blocks [l, r) with r - l <= max(_LEAF, bits of c[l-1] // _BITS_PER_LEAF_TERM)
@@ -287,12 +287,15 @@ def pentagonal_oracle(N: int) -> ExactSeries:
 def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     """c_0..c_N by direct truncated-product evaluation.
 
-    Multiplies out prod_j (1 - z^j)^(-b_j) factor by factor, reading
-    b_1..b_N from model.weights.  A factor with b_j <= N // j is applied
-    as b_j prefix-sum passes along stride j (one per 1/(1-z^j)); a heavier
-    one as N // j shifted multiply-adds c[m*j:] += C(b_j+m-1, m) * old,
-    the binomial weights of (1-z^j)^(-b_j) times the coefficients from
-    before the factor.
+    Multiplies out prod_j S(z^j)^(b_j) factor by factor, reading b_1..b_N
+    from model.weights, on the multiset base S = 1/(1-w) or the selection
+    base S = 1+w.  A factor with b_j <= N // j is applied as b_j passes
+    along stride j: a multiset pass is prefix sums (one per 1/(1-z^j)), a
+    selection pass the shift-add c[i] += c[i-j] on the values from before
+    it (one per 1+z^j).  A heavier one is N // j shifted multiply-adds
+    c[m*j:] += w_m * old, with w_m = C(b_j+m-1, m) or C(b_j, m), the
+    binomial weights of S(z^j)^(b_j), times the coefficients from before
+    the factor.
 
     The factors go from j = N down to 1.  Below the smallest part `low`
     with b_low > 0 applied so far only c_0 = 1 is nonzero, so a pass
@@ -301,15 +304,14 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     big-int additions of ascending order (2.09 against 4.17 million on
     congruent(3,1) at N = 5000).  The factors and the exact ints are
     those of the plain product, and nothing here reads a Lambda_k or
-    shares counting code with the recurrence.  Only integer-weight multiset
-    models qualify; exists purely as an independent verifier for
-    exact_coefficients.
+    shares counting code with the recurrence.  Only integer weights off
+    the exponential base qualify; exists purely as an independent
+    verifier for exact_coefficients.
     """
     int_arg("N", N, 0)
-    if model.base is not MULTISET:
-        raise UnsupportedModelError(
-            f"product evaluation needs the multiset base; model has {model.base.value}"
-        )
+    if model.base is EXPONENTIAL:
+        raise UnsupportedModelError("product evaluation needs the multiset or "
+                                    "selection base; model has exponential")
     b = model.weights(N)
     if b and type(b[0]) is not int:
         j, bj = next((j, x) for j, x in enumerate(b, 1) if x.denominator != 1)
@@ -318,17 +320,25 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
         )
     c = [1] + [0] * N
     low = N + 1  # the smallest part applied so far; c[1:low] is zero
+    selection = model.base is not MULTISET
     for j in range(N, 0, -1):
         bj = b[j - 1]
         if bj > N // j:
             before = c[: N + 1 - j]
             w = 1
             for m in range(1, N // j + 1):
-                w = w * (bj + m - 1) // m
+                w = w * (bj - m + 1 if selection else bj + m - 1) // m
                 s = m * j
                 c[s] += w  # before[0] = 1, before[1:low] = 0
                 t = s + low
                 c[t:] = map(add, c[t:], [w * v for v in before[low : N + 1 - s]])
+        elif selection:
+            for _ in range(bj):
+                # both slices on the right are copies, so each entry adds the
+                # one j below it from before the pass; below low + j only the
+                # multiples of j do
+                c[low + j :] = map(add, c[low + j :], c[low : N + 1 - j])
+                c[j : low + j : j] = map(add, c[j : low + j : j], c[:low:j])
         else:
             for _ in range(bj):
                 # prefix sums along stride j.  Below low + j only the

@@ -22,6 +22,7 @@ built directly, which reads plain numbers and checks them when it is made.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -33,7 +34,7 @@ from .errors import (
     SpectrumSchemaError,
 )
 from .model import MULTISET, ModelSpec, QuasiPolynomial
-from .precision import int_arg, to_mpf
+from .precision import int_arg, shown, to_mpf
 from .specfun import BERNOULLI_MAX, hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
 
 # classification tolerance on 2*rho_{r-1} - rho_r; preset poles are exact
@@ -168,6 +169,33 @@ def validate_spectrum(sd: SpectralData) -> str:
     return INELIGIBLE
 
 
+def _first_negative(rule: QuasiPolynomial, r: int, degree: int):
+    """The least j = r (mod a) with b_j < 0, or None.  There b_j is a
+    polynomial f(k) of degree <= degree in k = (j - r) / a.  Each forward
+    difference of f is monotone between the sign changes of the next, and
+    the last is constant; so once all are >= 0 at hi, f stays >= 0 past hi,
+    and bisection finds each one's sign changes on [0, hi]."""
+    def neg(m, k):  # the m-th forward difference of f is negative at k
+        return sum((-1) ** (m - t) * comb(m, t) * rule(r + rule.a * (k + t))
+                   for t in range(m + 1)) < 0
+
+    def changes(m, hi):  # the k in (0, hi] where neg(m, k) != neg(m, k - 1)
+        ends, out = [0, *(changes(m + 1, hi - 1) if m < degree else ()), hi], []
+        for u, v in zip(ends, ends[1:]):  # where the m-th difference is monotone
+            if neg(m, u) != neg(m, v):
+                while v - u > 1:
+                    w = (u + v) // 2
+                    u, v = (w, v) if neg(m, w) == neg(m, u) else (u, w)
+                out.append(v)
+        return out
+
+    hi = degree + 1  # each level m of changes needs hi - m >= 1
+    while not neg(0, hi) and any(neg(m, hi) for m in range(1, degree + 1)):
+        hi *= 2
+    k = 0 if neg(0, 0) else next(iter(changes(0, hi)), None)
+    return None if k is None else r + rule.a * k
+
+
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     """Spectral data for a quasi-polynomial model, with d_neg up to D(-L).
 
@@ -180,8 +208,9 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     (both roots), so below n of about 100 the default leaves terms above
     the series' 1e-12 tolerance unsummed.  D(-L) reads zeta(-L-i, q) for
     each degree i, so degree + L must stay below BERNOULLI_MAX (21 at most;
-    InvalidParametersError otherwise).  Other models have no derivable
-    data; supply it via load_custom_spectrum.
+    InvalidParametersError otherwise), and a rule with a negative b_j has
+    no spectrum (InvalidParametersError naming the first such j).  Other
+    models have no derivable data; supply it via load_custom_spectrum.
     """
     int_arg("L", L, 1, 20)
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
@@ -195,6 +224,12 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
         raise InvalidParametersError(
             f"{model.kind}: degree {degree} + L={L} is {degree + L}; the Bernoulli "
             f"table allows degree + L <= {BERNOULLI_MAX - 1}")
+    if any(c < 0 for _, _, c in terms):  # no preset has a negative c
+        bad = [_first_negative(model.weight, r, degree) for r, _, _ in terms]
+        if any(bad):
+            j = min(filter(None, bad))
+            raise InvalidParametersError(
+                f"{model.kind}: b_j = {shown(model.weight(j))} < 0 at j = {shown(j)}")
     csum = {}  # degree i -> sum of its c over all residues
     for _, i, c in terms:
         csum[i] = csum.get(i, 0) + c

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -65,6 +68,51 @@ def test_a_and_b_need_the_congruent_model(capsys, tmp_path):
                                  "--n", "100")
             assert (code, out) == (2, "")
             assert "--model congruent" in err
+
+
+def test_spec_needs_the_custom_model(capsys, tmp_path):
+    # a preset with --spec was once run as the preset, the file unread
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0,
+                                "d_neg": [0]}))
+    for model in (["standard"], ["roots"], ["congruent", "--a", "3", "--b", "1"]):
+        for path in (str(spec), str(tmp_path / "absent.json")):
+            code, out, err = run(capsys, "spectrum", "--model", *model, "--spec", path)
+            assert (code, out) == (2, "")
+            assert "--spec needs --model custom" in err
+
+
+def test_a_closed_pipe_ends_the_run_quietly(capsys, monkeypatch):
+    # stdout a pipe whose reader has gone: the write fails with EPIPE, and
+    # main exits 1, as Python does, with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["exact", "--model", "standard", "--N", "50"])
+    finally:
+        stdout.close()  # its buffer now goes to devnull, as at exit
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_a_real_process_quietly():
+    # a reader that takes one line, as `subexp exact ... | head -1` does.
+    # c_0..c_3000 print about 130 kB, past what a pipe buffers, so the
+    # write is still open when the reader closes its end
+    src = Path(cli.__file__).resolve().parents[1]
+    script = "import sys; from subexp.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "exact", "--model", "standard", "--N", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == b"0 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"error:" not in err and b"Traceback" not in err, err
 
 
 def test_predict_standard(capsys):

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import distinct_dp, divisor_k_lambda, naive_recurrence, partitions_brute
+from oracles import (
+    MULTISET_G,
+    SELECTION_G,
+    distinct_dp,
+    divisor_k_lambda,
+    log_coefficients,
+    naive_recurrence,
+    partitions_brute,
+)
 from subexp import exact
 from subexp.errors import (
     InexactDivisionError,
@@ -19,6 +27,7 @@ from subexp.errors import (
 from subexp.exact import exact_coefficients, pentagonal_oracle, product_dp
 from subexp.model import (
     EXPONENTIAL,
+    MULTISET,
     SELECTION,
     ModelSpec,
     custom_model,
@@ -141,6 +150,13 @@ def test_selection_base_counts_distinct_parts():
     assert all(isinstance(c, int) for c in series.coeffs)
 
 
+def test_product_dp_counts_distinct_parts_on_the_selection_base():
+    # b_j = 1: one (1 + z^j) per part, the 0/1 knapsack of distinct_dp
+    for N in (0, 1, 2, 3, 50, 300):
+        model = custom_model([1] * N, base=SELECTION)
+        assert list(product_dp(model, N).coeffs) == distinct_dp(N)
+
+
 def test_exponential_base_rational_coeffs():
     # f = exp(z + z^2 + ...): c_2 = 3/2, c_3 = 13/6 by hand expansion
     model = ModelSpec("sets", EXPONENTIAL, lambda j: Fraction(1))
@@ -184,20 +200,25 @@ def test_kernel_matches_naive_and_product_dp_multiset(weights):
 def test_product_dp_matches_naive_on_every_small_table():
     # product_dp applies factors from the largest part down and skips the
     # zero stretch below the smallest part so far; small tables put that
-    # part, the block starts and the binomial powers at every position:
-    # every table in {0,1,2}^N for N <= 7, then heavy tails up to N = 12
+    # part, the block starts, the shift-adds and the binomial powers at
+    # every position: every table in {0,1,2}^N for N <= 7, then heavy tails
+    # up to N = 12, on the multiset and the selection base
     tables = [list(t) for N in range(1, 8) for t in itertools.product(range(3), repeat=N)]
     tables += [[0] * k + [v] * (12 - k) for v in (3, 7) for k in range(12)]
-    for weights in tables:
-        N = len(weights)
-        kl = [int(divisor_k_lambda(lambda j: weights[j - 1], k)) for k in range(1, N + 1)]
-        got = list(product_dp(custom_model(weights), N).coeffs)
-        assert got == naive_recurrence(kl, N), weights
+    for base, g in ((MULTISET, MULTISET_G), (SELECTION, SELECTION_G)):
+        for weights in tables:
+            N = len(weights)
+            lam = log_coefficients(lambda j: weights[j - 1], g, N)
+            kl = [int(k * x) for k, x in enumerate(lam, start=1)]
+            got = list(product_dp(custom_model(weights, base=base), N).coeffs)
+            assert got == naive_recurrence(kl, N), (base, weights)
 
 
 @settings(max_examples=25, deadline=None)
 @given(weight_tables)
 @example([3] * 300)
+@example([50] * 200)  # b_j > N // j from j = 5: product_dp's binomial pass
+@example([0] * 150 + [3, 1] * 75)  # shift-adds and binomial powers, interleaved
 def test_kernel_matches_naive_selection(weights):
     # selection base: k*Lambda_k = sum_{j | k} (-1)^(k/j+1) j b_j can be < 0
     model = custom_model(weights, base=SELECTION)
@@ -207,6 +228,7 @@ def test_kernel_matches_naive_selection(weights):
     assert want is not None
     assert exact._recurrence_int(kl, N) == want
     assert list(exact_coefficients(model, N).coeffs) == want
+    assert list(product_dp(model, N).coeffs) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,12 +476,14 @@ def test_roots_600_matches_product_dp():
     assert rec.coeffs == product_dp(model, 600).coeffs
 
 
-def test_product_dp_requires_integer_multiset():
+def test_product_dp_requires_integer_weights_off_the_exponential_base():
     with pytest.raises(UnsupportedModelError):
         product_dp(custom_model([Fraction(1, 2)]), 1)
-    sel = ModelSpec("distinct", SELECTION, lambda j: Fraction(1))
     with pytest.raises(UnsupportedModelError):
-        product_dp(sel, 5)
+        product_dp(custom_model([Fraction(1, 2)], base=SELECTION), 1)
+    expo = ModelSpec("exp", EXPONENTIAL, lambda j: Fraction(1))
+    with pytest.raises(UnsupportedModelError, match="has exponential"):
+        product_dp(expo, 5)
 
 
 def test_product_dp_reads_the_whole_weight_table_first():

@@ -18,6 +18,7 @@ from oracles import (
     preset_spectrum_closed_form,
     zeta_neg_bernoulli,
 )
+from subexp import spectrum as spectrum_module
 from subexp.asymptotics import (
     kappa,
     log_estimate_explicit,
@@ -30,6 +31,7 @@ from subexp.errors import (
     SpectrumDataError,
     SpectrumSchemaError,
 )
+from subexp.exact import exact_coefficients, product_dp
 from subexp.khintchine import solve_delta
 from subexp.model import MULTISET, SELECTION, ModelSpec, QuasiPolynomial, make_preset
 from subexp.spectrum import (
@@ -163,6 +165,28 @@ def test_direct_sum_matches_the_mellin_expansion(args):
         series = mp.fsum((-1) ** l * d * tau**l / mp.factorial(l)
                          for l, d in enumerate(sd.d_neg, start=1))
         assert abs(delta_direct(sd, model.weight, tau) - series) < mpf("1e-18")
+
+
+quasi_polynomials = st.integers(1, 6).flatmap(lambda a: st.builds(
+    QuasiPolynomial, st.just(a), st.lists(st.tuples(
+        st.integers(1, a), st.integers(0, 2), st.integers(0, 3)),
+        min_size=1, max_size=3).filter(lambda t: any(c for *_, c in t)).map(tuple)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(quasi_polynomials)
+def test_mellin_expansion_and_exact_counts_on_random_rules(rule):
+    # the presets have degree 0 or 1 and one residue class; these rules
+    # reach degree 2 and up to three classes.  Each is about 0.1 s, mostly
+    # mpmath's numerical zeta'(-i, q) for q < 1
+    model = ModelSpec("random", MULTISET, rule)
+    degree = max(i for _, i, _ in rule.terms)
+    with mp.workdps(38):
+        sd, tau = derive_spectrum(model, L=min(20, 21 - degree)), mpf("0.05")
+        series = mp.fsum((-1) ** l * d * tau**l / mp.factorial(l)
+                         for l, d in enumerate(sd.d_neg, start=1))
+        assert abs(delta_direct(sd, rule, tau) - series) < mpf("1e-18")
+    assert exact_coefficients(model, 200).coeffs == product_dp(model, 200).coeffs
 
 
 @pytest.mark.parametrize("args", PRESETS, ids=lambda args: "-".join(map(str, args)))
@@ -340,11 +364,47 @@ def test_derive_spectrum_rejects_custom():
 
 
 def test_derive_spectrum_rejects_weights_without_a_pole():
-    # b_j = 0, and b_j = (-1)^(j+1): no degree has a nonzero coefficient sum
+    # b_j = 0: no degree has a nonzero coefficient sum.  b_j = (-1)^(j+1) has
+    # none either, and its b_2 = -1 is refused before the poles are summed
     for weight in (QuasiPolynomial(1, ((1, 0, 0),)),
                    QuasiPolynomial(2, ((1, 0, 1), (2, 0, -1)))):
         with pytest.raises(InvalidParametersError):
             derive_spectrum(ModelSpec("no pole", MULTISET, weight))
+
+
+def test_derive_spectrum_rejects_a_negative_weight():
+    # b_j = 2 at odd j and -1 at even j has a pole (coefficient sum 1), but
+    # exact_coefficients refuses its b_2; so must derive_spectrum.  The other
+    # two rules are negative only far out: 10^20 - j from j = 10^20 + 1, and
+    # (j - 10^15)^2 - 1 at j = 10^15 alone
+    cases = [(QuasiPolynomial(2, ((1, 0, 2), (2, 0, -1))), "b_j = -1 < 0 at j = 2$"),
+             (QuasiPolynomial(1, ((1, 0, 10**20), (1, 1, -1))),
+              "b_j = -1 < 0 at j = an int of 67 bits$"),
+             (QuasiPolynomial(1, ((1, 2, 1), (1, 1, -2 * 10**15), (1, 0, 10**30 - 1))),
+              "b_j = -1 < 0 at j = 1000000000000000$")]
+    for rule, named in cases:
+        with pytest.raises(InvalidParametersError, match=named):
+            derive_spectrum(ModelSpec("signed", MULTISET, rule))
+
+
+signed_rules = st.integers(1, 4).flatmap(lambda a: st.builds(
+    QuasiPolynomial, st.just(a), st.lists(st.tuples(
+        st.integers(1, a), st.integers(0, 3), st.integers(-40, 40)),
+        min_size=1, max_size=4).map(tuple)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_rules)
+@example(QuasiPolynomial(1, ((1, 2, 1), (1, 1, -20), (1, 0, 99))))  # (j-10)^2 - 1
+@example(QuasiPolynomial(3, ((2, 3, 1), (2, 2, -40), (2, 1, 300), (2, 0, -40))))
+def test_first_negative_weight_matches_a_scan(rule):
+    # a class sums at most four c of |c| <= 40, so each real root of its b_j
+    # lies below Cauchy's bound 1 + 160; a scan of j < 200 finds the first
+    # b_j < 0, and past 161 b_j has the sign of its lead coefficient
+    degree = max(i for _, i, _ in rule.terms)
+    for r in {r for r, _, _ in rule.terms}:
+        want = next((j for j in range(r, 200, rule.a) if rule(j) < 0), None)
+        assert spectrum_module._first_negative(rule, r, degree) == want
 
 
 def _spectrum(poles=((1, 1), (3, 1)), A0=0, h0=0, d_neg=(0, 0)):
