@@ -1,8 +1,10 @@
 """Run the machinery on a user-supplied model instead of a preset.
 
-Two routes: an explicit weight table for exact counting, and a
-hand-written spectrum document for the asymptotic side (the analytic
-continuation of a custom Dirichlet series is the user's job; the
+Two routes: an explicit weight table for exact counting, and a spectrum
+document for the asymptotic side.  b_j = j is a quasi-polynomial rule, so
+derive_spectrum computes its spectrum; the values then travel as a JSON
+document, the route for any model whose spectrum the user supplies (the
+analytic continuation of a custom Dirichlet series is the user's job; the
 library only validates and consumes it).
 """
 
@@ -12,7 +14,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from subexp import (
+    MULTISET,
+    ModelSpec,
     custom_model,
+    derive_spectrum,
     exact_coefficients,
     lambda_coeffs,
     llt_condition_report,
@@ -22,6 +27,7 @@ from subexp import (
     solve_delta,
     validate_spectrum,
 )
+from subexp.model import QuasiPolynomial
 
 # weight table: parts of size j available in b_j colors, here b = 1,2,3,...
 model = custom_model(range(1, 51), kind="plane-ish")
@@ -32,15 +38,18 @@ lam = lambda_coeffs(model, 8)
 print("log-coefficients:",
       [str(Fraction(kv, k)) for k, kv in enumerate(lam.k_values, start=1)])
 
-# the same counts from the spectrum side: the weight Dirichlet series
-# for b_j = j is zeta(s-1), single pole at rho=2 with h = Gamma(2)zeta(3),
-# value at 0 is zeta(-1), derivative at 0 is zeta'(-1)
+# the same counts from the spectrum side: the weight Dirichlet series for
+# b_j = j is zeta(s-1), one pole at rho=2 with h = Gamma(2)zeta(3), value at
+# 0 zeta(-1), derivative at 0 zeta'(-1).  As a rule: every j (residue 1 mod
+# 1) gets 1*j^1
+rule = QuasiPolynomial(1, ((1, 1, 1),))
+derived = derive_spectrum(ModelSpec("b_j = j", MULTISET, rule))
 doc = {
-    "label": "b_j = j",
-    "poles": [{"rho": 2, "h": str(mp.zeta(3))}],
-    "A0": str(mp.zeta(-1)),
-    "h0": str(mp.mpf(1) / 12 - mp.log(mp.glaisher)),
-    "d_neg": [str(mp.zeta(0) * mp.zeta(-2)), str(mp.zeta(-1) * mp.zeta(-3))],
+    "label": derived.label,
+    "poles": [{"rho": str(rho), "h": str(h)} for rho, h in derived.poles],
+    "A0": str(derived.A0),
+    "h0": str(derived.h0),
+    "d_neg": [str(d) for d in derived.d_neg],
 }
 sd = load_custom_spectrum(json.loads(json.dumps(doc)))
 print("custom spectrum:", validate_spectrum(sd))

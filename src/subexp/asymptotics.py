@@ -104,7 +104,7 @@ def remainder_delta(sd: SpectralData, tau) -> mpf:
     prec, rounding = mp._prec_rounding
     v = as_real(tau)
     if v is None:
-        raise DomainError(f"correction series needs a number tau; got {tau!r}")
+        raise DomainError(f"correction series needs a number tau; got {shown(tau)}")
     tau, t = v, v._mpf_
     if not (mpf_lt(fzero, t) and mpf_lt(t, fone)):  # 0 < tau < 1
         raise DomainError(f"correction series needs 0 < tau < 1; got tau={tau}")

@@ -19,7 +19,8 @@ prints its lines.  Exit codes: 0 success, 1 stdout closed early (as by
 error (an unreadable --spec too), 4 verification failure.  Output is
 deterministic: identical invocations produce byte-identical bytes.  All
 reals are printed with 15 significant digits; logs are natural unless
---log10 is passed.
+--log10 is passed.  --precision DIGITS (default 38) is the working precision
+of its run alone: main leaves the caller's precision as it found it.
 """
 
 import argparse
@@ -43,7 +44,7 @@ from .asymptotics import (
 from .errors import DomainError, SpectrumSchemaError, SubexpError
 from .exact import exact_coefficients, pentagonal_oracle, product_dp
 from .model import custom_model, make_preset
-from .precision import set_working_precision, to_mpf
+from .precision import DEFAULT_DPS, shown, to_mpf
 from .spectrum import (
     INELIGIBLE,
     derive_spectrum,
@@ -74,8 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "enumeration of multiplicative structures "
                                      "(weighted partitions).")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, metavar="DIGITS", help="working "
-                        "precision in significant decimal digits (default 38)")
+    common.add_argument("--precision", type=int, default=DEFAULT_DPS, metavar="DIGITS",
+                        help="working precision in significant decimal digits "
+                        "(default 38)")
     selector = argparse.ArgumentParser(add_help=False)
     selector.add_argument("--model", required=True,
                           choices=["standard", "roots", "congruent", "custom"],
@@ -340,12 +342,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.precision is not None:
-            try:
-                set_working_precision(args.precision)
-            except ValueError as exc:
-                parser.error(f"bad precision: {exc}")
-        code, lines = args.func(args, parser)
+        if not 15 <= args.precision <= sys.maxsize:
+            parser.error("bad precision: need an int dps >= 15; got "
+                         + shown(args.precision))
+        with mp.workdps(args.precision):  # the run's digits; the caller's come back
+            code, lines = args.func(args, parser)
         if lines:
             print("\n".join(lines), flush=True)
         return code

@@ -53,7 +53,7 @@ from .errors import (
     NoBracketError,
     NonConvergenceError,
 )
-from .precision import as_real
+from .precision import as_real, shown
 from .spectrum import SpectralData
 
 MAX_ITER = 200
@@ -105,7 +105,7 @@ def khintchine_lhs(sd: SpectralData, delta) -> mpf:
     """Left side of the equation at a given real delta > 0."""
     v = as_real(delta)
     if v is None or not v > 0:
-        raise DomainError(f"delta must be a positive number; got {delta!r}")
+        raise DomainError(f"delta must be a positive number; got {shown(delta)}")
     return mp.make_mpf(_lhs_and_slope(sd, v._mpf_)[0])
 
 
@@ -203,7 +203,7 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     prec, rounding = mp._prec_rounding
     v = as_real(n)
     if v is None:
-        raise InvalidParametersError(f"need a number n >= 1; got {n!r}")
+        raise InvalidParametersError(f"need a number n >= 1; got {shown(n)}")
     n, n_ = v, v._mpf_
     if not mpf_ge(n_, fone):  # n >= 1
         raise InvalidParametersError(f"need n >= 1; got {n}")

@@ -38,7 +38,7 @@ class BaseFunction(Enum):
 
     @classmethod
     def _missing_(cls, value):  # a SubexpError, not the bare ValueError of Enum
-        raise InvalidParametersError(f"not a base function value: {value!r}")
+        raise InvalidParametersError(f"not a base function value: {shown(value)}")
 
 
 MULTISET, SELECTION, EXPONENTIAL = BaseFunction
@@ -55,7 +55,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if not isinstance(self.base, BaseFunction):
-            raise InvalidParametersError(f"not a BaseFunction: {self.base!r}")
+            raise InvalidParametersError(f"not a BaseFunction: {shown(self.base)}")
 
     def b(self, j: int) -> Fraction:
         int_arg("j", j, 1)  # weights are indexed from 1
@@ -63,15 +63,15 @@ class ModelSpec:
             bj = self.weight(j)
         except Exception as exc:
             raise UndefinedWeightError(
-                f"weight rule of model '{self.kind}' failed at j={j}: {exc}"
+                f"weight rule of model {shown(self.kind)} failed at j={j}: {exc}"
             ) from exc
         if bj is None:
             raise UndefinedWeightError(
-                f"weight rule of model '{self.kind}' undefined at j={j}"
+                f"weight rule of model {shown(self.kind)} undefined at j={j}"
             )
         v = as_rational(bj)
         if v is None:
-            raise InvalidParametersError(f"b_{j} = {bj!r} is not a rational number")
+            raise InvalidParametersError(f"b_{j} = {shown(bj)} is not a rational number")
         if v < 0:
             raise InvalidParametersError(f"b_{j} = {shown(bj)} < 0")
         return v
@@ -120,8 +120,8 @@ class QuasiPolynomial:
         if not (type(self.a) is int and self.a >= 1 and terms is not None and all(
                 type(r) is int and type(i) is int and 0 < r <= self.a and i >= 0
                 and c is not None for r, i, c in terms)):
-            raise InvalidParametersError(
-                f"need int a >= 1, int 0 < r <= a, int i >= 0, rational c; got {self}")
+            raise InvalidParametersError("need int a >= 1, int 0 < r <= a, int i >= 0, "
+                                         f"rational c; got {shown(self)}")
         object.__setattr__(self, "terms", terms)
 
     def __call__(self, j: int) -> Fraction:
@@ -152,10 +152,10 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     if kind in _PRESET_TERMS:
         if a is not None or b is not None:
             raise InvalidParametersError(
-                f"{kind} preset takes no a or b; got a={a!r}, b={b!r}")
+                f"{kind} preset takes no a or b; got a={shown(a)}, b={shown(b)}")
         return ModelSpec(kind, MULTISET, QuasiPolynomial(1, _PRESET_TERMS[kind]))
     if kind != "congruent":
-        raise InvalidParametersError(f"unknown preset kind: {kind!r}")
+        raise InvalidParametersError(f"unknown preset kind: {shown(kind)}")
     int_arg("a", a, 1)
     int_arg("b", b, 1)
     if math.gcd(a, b) != 1:
@@ -191,7 +191,7 @@ def custom_model(
     Each entry is an int, a Fraction, a decimal or p/q string, or a whole
     float such as 2.0, and none is negative (InvalidParametersError)."""
     if isinstance(weights, str) or not isinstance(weights, Sequence):
-        raise InvalidParametersError(f"weights must be a list; got {weights!r}")
+        raise InvalidParametersError(f"weights must be a list; got {shown(weights)}")
     table = []
     for i, w in enumerate(weights):
         try:  # a str is read by Fraction, every other value by as_rational
@@ -199,7 +199,7 @@ def custom_model(
         except (ValueError, ZeroDivisionError):  # "abc", "1/0"
             v = None
         if v is None:
-            msg = (f"weights[{i}] = {w!r} (b_{i + 1}) is not a rational number; "
+            msg = (f"weights[{i}] = {shown(w)} (b_{i + 1}) is not a rational number; "
                    "give a fraction as a decimal or p/q string")
             raise InvalidParametersError(msg)
         if v < 0:

@@ -38,13 +38,18 @@ def int_arg(name: str, x, lo: int, hi: int = sys.maxsize) -> int:
 def shown(x) -> str:
     """repr(x) for an error message, but an int past sys.maxsize, or a
     Fraction with such a part, by its bit length: its repr may pass the
-    int-to-str limit (sys.get_int_max_str_digits) and raise ValueError."""
+    int-to-str limit (sys.get_int_max_str_digits) and raise ValueError.  Any
+    other value whose repr raises ValueError (a list holding such an int) is
+    shown by its type."""
     if isinstance(x, int) and abs(x) > sys.maxsize:
         return f"an int of {x.bit_length()} bits"
     if isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) > sys.maxsize:
         num, den = x.numerator.bit_length(), x.denominator.bit_length()
         return f"a Fraction of {num}/{den} bits"
-    return repr(x)
+    try:
+        return repr(x)
+    except ValueError:
+        return f"a {type(x).__name__} whose repr passes the int-to-str limit"
 
 
 def as_rational(x):
@@ -80,7 +85,8 @@ def to_mpf(x):
     except (TypeError, ValueError, ZeroDivisionError):  # a str mpmath cannot read
         v = None
     if not isinstance(v, mpf):  # None, or the mpc of a str such as "1j"
-        raise InvalidParametersError(f"need a real number or a numeric str; got {x!r}")
+        raise InvalidParametersError(
+            f"need a real number or a numeric str; got {shown(x)}")
     return v
 
 

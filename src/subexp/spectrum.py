@@ -82,7 +82,7 @@ class SpectralData:
             try:
                 x = to_mpf(x)
             except InvalidParametersError:
-                unread.append(f"{name}={x!r} not a real number")
+                unread.append(f"{name}={shown(x)} not a real number")
                 return None
             if not mp.isfinite(x):
                 nonfinite.append(f"{name}={x} not finite")
@@ -94,7 +94,7 @@ class SpectralData:
             except TypeError:
                 t = None
             if t is None or size not in (None, len(t)):
-                raise SpectrumDataError(f"{name}={x!r} not a sequence"
+                raise SpectrumDataError(f"{name}={shown(x)} not a sequence"
                                         + (f" of {size}" if size else ""))
             return t
 
@@ -209,13 +209,15 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     the series' 1e-12 tolerance unsummed.  D(-L) reads zeta(-L-i, q) for
     each degree i, so degree + L must stay below BERNOULLI_MAX (21 at most;
     InvalidParametersError otherwise), and a rule with a negative b_j has
-    no spectrum (InvalidParametersError naming the first such j).  Other
-    models have no derivable data; supply it via load_custom_spectrum.
+    no spectrum (InvalidParametersError naming the first such j), nor one
+    whose coefficients of some degree sum below 0, which would give that
+    degree's pole a negative residue.  Other models have no derivable data;
+    supply it via load_custom_spectrum.
     """
     int_arg("L", L, 1, 20)
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
         raise CustomModelError(
-            f"no derivable spectral data for model kind {model.kind!r}; "
+            f"no derivable spectral data for model kind {shown(model.kind)}; "
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"
         )
     a, terms = model.weight.a, model.weight.terms
@@ -225,7 +227,8 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
             f"{model.kind}: degree {degree} + L={L} is {degree + L}; the Bernoulli "
             f"table allows degree + L <= {BERNOULLI_MAX - 1}")
     if any(c < 0 for _, _, c in terms):  # no preset has a negative c
-        bad = [_first_negative(model.weight, r, degree) for r, _, _ in terms]
+        residues = {r for r, _, _ in terms}
+        bad = [_first_negative(model.weight, r, degree) for r in residues]
         if any(bad):
             j = min(filter(None, bad))
             raise InvalidParametersError(
@@ -233,6 +236,11 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     csum = {}  # degree i -> sum of its c over all residues
     for _, i, c in terms:
         csum[i] = csum.get(i, 0) + c
+    for i, c in sorted(csum.items()):
+        if c < 0:  # its pole's residue c*zeta(i+2)*i!/a would be negative
+            raise InvalidParametersError(
+                f"{model.kind}: degree {i} has coefficient sum {shown(c)} < 0, so a "
+                "negative residue; no supported spectrum exists")
     poles = tuple(Pole(mpf(i + 1), c * riemann_zeta(i + 2) * mp.factorial(i) / a)
                   for i, c in sorted(csum.items()) if c)
     if not poles:
@@ -291,8 +299,9 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     try:
         gap = abs(to_mpf(theta) - sd.theta)  # nan or inf when theta is not finite
     except InvalidParametersError:
-        raise SpectrumSchemaError(f"theta: expected a number, got {theta!r}") from None
+        raise SpectrumSchemaError(
+            f"theta: expected a number, got {shown(theta)}") from None
     if not gap <= mpf("1e-12") * (1 + abs(sd.theta)):
-        raise SpectrumDataError(f"theta = {theta} disagrees with h0 + euler_gamma*A0"
-                                f" = {sd.theta}")
+        raise SpectrumDataError(f"theta = {shown(theta)} disagrees with h0 + "
+                                f"euler_gamma*A0 = {sd.theta}")
     return sd

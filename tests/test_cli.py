@@ -18,13 +18,6 @@ from subexp.model import custom_model, make_preset
 from subexp.spectrum import derive_spectrum, load_custom_spectrum
 
 
-@pytest.fixture(autouse=True)
-def restore_precision():
-    old = mp.dps
-    yield
-    mp.dps = old
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -84,16 +77,18 @@ def test_spec_needs_the_custom_model(capsys, tmp_path):
 
 def test_a_closed_pipe_ends_the_run_quietly(capsys, monkeypatch):
     # stdout a pipe whose reader has gone: the write fails with EPIPE, and
-    # main exits 1, as Python does, with nothing on stderr
+    # main exits 1, as Python does, with nothing on stderr and the caller's
+    # precision as it was
     read_end, write_end = os.pipe()
     os.close(read_end)
     stdout = os.fdopen(write_end, "w")
     monkeypatch.setattr(sys, "stdout", stdout)
+    dps = mp.dps
     try:
-        code = main(["exact", "--model", "standard", "--N", "50"])
+        code = main(["exact", "--model", "standard", "--N", "50", "--precision", "50"])
     finally:
         stdout.close()  # its buffer now goes to devnull, as at exit
-    assert code == 1
+    assert (code, mp.dps) == (1, dps)
     assert capsys.readouterr().err == ""
 
 
@@ -464,18 +459,47 @@ def test_require_eligible(tmp_path, capsys):
     assert code == 3
 
 
-def test_precision_flag(capsys):
+def test_precision_flag(capsys, monkeypatch):
+    # the estimate runs at the digits asked for, and main gives the caller's back
+    seen = []
+
+    def spy(sd, n):
+        seen.append(mp.dps)
+        return log_estimate_explicit(sd, n)
+
+    monkeypatch.setattr(cli, "log_estimate_explicit", spy)
+    dps = mp.dps
     code, out, _ = run(capsys, "predict", "--model", "standard", "--n", "100",
                        "--formula", "explicit", "--precision", "50")
-    assert code == 0
-    assert mp.dps == 50
+    assert (code, seen, mp.dps) == (0, [50], dps)
     code, _, _ = run(capsys, "predict", "--model", "standard", "--n", "100",
                      "--precision", "5")
     assert code == 2
     code, out, _ = run(capsys, "verify", "--precision", "44")
-    assert code == 0
-    assert mp.dps == 44
+    assert (code, mp.dps) == (0, dps)
     assert out.endswith("checks passed\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "--precision", "60"], 0),
+    (["predict", "--model", "roots", "--n", "3", "--precision", "50"], 3),
+    (["compare", "--model", "roots", "--grid", "1:x:1", "--precision", "50"], 2),
+], ids=["exit-0", "exit-3", "exit-2"])
+def test_main_leaves_the_callers_precision_as_it_found_it(capsys, argv, want):
+    with mp.workdps(20):
+        code, _, _ = run(capsys, *argv)
+        assert (code, mp.dps) == (want, 20)
+
+
+def test_a_run_without_precision_computes_at_38_digits(capsys):
+    # at n = 10^60 the explicit estimate needs 43 digits to print 12; a host
+    # at 60 digits does not lend them to a run that asks for none
+    with mp.workdps(60):
+        code, out, err = run(capsys, "predict", "--model", "standard", "--n",
+                             str(10**60), "--formula", "explicit")
+        assert mp.dps == 60
+    assert (code, out) == (3, "")
+    assert "need a precision of 43 digits" in err
 
 
 def test_unknown_command(capsys):

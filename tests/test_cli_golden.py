@@ -42,14 +42,9 @@ CASES = {
 
 
 def _run(argv):
-    saved = mp.dps
     out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(argv))
-    finally:
-        mp.dps = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
     return f"exit {code}\n" + out.getvalue()
 
 

@@ -59,8 +59,11 @@ from subexp import (
     validate_spectrum,
 )
 from subexp.cli import main
+from subexp.model import QuasiPolynomial
 
 BIG = 10**400
+HUGE = 10**5000  # past the int-to-str limit (4300 digits), where its repr raises
+_DOC = {"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0, "d_neg": [0]}
 # each value lies outside the domain of some parameter
 POOL = (None, True, False, 2.5, math.nan, math.inf, -math.inf, "5", "x",
         Fraction(5, 2), 1j, -3, BIG, (), (1, 2, 3), ((1, 2, 3),))
@@ -253,16 +256,12 @@ def _argv(draw, specs):
 
 
 def _run(argv):
-    """main(argv) -> (exit code, stdout, stderr), the precision restored."""
+    """main(argv) -> (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    dps = mp.dps
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                code = main(argv)
-    finally:
-        mp.dps = dps
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -299,12 +298,35 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
 ] + [lambda f=f, v=v: f(SPECTRA[0], v)
      for f in (solve_delta, remainder_delta, log_estimate_khintchine,
                log_estimate_explicit)
-     for v in (None, 1j)],
+     for v in (None, 1j)] + [
+    # a value whose repr passes the int-to-str limit, shown in the message
+    lambda: make_preset("standard", HUGE),
+    lambda: make_preset(HUGE),
+    lambda: custom_model(HUGE),
+    lambda: custom_model([[HUGE]]),
+    lambda: ModelSpec("m", HUGE, lambda j: 1),
+    lambda: ModelSpec("m", MULTISET, lambda j: [HUGE]).b(1),
+    lambda: ModelSpec(HUGE, MULTISET, lambda j: 1 / 0).b(1),
+    lambda: QuasiPolynomial(1, ((HUGE, 0, 1),)),
+    lambda: SpectralData("x", ((1, 1),), 0, 0, HUGE),
+    lambda: SpectralData("x", (([HUGE], 1),), 0, 0, (0,)),
+    lambda: load_custom_spectrum(dict(_DOC, theta=[HUGE])),
+    lambda: load_custom_spectrum(dict(_DOC, theta=HUGE)),
+    lambda: to_mpf([HUGE]),
+    lambda: remainder_delta(SPECTRA[0], [HUGE]),
+    lambda: khintchine_lhs(SPECTRA[0], [HUGE]),
+    lambda: solve_delta(SPECTRA[0], [HUGE]),
+    lambda: derive_spectrum(ModelSpec(HUGE, MULTISET, lambda j: 1)),
+],
     ids=["lambda-True", "lambda-float", "llt-float", "llt-bool", "b-float",
          "weights-negative", "lhs-bool", "lhs-str", "spectral-bool", "dps-huge",
          "base-unknown", "lambda-huge", "weights-huge", "llt-huge"] + [f"{f}-{v}" for f in ("solve", "series", "khintchine",
                                                  "explicit")
-                            for v in ("None", "complex")])
+                            for v in ("None", "complex")] + [
+        f"unshowable-{name}" for name in (
+            "preset-a", "preset-kind", "weights", "weight-entry", "base", "b-value",
+            "kind", "rule-term", "d_neg", "pole", "theta-list", "theta-disagrees",
+            "to_mpf", "series", "lhs", "solve", "derive-kind")])
 def test_each_former_hole_raises_a_subexp_error(call):
     dps = mp.dps
     try:

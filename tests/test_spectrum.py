@@ -387,6 +387,23 @@ def test_derive_spectrum_rejects_a_negative_weight():
             derive_spectrum(ModelSpec("signed", MULTISET, rule))
 
 
+def test_derive_spectrum_refuses_a_negative_degree_sum(monkeypatch):
+    # b_j = 2j - 1 is positive at every j and counts exactly, but its degree-0
+    # coefficients sum to -1, which would give the pole at rho = 1 the residue
+    # -zeta(2).  Its one residue class is searched for a negative b_j once
+    calls = []
+    first_negative = spectrum_module._first_negative
+    monkeypatch.setattr(spectrum_module, "_first_negative",
+                        lambda *args: calls.append(args) or first_negative(*args))
+    model = ModelSpec("odd", MULTISET, QuasiPolynomial(1, ((1, 1, 2), (1, 0, -1))))
+    assert model.weights(5) == [1, 3, 5, 7, 9]
+    with pytest.raises(InvalidParametersError, match=(
+            "^odd: degree 0 has coefficient sum -1 < 0, so a negative residue; "
+            "no supported spectrum exists$")):
+        derive_spectrum(model)
+    assert len(calls) == 1
+
+
 signed_rules = st.integers(1, 4).flatmap(lambda a: st.builds(
     QuasiPolynomial, st.just(a), st.lists(st.tuples(
         st.integers(1, a), st.integers(0, 3), st.integers(-40, 40)),
