@@ -14,7 +14,7 @@ table b_1..b_N that the counting code reads.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -24,7 +24,14 @@ from .errors import InvalidParametersError, UndefinedWeightError
 from .precision import as_rational, int_arg, shown
 
 
-class BaseFunction(Enum):
+class _Lookup(EnumMeta):
+    def __call__(cls, value, *args, **kwargs):  # refuse before Enum takes repr(value)
+        if not (args or kwargs or isinstance(value, cls) or value in [m.value for m in cls]):
+            raise InvalidParametersError(f"not a base function value: {shown(value)}")
+        return super().__call__(value, *args, **kwargs)
+
+
+class BaseFunction(Enum, metaclass=_Lookup):
     """Base function S, fixed by the Taylor coefficients g_m of log S.
 
     multiset:    S(w) = 1/(1-w),  g_m = 1/m
@@ -35,10 +42,6 @@ class BaseFunction(Enum):
     MULTISET = "multiset"
     SELECTION = "selection"
     EXPONENTIAL = "exponential"
-
-    @classmethod
-    def _missing_(cls, value):  # a SubexpError, not the bare ValueError of Enum
-        raise InvalidParametersError(f"not a base function value: {shown(value)}")
 
 
 MULTISET, SELECTION, EXPONENTIAL = BaseFunction
@@ -54,6 +57,8 @@ class ModelSpec:
     params: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise InvalidParametersError(f"model kind not a str: {shown(self.kind)}")
         if not isinstance(self.base, BaseFunction):
             raise InvalidParametersError(f"not a BaseFunction: {shown(self.base)}")
 
@@ -79,16 +84,15 @@ class ModelSpec:
     def weights(self, N: int) -> list:
         """b_1..b_N: all ints when every b_j is whole, else all Fractions.
 
-        A QuasiPolynomial or custom_model table fills the list in bulk;
-        any other rule is called through b once per j.  Either way the
-        error is the one b raises at the first j where b fails.
+        A QuasiPolynomial fills the list in bulk; any other rule, a
+        custom_model table included, is read through b once per j.  Either
+        way the error is the one b raises at the first j where b fails.
         """
         int_arg("N", N, 0)
-        if isinstance(self.weight, (QuasiPolynomial, _WeightTable)):
-            vals = self.weight.table(N)  # a custom table may stop short of N
-            if len(vals) < N or (vals and min(vals) < 0):
-                bad = next((j for j, v in enumerate(vals, 1) if v < 0), len(vals) + 1)
-                self.b(bad)  # raises the error of b_bad
+        if isinstance(self.weight, QuasiPolynomial):
+            vals = self.weight.table(N)
+            if vals and min(vals) < 0:  # raise b's error at the first negative b_j
+                self.b(next(j for j, v in enumerate(vals, 1) if v < 0))
         else:
             vals = [self.b(j) for j in range(1, N + 1)]
         if any(type(v) is not int for v in vals):
@@ -149,7 +153,7 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     All presets use the multiset base and a QuasiPolynomial weight; a and b
     belong to congruent alone.
     """
-    if kind in _PRESET_TERMS:
+    if isinstance(kind, str) and kind in _PRESET_TERMS:  # [1] is unhashable
         if a is not None or b is not None:
             raise InvalidParametersError(
                 f"{kind} preset takes no a or b; got a={shown(a)}, b={shown(b)}")
@@ -166,27 +170,10 @@ def make_preset(kind: str, a: int = None, b: int = None) -> ModelSpec:
     return ModelSpec("congruent", MULTISET, rule, params=(a, b))
 
 
-@dataclass(frozen=True)
-class _WeightTable:
-    """Weight rule read off a table b_1..b_N, undefined beyond N."""
-
-    values: tuple  # ints and Fractions, as as_rational gives them
-
-    def __call__(self, j: int) -> Fraction:
-        if j > len(self.values):
-            raise UndefinedWeightError(
-                f"weight table has {len(self.values)} entries; b_{j} undefined"
-            )
-        return self.values[j - 1]
-
-    def table(self, N: int) -> list:
-        return list(self.values[:N])
-
-
 def custom_model(
     weights: Sequence, base: BaseFunction = MULTISET, kind: str = "custom"
 ) -> ModelSpec:
-    """Model from an explicit weight table b_1..b_N (undefined beyond N).
+    """Model whose weight rule reads a checked table b_1..b_N (undefined beyond N).
 
     Each entry is an int, a Fraction, a decimal or p/q string, or a whole
     float such as 2.0, and none is negative (InvalidParametersError)."""
@@ -205,7 +192,13 @@ def custom_model(
         if v < 0:
             raise InvalidParametersError(f"weights[{i}] = {shown(w)}: b_{i + 1} < 0")
         table.append(v)
-    return ModelSpec(kind, base, _WeightTable(tuple(table)))
+
+    def weight(j):  # ModelSpec.b checks j >= 1
+        if j > len(table):
+            raise UndefinedWeightError(
+                f"weight table has {len(table)} entries; b_{j} undefined")
+        return table[j - 1]
+    return ModelSpec(kind, base, weight)
 
 
 @dataclass(frozen=True)

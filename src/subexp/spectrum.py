@@ -256,7 +256,7 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     A0, *d_neg = (mp.fdiv(x.numerator, x.denominator) for x in exact)
     h0 = sum(c * a**i * hurwitz_zeta_deriv(-i, mpf(r) / a) for r, i, c in terms)
     h0 -= mp.log(a) * A0
-    params = ",".join(map(str, model.params))
+    params = ",".join(map(shown, model.params))
     label = f"{model.kind}({params})" if params else model.kind
     return SpectralData(label, poles, A0, h0, tuple(d_neg))
 
@@ -268,12 +268,14 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     """Parse explicit spectral data from a mapping (decoded JSON).
 
     Required keys: poles (an array of {rho, h}), A0, h0, d_neg (an array).
-    Optional: label, weights (consumed by the command layer for exact
-    counting, ignored here) and theta, derived from h0 and A0; a given theta
-    must be finite and agree with that to 1e-12 relative, loose enough for
-    JSON doubles.  Numbers may be strings, to survive the decimal-to-binary
-    round trip.  SpectrumSchemaError for a wrong shape or a theta that is no
-    number; SpectralData reads and checks every other value (SpectrumDataError).
+    Optional: label (a string; null counts as absent, "custom"), weights
+    (consumed by the command layer for exact counting, ignored here) and
+    theta, derived from h0 and A0; a given theta must be finite and agree
+    with that to 1e-12 relative, loose enough for JSON doubles.  Numbers may
+    be strings, to survive the decimal-to-binary round trip.
+    SpectrumSchemaError for a wrong shape, a label that is no string or a
+    theta that is no number; SpectralData reads and checks every other value
+    (SpectrumDataError).
     """
     if not isinstance(document, dict):
         raise SpectrumSchemaError(f"expected a mapping, got {type(document).__name__}")
@@ -290,7 +292,10 @@ def load_custom_spectrum(document: dict) -> SpectralData:
            if not isinstance(p, dict) or set(p) != {"rho", "h"}]
     if bad:
         raise SpectrumSchemaError(f"poles{bad}: expected objects with keys rho, h only")
-    sd = SpectralData(str(document.get("label", "custom")),
+    label = document.get("label")  # null, as absent, is "custom"
+    if not isinstance(label, (str, type(None))):
+        raise SpectrumSchemaError(f"label: expected a string, got {shown(label)}")
+    sd = SpectralData("custom" if label is None else label,
                       tuple((p["rho"], p["h"]) for p in poles),
                       document["A0"], document["h0"], tuple(d_neg))
     theta = document.get("theta")

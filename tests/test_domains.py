@@ -138,7 +138,8 @@ def _document(rho, h, A0, d):
 CALLS = {
     "BaseFunction": (BaseFunction, [param(st.sampled_from(BASE_VALUES),
                                           lambda v: v not in BASE_VALUES)]),
-    "ModelSpec": (lambda base: ModelSpec("m", base, lambda j: 1), [BASE]),
+    "ModelSpec": (lambda kind, base: ModelSpec(kind, base, lambda j: 1),
+                  [param(st.just("m"), lambda v: not isinstance(v, str)), BASE]),
     "ModelSpec.b": (lambda m, j: m.b(j), [fixed(MODELS),
                                            param(st.integers(-1, 60), not_int)]),
     "ModelSpec.weights": (lambda m, N: m.weights(N), [fixed(MODELS), N]),
@@ -317,6 +318,11 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
     lambda: khintchine_lhs(SPECTRA[0], [HUGE]),
     lambda: solve_delta(SPECTRA[0], [HUGE]),
     lambda: derive_spectrum(ModelSpec(HUGE, MULTISET, lambda j: 1)),
+    lambda: load_custom_spectrum(dict(_DOC, label=HUGE)),
+    lambda: BaseFunction(HUGE),
+    # a kind or label that is no str, refused where it enters
+    lambda: make_preset([1]),
+    lambda: load_custom_spectrum(dict(_DOC, label=[1])),
 ],
     ids=["lambda-True", "lambda-float", "llt-float", "llt-bool", "b-float",
          "weights-negative", "lhs-bool", "lhs-str", "spectral-bool", "dps-huge",
@@ -326,7 +332,8 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
         f"unshowable-{name}" for name in (
             "preset-a", "preset-kind", "weights", "weight-entry", "base", "b-value",
             "kind", "rule-term", "d_neg", "pole", "theta-list", "theta-disagrees",
-            "to_mpf", "series", "lhs", "solve", "derive-kind")])
+            "to_mpf", "series", "lhs", "solve", "derive-kind", "label", "base-value")]
+    + ["preset-kind-list", "label-list"])
 def test_each_former_hole_raises_a_subexp_error(call):
     dps = mp.dps
     try:
@@ -334,6 +341,13 @@ def test_each_former_hole_raises_a_subexp_error(call):
             call()
     finally:
         mp.dps = dps
+
+
+def test_derive_spectrum_shows_each_param_in_its_label():
+    # str(HUGE) raised a bare ValueError; shown prints make_preset's ints as str does
+    rule = QuasiPolynomial(1, ((1, 0, 1),))
+    sd = derive_spectrum(ModelSpec("m", MULTISET, rule, params=(HUGE, 3)))
+    assert sd.label == f"m(an int of {HUGE.bit_length()} bits,3)"
 
 
 def test_a_bool_is_no_number_in_spectral_data():

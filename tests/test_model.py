@@ -20,7 +20,6 @@ from subexp.model import (
     SELECTION,
     ModelSpec,
     QuasiPolynomial,
-    _WeightTable,
     custom_model,
     lambda_coeffs,
     llt_condition_report,
@@ -143,6 +142,13 @@ def test_model_rejects_a_base_that_is_no_base_function():
             ModelSpec("x", base, lambda j: 1)
 
 
+@pytest.mark.parametrize("kind", [None, [1], 5], ids=("None", "list", "int"))
+def test_model_rejects_a_kind_that_is_no_str(kind):
+    # derive_spectrum made the label of such a kind None, [1] or 5
+    with pytest.raises(InvalidParametersError, match="^model kind not a str: "):
+        ModelSpec(kind, MULTISET, lambda j: 1)
+
+
 def test_lambda_small_values():
     std = lambda_coeffs(make_preset("standard"), 6)
     assert lambdas(std)[0] == 1  # k=1: single term j=m=1
@@ -239,6 +245,9 @@ WEIGHT_MODELS = {
         3, ((1, 1, Fraction(1, 2)), (3, 0, 2), (1, 2, Fraction(3, 4))))),
     "whole-fraction-c": ModelSpec("q", MULTISET, QuasiPolynomial(
         2, ((1, 1, Fraction(4, 2)), (2, 0, 1)))),
+    # b_j = j/2 on even j: Fraction products that are whole
+    "whole-fraction-products": ModelSpec("q", MULTISET, QuasiPolynomial(
+        2, ((2, 1, Fraction(1, 2)),))),
     "int-table": custom_model([1, 0, 3, 2] * 10),
     "fraction-table": custom_model([Fraction(1, 2), 1, 2] * 13),
     "lambda": ModelSpec("l", MULTISET, lambda j: j % 3),
@@ -273,10 +282,6 @@ def _boom(j):
 @pytest.mark.parametrize(
     "model, j, error",
     [
-        # custom_model rejects a negative entry, so the table is built directly
-        (ModelSpec("custom", MULTISET,
-                   _WeightTable(tuple(map(Fraction, (1, 2, -1, -5))))),
-         3, InvalidParametersError),
         (ModelSpec("q", MULTISET, QuasiPolynomial(4, ((1, 0, 1), (3, 1, -1)))),
          3, InvalidParametersError),
         (ModelSpec("l", MULTISET, lambda j: 3 - j), 4, InvalidParametersError),
@@ -286,7 +291,7 @@ def _boom(j):
         (ModelSpec("l", MULTISET, lambda j: None if j == 6 else 1), 6,
          UndefinedWeightError),
     ],
-    ids=("negative-table", "negative-quasi-polynomial", "negative-rule",
+    ids=("negative-quasi-polynomial", "negative-rule",
          "past-table", "past-fraction-table", "rule-raises", "rule-returns-none"),
 )
 def test_weights_raise_what_b_raises_at_the_first_fault(model, j, error):

@@ -641,6 +641,13 @@ def test_load_custom_keeps_weights_out():
     assert not hasattr(sd, "weights")
 
 
+def test_a_null_label_counts_as_absent():
+    doc = {"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0, "d_neg": [0], "label": None}
+    assert load_custom_spectrum(doc).label == "custom"
+    with pytest.raises(SpectrumSchemaError, match=r"^label: expected a string, got \[1, 2\]$"):
+        load_custom_spectrum(dict(doc, label=[1, 2]))
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"poles": (1,)}, "pole 1=1 not a sequence of 2"),
     ({"poles": ((1, 2, 3),)}, r"pole 1=\(1, 2, 3\) not a sequence of 2"),
