@@ -8,9 +8,9 @@ close to a power law in delta, so log(lhs) is close to linear in
 u = log(delta).  The solver runs Newton on log lhs(e^u) - log n in Python
 floats from the leading term (rho_r h_r / n)^(1/(rho_r+1)), then polishes
 that root by Newton in log(delta) at the working precision, safeguarded by
-bisection (rtsafe, Numerical Recipes 9.4).  When floats cannot reach the
-root, the same safeguarded loop starts instead from that leading term,
-computed at the working precision.
+bisection (rtsafe, Numerical Recipes 9.4), with a log-free step near the
+root.  When floats cannot reach the root, the same safeguarded loop starts
+instead from that leading term, computed at the working precision.
 
 The solver's per-spectrum constants are one record, built once per spectrum
 and working precision (SpectralData.memo): raw values for the left side and
@@ -29,6 +29,7 @@ from mpmath.libmp import (
     finf,
     fone,
     from_float,
+    ftwo,
     fzero,
     mpf_abs,
     mpf_add,
@@ -63,6 +64,8 @@ BRACKET_MAX = mpf("1e12")
 # log-step (Newton's next error is near its square, far below float rounding)
 FLOAT_MAX_ITER = 16
 FLOAT_STEP_TOL = 1e-12
+# the polish's Newton steps s below this take the log-free series step
+SERIES_STEP_MAX = mpf(2) ** -26
 _FLOAT_BRACKET = (float(BRACKET_MIN), float(BRACKET_MAX))
 
 
@@ -89,7 +92,7 @@ def _lhs_and_slope(sd: SpectralData, x) -> tuple:
     """lhs(x) and x*lhs'(x) together, with one power per pole, for a raw
     x > 0; raw results."""
     prec, rounding = mp._prec_rounding
-    d1, A0, poles, _ = sd.memo(_solver_constants)
+    d1, A0, poles, _, _ = sd.memo(_solver_constants)
     a0 = mpf_div(A0, x, prec, rounding)  # a0 = sd.A0 / x
     lhs = mpf_add(d1, a0, prec, rounding)  # lhs = D(-1) + a0
     slope = mpf_neg(a0, prec, rounding)  # slope = -a0
@@ -119,8 +122,9 @@ def _as_float(v) -> float:
 
 def _solver_constants(sd: SpectralData) -> tuple:
     """D(-1), A0 and (h rho, -rho-1, rho+1) per pole, raw, for _lhs_and_slope;
-    then _float_root's rho_r h_r, 1/(rho_r+1), A0, D(-1) and those triples
-    in floats, or None when a value is out of float range."""
+    the series step's k = rho_r/2 + 1, raw; then _float_root's rho_r h_r,
+    1/(rho_r+1), A0, D(-1) and those triples in floats, or None when a value
+    is out of float range."""
     prec, rounding = mp._prec_rounding
     rho_h = [(rho._mpf_, h._mpf_) for rho, h in sd.poles]
     d1, A0 = sd.d_neg[0]._mpf_, sd.A0._mpf_
@@ -128,14 +132,16 @@ def _solver_constants(sd: SpectralData) -> tuple:
     poles = tuple((mpf_mul(h, rho, prec, rounding),
                    mpf_sub(mpf_neg(rho, prec, rounding), fone, prec, rounding),
                    mpf_add(rho, fone, prec, rounding)) for rho, h in rho_h)
+    # k = rho_r / 2 + 1
+    k = mpf_add(mpf_div(rho_h[-1][0], ftwo, prec, rounding), fone, prec, rounding)
     try:
         floats = [(_as_float(rho), _as_float(h)) for rho, h in rho_h]
         a0, d1f = _as_float(A0), _as_float(d1)
     except OverflowError:
-        return d1, A0, poles, None
+        return d1, A0, poles, k, None
     rho_r, h_r = floats[-1]
     factors = tuple((h * rho, -rho - 1, rho + 1) for rho, h in floats)
-    return d1, A0, poles, (rho_r * h_r, 1 / (rho_r + 1), a0, d1f, factors)
+    return d1, A0, poles, k, (rho_r * h_r, 1 / (rho_r + 1), a0, d1f, factors)
 
 
 def _float_root(sd: SpectralData, n) -> "float | None":
@@ -146,7 +152,7 @@ def _float_root(sd: SpectralData, n) -> "float | None":
     is not finite, lhs <= 0, an iterate leaves [BRACKET_MIN, BRACKET_MAX], or
     FLOAT_MAX_ITER steps do not converge.
     """
-    constants = sd.memo(_solver_constants)[3]
+    constants = sd.memo(_solver_constants)[4]
     if constants is None:
         return None
     seed_base, seed_power, a0, d1, poles = constants
@@ -192,12 +198,15 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     bracket [BRACKET_MIN, BRACKET_MAX] by the sign of F = lhs - n, and a
     step leaving it becomes the geometric bisection.  Where lhs > 0 the
     step is Newton's on log lhs - log n, which moves as fast far from the
-    root as near it.  Stops at |F| <= max(1e-10*n, 1e-12) with a log-step
-    -F/(delta*lhs') (the relative error) below sqrt(eps): delta is exact to
-    about half the working precision on any path, and lo < delta < hi
-    strictly.  iterations counts the working-precision steps taken (Newton
-    plus bisection), so the loop evaluates lhs iterations + 1 times.  A seed
-    or root outside the initial bracket raises NoBracketError.
+    root as near it.  Once s = -F/(delta*lhs') is below SERIES_STEP_MAX,
+    the next delta is delta*(1 + s + k s^2), k = rho_r/2 + 1, with no log
+    or exp: the root of a pure power law lhs = c delta^-(rho_r+1) to O(s^3).
+    Stops at |F| <= max(1e-10*n, 1e-12) with s (the relative error) below
+    sqrt(eps): delta is exact to about half the working precision on any
+    path, and lo < delta < hi strictly.  iterations counts the
+    working-precision steps taken (Newton plus bisection), so the loop
+    evaluates lhs iterations + 1 times.  A seed or root outside the initial
+    bracket raises NoBracketError.
     """
     # set-up and polish loop on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
@@ -223,6 +232,7 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     if not (mpf_lt(lo, x) and mpf_lt(x, hi)):  # lo < x < hi
         raise _no_bracket(sd, n, f"seed delta={mp.make_mpf(x)} outside "
                           f"[{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
+    k = sd.memo(_solver_constants)[3]
     newtons = 0
     bisections = 0
     for _ in range(MAX_ITER + 1):
@@ -231,9 +241,9 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
         # step = -fx / slope if slope else mp.inf
         step = (mpf_div(mpf_neg(fx, prec, rounding), slope, prec, rounding)
                 if slope != fzero else finf)
-        # abs(fx) <= tol and abs(step) <= step_tol
-        if (mpf_le(mpf_abs(fx, prec, rounding), tol)
-                and mpf_le(mpf_abs(step, prec, rounding), step_tol)):
+        size = mpf_abs(step, prec, rounding)  # size = abs(step)
+        # abs(fx) <= tol and size <= step_tol
+        if mpf_le(mpf_abs(fx, prec, rounding), tol) and mpf_le(size, step_tol):
             make = mp.make_mpf
             return KhintchineSolution(make(x), make(fx), (make(lo), make(hi)),
                                       newtons, bisections)
@@ -241,13 +251,19 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
             lo = x
         else:
             hi = x
-        if mpf_gt(lhs, fzero) and slope != fzero:  # lhs > 0 and slope
-            # step = -mp.log(lhs / n) * lhs / slope
-            log_ratio = mpf_log(mpf_div(lhs, n_, prec, rounding), prec, rounding)
-            step = mpf_neg(log_ratio, prec, rounding)
-            step = mpf_div(mpf_mul(step, lhs, prec, rounding), slope, prec, rounding)
-        # x_new = x * mp.exp(step)
-        x_new = mpf_mul(x, mpf_exp(step, prec, rounding), prec, rounding)
+        if mpf_lt(size, SERIES_STEP_MAX._mpf_):  # size < SERIES_STEP_MAX
+            # x_new = x + x * (step + k * step * step)
+            t = mpf_mul(mpf_mul(k, step, prec, rounding), step, prec, rounding)
+            t = mpf_mul(x, mpf_add(step, t, prec, rounding), prec, rounding)
+            x_new = mpf_add(x, t, prec, rounding)
+        else:
+            if mpf_gt(lhs, fzero) and slope != fzero:  # lhs > 0 and slope
+                # step = -mp.log(lhs / n) * lhs / slope
+                log_ratio = mpf_log(mpf_div(lhs, n_, prec, rounding), prec, rounding)
+                step = mpf_neg(log_ratio, prec, rounding)
+                step = mpf_div(mpf_mul(step, lhs, prec, rounding), slope, prec, rounding)
+            # x_new = x * mp.exp(step)
+            x_new = mpf_mul(x, mpf_exp(step, prec, rounding), prec, rounding)
         if mpf_lt(lo, x_new) and mpf_lt(x_new, hi):  # lo < x_new < hi
             newtons += 1
             x = x_new

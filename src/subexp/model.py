@@ -61,6 +61,8 @@ class ModelSpec:
             raise InvalidParametersError(f"model kind not a str: {shown(self.kind)}")
         if not isinstance(self.base, BaseFunction):
             raise InvalidParametersError(f"not a BaseFunction: {shown(self.base)}")
+        if not isinstance(self.params, tuple):
+            raise InvalidParametersError(f"model params not a tuple: {shown(self.params)}")
 
     def b(self, j: int) -> Fraction:
         int_arg("j", j, 1)  # weights are indexed from 1

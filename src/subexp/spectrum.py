@@ -64,9 +64,9 @@ class SpectralData:
     Construction converts each number by to_mpf (an mpf stays as it is, a
     numeric str is read, a bool is no number) and each (rho, h) pair to a
     Pole (poles, each pair and d_neg must be sequences, not strs), then
-    enforces the contract every estimate relies on (a pole, 0 < rho_1 <
-    ... < rho_r, h_l > 0, nonempty d_neg, all numbers real and finite);
-    SpectrumDataError names each violation.
+    enforces the contract every estimate relies on (a str label, a pole,
+    0 < rho_1 < ... < rho_r, h_l > 0, nonempty d_neg, all numbers real and
+    finite); SpectrumDataError names each violation.
     """
 
     label: str
@@ -76,7 +76,8 @@ class SpectralData:
     d_neg: tuple
 
     def __post_init__(self):
-        unread, nonfinite = [], []
+        unread = [] if isinstance(self.label, str) else [f"label={shown(self.label)} not a str"]
+        nonfinite = []
 
         def real(name, x):  # None for a value that is no number
             try:

@@ -370,7 +370,8 @@ def lhs_and_slope_mpf(sd, x):
 
 def solve_delta_mpf(sd, n, bracket, max_iter=200):
     """(delta, residual, (lo, hi), newton steps, bisection steps): the float
-    root polished by safeguarded Newton in log delta."""
+    root polished by safeguarded Newton in log delta, whose steps s below
+    2^-26 become delta*(1 + s + k s^2), k = rho_r/2 + 1."""
     n = mpmathify(n)
     if not (n >= 1 and n > sd.d_neg[0]):
         raise ValueError(f"n = {n} is outside the domain")
@@ -386,6 +387,7 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
     x = mpf(x)
     if not lo < x < hi:
         raise ValueError(f"seed delta = {x} is outside the bracket")
+    k = sd.poles[-1][0] / 2 + 1
     newtons = 0
     bisections = 0
     for _ in range(max_iter + 1):
@@ -398,9 +400,12 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
             lo = x
         else:
             hi = x
-        if lhs > 0 and slope:
-            step = -mp.log(lhs / n) * lhs / slope
-        x_new = x * mp.exp(step)
+        if abs(step) < mpf(2) ** -26:
+            x_new = x + x * (step + k * step * step)
+        else:
+            if lhs > 0 and slope:
+                step = -mp.log(lhs / n) * lhs / slope
+            x_new = x * mp.exp(step)
         if lo < x_new < hi:
             newtons += 1
             x = x_new

@@ -237,6 +237,22 @@ def test_khintchine_estimate_ratio_at_1000():
     assert mpf("0.95") < ratio < mpf("1.05")
 
 
+@pytest.mark.parametrize("args", [("standard",), ("congruent", 3, 1), ("congruent", 5, 2)],
+                         ids=lambda args: "-".join(map(str, args)))
+def test_estimate_errors_shrink_at_the_theoretical_rate(preset_counts, args):
+    # e(n) = estimate - log c_n falls like n^-alpha, alpha = 1/(rho_r+1), so
+    # e(2n)/e(n) is near 2^-alpha: within 0.0071 at n = 2000 on these presets,
+    # while adding 1e-3 to either estimate moves the ratio by 0.026 or more.
+    # Roots is left out: it is critical, and its explicit error's second
+    # term, of relative size n^(-1/3), still leaves its ratio 0.026 off
+    counts = preset_counts(args, 4000)
+    sd = derive_spectrum(make_preset(*args))
+    want = mpf(2) ** (-1 / (sd.rho_r + 1))
+    for estimate in (log_estimate_khintchine, log_estimate_explicit):
+        e = [estimate(sd, n).log_value - mp.log(counts[n]) for n in (2000, 4000)]
+        assert abs(e[1] / e[0] - want) <= mpf("0.01"), (estimate.__name__, e)
+
+
 def test_explicit_estimate_standard():
     le = log_estimate_explicit(STD, 100)
     assert le.formula == EXPLICIT

@@ -531,7 +531,8 @@ ROW_ORACLE_CASES = {
 @pytest.mark.parametrize("log10", (False, True), ids=("log", "log10"))
 @pytest.mark.parametrize("dps", (15, 38, 60))
 @pytest.mark.parametrize("name", ROW_ORACLE_CASES)
-def test_compare_rows_equal_the_mpf_row_oracle(tmp_path, capsys, name, dps, log10):
+def test_compare_rows_equal_the_mpf_row_oracle(tmp_path, capsys, preset_counts, name, dps,
+                                                log10):
     params, grid = ROW_ORACLE_CASES[name]
     if params is None:
         spec = tmp_path / "half.json"
@@ -549,12 +550,11 @@ def test_compare_rows_equal_the_mpf_row_oracle(tmp_path, capsys, name, dps, log1
                            "--precision", str(dps), *(["--log10"] if log10 else []))
         with mp.workdps(dps):
             if params is None:
-                model = custom_model(HALF_WEIGHTS_SPEC["weights"])
                 sd = load_custom_spectrum(HALF_WEIGHTS_SPEC)
+                series = exact_coefficients(custom_model(HALF_WEIGHTS_SPEC["weights"]), ns[-1])
             else:
-                model = make_preset(name, *params)
-                sd = derive_spectrum(model)
-            series = exact_coefficients(model, ns[-1])
+                sd = derive_spectrum(make_preset(name, *params))
+                series = preset_counts((name, *params), ns[-1])
             log_scale = mp.log(10) if log10 else mpf(1)
             want = [CSV_HEADER] + [
                 compare_row_mpf(n, series[n], log_estimate_khintchine(sd, n).log_value,

@@ -323,6 +323,10 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
     # a kind or label that is no str, refused where it enters
     lambda: make_preset([1]),
     lambda: load_custom_spectrum(dict(_DOC, label=[1])),
+    lambda: SpectralData(None, ((1, 1),), 0, 0, (0,)),
+    # params that are no tuple, refused where the model is built
+    lambda: derive_spectrum(ModelSpec("m", MULTISET, QuasiPolynomial(1, ((1, 0, 1),)),
+                                      params=5)),
 ],
     ids=["lambda-True", "lambda-float", "llt-float", "llt-bool", "b-float",
          "weights-negative", "lhs-bool", "lhs-str", "spectral-bool", "dps-huge",
@@ -333,7 +337,7 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
             "preset-a", "preset-kind", "weights", "weight-entry", "base", "b-value",
             "kind", "rule-term", "d_neg", "pole", "theta-list", "theta-disagrees",
             "to_mpf", "series", "lhs", "solve", "derive-kind", "label", "base-value")]
-    + ["preset-kind-list", "label-list"])
+    + ["preset-kind-list", "label-list", "spectral-label-none", "params-int"])
 def test_each_former_hole_raises_a_subexp_error(call):
     dps = mp.dps
     try:
@@ -348,6 +352,22 @@ def test_derive_spectrum_shows_each_param_in_its_label():
     rule = QuasiPolynomial(1, ((1, 0, 1),))
     sd = derive_spectrum(ModelSpec("m", MULTISET, rule, params=(HUGE, 3)))
     assert sd.label == f"m(an int of {HUGE.bit_length()} bits,3)"
+
+
+def test_spectral_data_names_a_label_that_is_no_str():
+    with pytest.raises(subexp.SpectrumDataError,
+                       match=r"^label=None not a str; A0='x' not a real number$"):
+        SpectralData(None, ((1, 1),), "x", 0, (0,))
+    with pytest.raises(subexp.SpectrumDataError,
+                       match=f"^label=an int of {HUGE.bit_length()} bits not a str$"):
+        SpectralData(HUGE, ((1, 1),), 0, 0, (0,))
+
+
+def test_model_spec_refuses_params_that_are_no_tuple():
+    rule = QuasiPolynomial(1, ((1, 0, 1),))
+    for params in (5, [3, 1], "31", None):
+        with pytest.raises(subexp.InvalidParametersError, match="^model params not a tuple: "):
+            ModelSpec("m", MULTISET, rule, params=params)
 
 
 def test_a_bool_is_no_number_in_spectral_data():

@@ -203,6 +203,25 @@ def test_solve_delta_is_polished_to_half_precision():
         assert abs(solve_delta(sd, n).delta / want - 1) < mpf("1e-18")
 
 
+@pytest.mark.parametrize("dps", (38, 60))
+def test_solve_delta_is_accurate_to_1e_32(dps):
+    # against a solve 40 digits higher on a spectrum derived there; the
+    # polish's series step needs its s^2 term: delta*(1 + s) alone is off
+    # by up to ~1.7e-31
+    ns = (10, 37, 100, 1000, 12345, 10**5, 10**8)
+    worst = mpf(0)
+    for args in ALL_PRESETS:
+        with mp.workdps(dps + 40):
+            sd = derive_spectrum(make_preset(*args))
+            want = [solve_delta(sd, n).delta for n in ns]
+        with mp.workdps(dps):
+            sd = derive_spectrum(make_preset(*args))
+            got = [solve_delta(sd, n).delta for n in ns]
+        with mp.workdps(dps + 40):
+            worst = max([worst] + [abs(g / w - 1) for g, w in zip(got, want)])
+    assert worst < mpf("1e-32"), mp.nstr(worst, 3)
+
+
 @pytest.mark.parametrize("dps", (15, 20, 38, 60))
 def test_newton_from_the_seed_needs_no_bisection(dps):
     with mp.workdps(dps):
