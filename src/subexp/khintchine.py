@@ -3,21 +3,24 @@
     sum_{l=1}^r h_l rho_l delta^(-rho_l-1) + A_0 delta^(-1) + D(-1) = n
 
 has a unique positive solution delta_n for every n > D(-1); z_n = 1/delta_n
-is the scale at which the generating function is tilted.  The left side is
-close to a power law in delta, so log(lhs) is close to linear in
-u = log(delta).  The solver runs Newton on log lhs(e^u) - log n in Python
-floats from the leading term (rho_r h_r / n)^(1/(rho_r+1)), then polishes
-that root by Newton in log(delta) at the working precision, safeguarded by
-bisection (rtsafe, Numerical Recipes 9.4), with a log-free step near the
-root.  When floats cannot reach the root, the same safeguarded loop starts
-instead from that leading term, computed at the working precision.
+is the scale at which the generating function is tilted.  With one pole at
+rho = 1 the equation is a quadratic in 1/delta, whose root the solver takes
+in closed form.  Otherwise the left side is close to a power law in delta,
+so log(lhs) is close to linear in u = log(delta).  The solver runs Newton on
+log lhs(e^u) - log n in Python floats from the leading term
+(rho_r h_r / n)^(1/(rho_r+1)), then polishes that root by Newton in
+log(delta) at the working precision, safeguarded by bisection (rtsafe,
+Numerical Recipes 9.4), with a log-free step near the root.  When floats
+cannot reach the root, the same safeguarded loop starts instead from that
+leading term, computed at the working precision.
 
 The solver's per-spectrum constants are one record, built once per spectrum
 and working precision (SpectralData.memo): raw values for the left side and
-floats for the float phase.  The left side, that record and the set-up and
-polish loop run on raw mpmath.libmp values: the same operations, in the same
-order and at mp's precision and rounding, as the mpf expressions quoted
-beside them, so every result is bit for bit what mpf arithmetic gives.
+the quadratic seed, floats for the float phase.  The left side, that record
+and the set-up and polish loop run on raw mpmath.libmp values: the same
+operations, in the same order and at mp's precision and rounding, as the
+mpf expressions quoted beside them, so every result is bit for bit what mpf
+arithmetic gives.
 """
 
 import math
@@ -43,6 +46,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pow,
+    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     to_float,
@@ -92,7 +96,7 @@ def _lhs_and_slope(sd: SpectralData, x) -> tuple:
     """lhs(x) and x*lhs'(x) together, with one power per pole, for a raw
     x > 0; raw results."""
     prec, rounding = mp._prec_rounding
-    d1, A0, poles, _, _ = sd.memo(_solver_constants)
+    d1, A0, poles, _, _, _ = sd.memo(_solver_constants)
     a0 = mpf_div(A0, x, prec, rounding)  # a0 = sd.A0 / x
     lhs = mpf_add(d1, a0, prec, rounding)  # lhs = D(-1) + a0
     slope = mpf_neg(a0, prec, rounding)  # slope = -a0
@@ -122,9 +126,10 @@ def _as_float(v) -> float:
 
 def _solver_constants(sd: SpectralData) -> tuple:
     """D(-1), A0 and (h rho, -rho-1, rho+1) per pole, raw, for _lhs_and_slope;
-    the series step's k = rho_r/2 + 1, raw; then _float_root's rho_r h_r,
-    1/(rho_r+1), A0, D(-1) and those triples in floats, or None when a value
-    is out of float range."""
+    the series step's k = rho_r/2 + 1, raw; for one pole at rho = 1, the
+    quadratic seed's A0*A0, 2h and 4h, raw, else None; then _float_root's
+    rho_r h_r, 1/(rho_r+1), A0, D(-1) and those triples in floats, or None
+    when a value is out of float range."""
     prec, rounding = mp._prec_rounding
     rho_h = [(rho._mpf_, h._mpf_) for rho, h in sd.poles]
     d1, A0 = sd.d_neg[0]._mpf_, sd.A0._mpf_
@@ -134,14 +139,18 @@ def _solver_constants(sd: SpectralData) -> tuple:
                    mpf_add(rho, fone, prec, rounding)) for rho, h in rho_h)
     # k = rho_r / 2 + 1
     k = mpf_add(mpf_div(rho_h[-1][0], ftwo, prec, rounding), fone, prec, rounding)
+    quadratic = None  # (A0 * A0, 2 * h, 4 * h) for one pole at rho = 1
+    if [rho for rho, _ in rho_h] == [fone]:
+        h2 = mpf_mul(ftwo, rho_h[0][1], prec, rounding)  # 4 * h rounds as 2 * (2 * h)
+        quadratic = (mpf_mul(A0, A0, prec, rounding), h2, mpf_shift(h2, 1))
     try:
         floats = [(_as_float(rho), _as_float(h)) for rho, h in rho_h]
         a0, d1f = _as_float(A0), _as_float(d1)
     except OverflowError:
-        return d1, A0, poles, k, None
+        return d1, A0, poles, k, quadratic, None
     rho_r, h_r = floats[-1]
     factors = tuple((h * rho, -rho - 1, rho + 1) for rho, h in floats)
-    return d1, A0, poles, k, (rho_r * h_r, 1 / (rho_r + 1), a0, d1f, factors)
+    return d1, A0, poles, k, quadratic, (rho_r * h_r, 1 / (rho_r + 1), a0, d1f, factors)
 
 
 def _float_root(sd: SpectralData, n) -> "float | None":
@@ -152,7 +161,7 @@ def _float_root(sd: SpectralData, n) -> "float | None":
     is not finite, lhs <= 0, an iterate leaves [BRACKET_MIN, BRACKET_MAX], or
     FLOAT_MAX_ITER steps do not converge.
     """
-    constants = sd.memo(_solver_constants)[4]
+    constants = sd.memo(_solver_constants)[5]
     if constants is None:
         return None
     seed_base, seed_power, a0, d1, poles = constants
@@ -190,10 +199,15 @@ def _no_bracket(sd: SpectralData, n, message: str) -> NoBracketError:
 
 
 def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
-    """Solve for delta_n: a float root polished by Newton in log(delta).
+    """Solve for delta_n: a seed polished by Newton in log(delta).
 
-    The seed is the float-phase root (_float_root) or, when floats cannot
-    reach it, the same leading term (rho_r h_r / n)^(1/(rho_r+1)) in mpmath.
+    With one pole at rho = 1 the seed is the positive root of
+    m delta^2 - A0 delta - h = 0, m = n - D(-1): (A0 + S)/(2m) for A0 >= 0
+    and 2h/(S - A0) for A0 < 0, S = sqrt(A0^2 + 4hm), at the working
+    precision, so delta is exact to a few ulps and the loop below normally
+    returns at its first evaluation with no step.  Otherwise the seed is the
+    float-phase root (_float_root) or, when floats cannot reach it, the same
+    leading term (rho_r h_r / n)^(1/(rho_r+1)) in mpmath.
     Each step evaluates lhs and delta*lhs' together; iterates narrow the
     bracket [BRACKET_MIN, BRACKET_MAX] by the sign of F = lhs - n, and a
     step leaving it becomes the geometric bisection.  Where lhs > 0 the
@@ -203,7 +217,7 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     or exp: the root of a pure power law lhs = c delta^-(rho_r+1) to O(s^3).
     Stops at |F| <= max(1e-10*n, 1e-12) with s (the relative error) below
     sqrt(eps): delta is exact to about half the working precision on any
-    path, and lo < delta < hi strictly.  iterations counts the
+    other path, and lo < delta < hi strictly.  iterations counts the
     working-precision steps taken (Newton plus bisection), so the loop
     evaluates lhs iterations + 1 times.  A seed or root outside the initial
     bracket raises NoBracketError.
@@ -224,15 +238,26 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     tol = mpf_mul(rel, n_, prec, rounding)  # tol = max(1e-10 * n, 1e-12)
     tol = floor if mpf_gt(floor, tol) else tol
     lo, hi = BRACKET_MIN._mpf_, BRACKET_MAX._mpf_
-    x = _float_root(sd, n)
-    if x is None:
-        rho_r, h_r = sd.poles[-1]
-        x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
-    x = from_float(x, prec, rounding) if type(x) is float else x._mpf_  # mpf(x)
+    d1, A0, _, k, quadratic, _ = sd.memo(_solver_constants)
+    if quadratic is not None:  # the positive root of m x^2 - A0 x - h
+        A0_sq, h2, h4 = quadratic
+        m = mpf_sub(n_, d1, prec, rounding)  # m = n - D(-1)
+        # S = mp.sqrt(A0 * A0 + 4 * h * m)
+        S = mpf_add(A0_sq, mpf_mul(h4, m, prec, rounding), prec, rounding)
+        S = mpf_sqrt(S, prec, rounding)
+        if mpf_ge(A0, fzero):  # x = (A0 + S) / (2 * m), exact doubling
+            x = mpf_div(mpf_add(A0, S, prec, rounding), mpf_shift(m, 1), prec, rounding)
+        else:  # x = 2 * h / (S - A0)
+            x = mpf_div(h2, mpf_sub(S, A0, prec, rounding), prec, rounding)
+    else:
+        x = _float_root(sd, n)
+        if x is None:
+            rho_r, h_r = sd.poles[-1]
+            x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
+        x = from_float(x, prec, rounding) if type(x) is float else x._mpf_  # mpf(x)
     if not (mpf_lt(lo, x) and mpf_lt(x, hi)):  # lo < x < hi
         raise _no_bracket(sd, n, f"seed delta={mp.make_mpf(x)} outside "
                           f"[{BRACKET_MIN}, {BRACKET_MAX}] for n={n}")
-    k = sd.memo(_solver_constants)[3]
     newtons = 0
     bisections = 0
     for _ in range(MAX_ITER + 1):

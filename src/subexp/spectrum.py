@@ -274,8 +274,8 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     theta, derived from h0 and A0; a given theta must be finite and agree
     with that to 1e-12 relative, loose enough for JSON doubles.  Numbers may
     be strings, to survive the decimal-to-binary round trip.
-    SpectrumSchemaError for a wrong shape, a label that is no string or a
-    theta that is no number; SpectralData reads and checks every other value
+    SpectrumSchemaError for a wrong shape or a theta that is no number;
+    SpectralData reads and checks every other value, the label too
     (SpectrumDataError).
     """
     if not isinstance(document, dict):
@@ -294,8 +294,6 @@ def load_custom_spectrum(document: dict) -> SpectralData:
     if bad:
         raise SpectrumSchemaError(f"poles{bad}: expected objects with keys rho, h only")
     label = document.get("label")  # null, as absent, is "custom"
-    if not isinstance(label, (str, type(None))):
-        raise SpectrumSchemaError(f"label: expected a string, got {shown(label)}")
     sd = SpectralData("custom" if label is None else label,
                       tuple((p["rho"], p["h"]) for p in poles),
                       document["A0"], document["h0"], tuple(d_neg))

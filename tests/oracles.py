@@ -371,7 +371,9 @@ def lhs_and_slope_mpf(sd, x):
 def solve_delta_mpf(sd, n, bracket, max_iter=200):
     """(delta, residual, (lo, hi), newton steps, bisection steps): the float
     root polished by safeguarded Newton in log delta, whose steps s below
-    2^-26 become delta*(1 + s + k s^2), k = rho_r/2 + 1."""
+    2^-26 become delta*(1 + s + k s^2), k = rho_r/2 + 1.  One pole at
+    rho = 1 seeds instead from the positive root of the quadratic
+    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel."""
     n = mpmathify(n)
     if not (n >= 1 and n > sd.d_neg[0]):
         raise ValueError(f"n = {n} is outside the domain")
@@ -380,11 +382,17 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
         rel, floor, step_tol = mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)
     tol = max(rel * n, floor)
     lo, hi = bracket
-    x = float_root_mpf(sd, n, bracket)
-    if x is None:
-        rho_r, h_r = sd.poles[-1]
-        x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
-    x = mpf(x)
+    if len(sd.poles) == 1 and sd.poles[0][0] == 1:
+        h, A0 = sd.poles[0][1], sd.A0
+        m = n - sd.d_neg[0]
+        S = mp.sqrt(A0 * A0 + 4 * h * m)
+        x = (A0 + S) / (2 * m) if A0 >= 0 else 2 * h / (S - A0)
+    else:
+        x = float_root_mpf(sd, n, bracket)
+        if x is None:
+            rho_r, h_r = sd.poles[-1]
+            x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
+        x = mpf(x)
     if not lo < x < hi:
         raise ValueError(f"seed delta = {x} is outside the bracket")
     k = sd.poles[-1][0] / 2 + 1

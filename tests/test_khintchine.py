@@ -248,6 +248,39 @@ def _one_pole(h, A0, d1, rho=1):
     return SpectralData("one pole", (Pole(mpf(rho), mpf(h)),), mpf(A0), mpf(0), (mpf(d1),))
 
 
+# one pole at rho = 1 with A0^2 far above h (n - D(-1)), by 2.6e3 to 1.3e5
+# at n = 100 down to 2: the quadratic's root loses up to 5 digits in the form
+# that cancels, (A0 + S)/(2m) for A0 < 0 and 2h/(S - A0) for A0 > 0.  A
+# larger A0 < 0 cancels in lhs itself, which then misses its residual test
+# at 15 digits
+LOPSIDED = (_one_pole(1, 2**9, 0), _one_pole(1, -(2**9), 0))
+
+
+@pytest.mark.parametrize("dps", (15, 38, 60, 100))
+def test_one_pole_delta_is_exact_to_the_working_precision(dps):
+    # the 46 presets with one pole at rho = 1, against a solve 40 digits
+    # higher on a spectrum derived there
+    ns = (2, 10, 37, 100, 1000, 12345, 10**5, 10**8)
+    one_pole = [("standard",)] + ALL_PRESETS[2:]
+    cases = []
+    for args in one_pole:
+        with mp.workdps(dps + 40):
+            want = [solve_delta(derive_spectrum(make_preset(*args)), n).delta for n in ns]
+        with mp.workdps(dps):
+            sd = derive_spectrum(make_preset(*args))
+            cases += [(args, n, solve_delta(sd, n).delta, w) for n, w in zip(ns, want)]
+    for sd in LOPSIDED:
+        with mp.workdps(dps + 40):
+            want = [solve_delta(sd, n).delta for n in ns[:4]]
+        with mp.workdps(dps):
+            cases += [(sd.A0, n, solve_delta(sd, n).delta, w) for n, w in zip(ns[:4], want)]
+    with mp.workdps(dps):
+        bound = mpf(2) ** (4 - mp.prec)
+    with mp.workdps(dps + 40):
+        for key, n, got, want in cases:
+            assert abs(got / want - 1) <= bound, (key, n, mp.nstr(got / want - 1, 3))
+
+
 def test_steep_pole_at_low_precision_does_not_converge():
     # rho = 1e8: at 15 digits one ulp of delta moves lhs by about
     # rho * 2^-53 * n, about 1e-8 n, so the residual test max(1e-10 n, 1e-12)
@@ -264,8 +297,9 @@ def test_steep_pole_at_low_precision_does_not_converge():
 
 def _solve_via_fallback(monkeypatch, sd, n):
     """solve_delta, asserting that the float phase hands over and that the
-    fallback seeds from the leading term without a khintchine_lhs call
-    (as a sign choice between two-term expansions would make)."""
+    fallback seeds from the leading term (at rho = 1 from the quadratic's
+    root) without a khintchine_lhs call (as a sign choice between two-term
+    expansions would make)."""
     calls = []
 
     def spy(sd, delta):
@@ -323,19 +357,24 @@ def test_root_outside_the_bracket_raises(monkeypatch):
     # root and seed at delta = 1e-15
     with pytest.raises(NoBracketError):
         _solve_via_fallback(monkeypatch, _one_pole("1e-30", 0, 0), 1)
-    # seed at delta = 1, root near A0/(n - D(-1)) = 1e13: the float iterates
-    # leave the bracket
-    with pytest.raises(NoBracketError):
-        _solve_via_fallback(monkeypatch, _one_pole(1, "1e-7", 1 - mpf("1e-20")), 1)
+    # root near A0/(n - D(-1)) = 1e13: at rho = 1 the seed is that root; at
+    # rho = 2 the float iterates leave the bracket, and the loop from the
+    # seed 2^(1/3) finds no sign change in it
+    one_pole = lambda rho: _one_pole(1, "1e-7", 1 - mpf("1e-20"), rho)
+    with pytest.raises(NoBracketError, match="^seed delta=1000000999999"):
+        _solve_via_fallback(monkeypatch, one_pole(1), 1)
+    with pytest.raises(NoBracketError, match=r"^no root in \[1.0e-12, "):
+        _solve_via_fallback(monkeypatch, one_pole(2), 1)
 
 
 def test_flat_seed_falls_back_to_bisection(monkeypatch):
-    # lhs = delta^-2 - 2/delta is -1 at the float seed delta = 1, and has
-    # zero slope there
-    sol = _solve_via_fallback(monkeypatch, _one_pole(1, -2, 0), 1)
+    # lhs = 2 delta^-3 - 6/delta is -4 at the float seed delta = 1 for n = 2,
+    # and has zero slope there; the root solves delta^3 + 3 delta^2 = 1,
+    # so delta + 1 = 2 cos(2 pi/9)
+    sol = _solve_via_fallback(monkeypatch, _one_pole(1, -6, 0, rho=2), 2)
     assert sol.bisection_steps >= 1
     assert sol.iterations <= 20
-    assert abs(sol.delta - (mp.sqrt(2) - 1)) < mpf("1e-18")
+    assert abs(sol.delta - (2 * mp.cos(2 * mp.pi / 9) - 1)) < mpf("1e-18")
 
 
 @st.composite

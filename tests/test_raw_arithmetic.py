@@ -38,7 +38,8 @@ SPECTRA_38 = {args: derive_spectrum(make_preset(*args))
 
 # the spectra and n of test_khintchine's float-phase hand-over tests: the
 # float phase gives up, so the polish loop starts from the mpf leading term
-# (and, for the last, bisects)
+# (and, for the last, bisects); at rho = 1 (the three before the last) the
+# seed is the quadratic's root instead
 ONE_POLE_CASES = (
     (("1e-400", 0, 0, 40), 1),
     (("1e400", 0, 0, 40), 10**6),
@@ -47,6 +48,7 @@ ONE_POLE_CASES = (
     (("1e-30", 0, 0), 1),
     ((1, "1e-7", 1 - mpf("1e-20")), 1),
     ((1, -2, 0), 1),
+    ((1, -6, 0, 2), 2),
 )
 
 

@@ -644,7 +644,8 @@ def test_load_custom_keeps_weights_out():
 def test_a_null_label_counts_as_absent():
     doc = {"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0, "d_neg": [0], "label": None}
     assert load_custom_spectrum(doc).label == "custom"
-    with pytest.raises(SpectrumSchemaError, match=r"^label: expected a string, got \[1, 2\]$"):
+    # any other label that is no str is SpectralData's to refuse
+    with pytest.raises(SpectrumDataError, match=r"^label=\[1, 2\] not a str$"):
         load_custom_spectrum(dict(doc, label=[1, 2]))
 
 
