@@ -30,7 +30,6 @@ from .errors import (
     SubexpError,
     TruncationWarning,
     UndefinedWeightError,
-    UnsupportedModelError,
 )
 from .exact import ExactSeries, exact_coefficients, pentagonal_oracle, product_dp
 from .khintchine import KhintchineSolution, khintchine_lhs, solve_delta
@@ -81,7 +80,6 @@ __all__ = [
     "SubexpError",
     "TruncationWarning",
     "UndefinedWeightError",
-    "UnsupportedModelError",
     "custom_model",
     "derive_spectrum",
     "exact_coefficients",

@@ -41,10 +41,6 @@ class IneligibleSpectrumError(SubexpError):
     """The two largest poles violate 2*rho_{r-1} - rho_r <= 0."""
 
 
-class UnsupportedModelError(SubexpError):
-    """Algorithm preconditions (base, weight integrality) not met."""
-
-
 class InexactDivisionError(SubexpError, ArithmeticError):
     """Exact counting of an integer-coefficient model met an inexact division."""
 

@@ -18,16 +18,16 @@ sums: there dot products of wide c_i and narrower k*Lambda_k are faster.
 
 Two independent verifiers back it: the classical pentagonal-number
 recurrence (ordinary partitions only) and a direct truncated-product
-evaluation (integer-weight multiset models).  Redundancy is the test
-strategy for exact counting; the three share no counting code.
+evaluation (every model).  Redundancy is the test strategy for exact
+counting; the three share no counting code.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .errors import InexactDivisionError, UnsupportedModelError
-from .model import EXPONENTIAL, MULTISET, ModelSpec, lambda_coeffs
+from .errors import InexactDivisionError
+from .model import EXPONENTIAL, SELECTION, ModelSpec, lambda_coeffs
 from .precision import int_arg
 
 # blocks [l, r) with r - l <= max(_LEAF, bits of c[l-1] // _BITS_PER_LEAF_TERM)
@@ -288,46 +288,43 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
     """c_0..c_N by direct truncated-product evaluation.
 
     Multiplies out prod_j S(z^j)^(b_j) factor by factor, reading b_1..b_N
-    from model.weights, on the multiset base S = 1/(1-w) or the selection
-    base S = 1+w.  A factor with b_j <= N // j is applied as b_j passes
-    along stride j: a multiset pass is prefix sums (one per 1/(1-z^j)), a
-    selection pass the shift-add c[i] += c[i-j] on the values from before
-    it (one per 1+z^j).  A heavier one is N // j shifted multiply-adds
-    c[m*j:] += w_m * old, with w_m = C(b_j+m-1, m) or C(b_j, m), the
-    binomial weights of S(z^j)^(b_j), times the coefficients from before
-    the factor.
+    from model.weights, on the multiset base S = 1/(1-w), the selection
+    base S = 1+w or the exponential base S^(b_j) = exp(b_j w).  A zero b_j
+    applies no factor.  A whole b_j <= N // j off the exponential base is
+    applied as b_j passes along stride j: a multiset pass is prefix sums
+    (one per 1/(1-z^j)), a selection pass the shift-add c[i] += c[i-j] on
+    the values from before it (one per 1+z^j).  Any other factor is N // j
+    shifted multiply-adds c[m*j:] += w_m * old, with w_m = C(b_j+m-1, m),
+    C(b_j, m) or b_j^m/m!, the weights of S(z^j)^(b_j), times the
+    coefficients from before the factor: ints for a whole b_j off the
+    exponential base, Fractions otherwise.
 
     The factors go from j = N down to 1.  Below the smallest part `low`
     with b_low > 0 applied so far only c_0 = 1 is nonzero, so a pass
     touches just the multiples of j there, and the block additions and
     multiply-adds start at low + j and m*j + low.  That halves the
     big-int additions of ascending order (2.09 against 4.17 million on
-    congruent(3,1) at N = 5000).  The factors and the exact ints are
+    congruent(3,1) at N = 5000).  The factors and the exact values are
     those of the plain product, and nothing here reads a Lambda_k or
-    shares counting code with the recurrence.  Only integer weights off
-    the exponential base qualify; exists purely as an independent
-    verifier for exact_coefficients.
+    shares counting code with the recurrence; exists purely as an
+    independent verifier for exact_coefficients.
     """
     int_arg("N", N, 0)
-    if model.base is EXPONENTIAL:
-        raise UnsupportedModelError("product evaluation needs the multiset or "
-                                    "selection base; model has exponential")
     b = model.weights(N)
-    if b and type(b[0]) is not int:
-        j, bj = next((j, x) for j, x in enumerate(b, 1) if x.denominator != 1)
-        raise UnsupportedModelError(
-            f"product evaluation needs integer weights; b_{j} = {bj}"
-        )
     c = [1] + [0] * N
     low = N + 1  # the smallest part applied so far; c[1:low] is zero
-    selection = model.base is not MULTISET
+    exponential, selection = model.base is EXPONENTIAL, model.base is SELECTION
     for j in range(N, 0, -1):
         bj = b[j - 1]
-        if bj > N // j:
+        if not bj:
+            continue
+        if exponential or type(bj) is not int or bj > N // j:
             before = c[: N + 1 - j]
             w = 1
             for m in range(1, N // j + 1):
-                w = w * (bj - m + 1 if selection else bj + m - 1) // m
+                # w = C(b_j+m-1, m), C(b_j, m) or b_j^m/m!, in ints while r is one
+                r = Fraction(bj) if exponential else bj - m + 1 if selection else bj + m - 1
+                w = w * r // m if type(r) is int else w * r / m
                 s = m * j
                 c[s] += w  # before[0] = 1, before[1:low] = 0
                 t = s + low
@@ -348,6 +345,5 @@ def product_dp(model: ModelSpec, N: int) -> ExactSeries:
                     c[i] += c[i - j]
                 for i in range(low + j, N + 1, j):
                     c[i : i + j] = map(add, c[i : i + j], c[i - j : i])
-        if bj:
-            low = j
+        low = j
     return ExactSeries(tuple(c))

@@ -215,9 +215,12 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     root as near it.  Once s = -F/(delta*lhs') is below SERIES_STEP_MAX,
     the next delta is delta*(1 + s + k s^2), k = rho_r/2 + 1, with no log
     or exp: the root of a pure power law lhs = c delta^-(rho_r+1) to O(s^3).
-    Stops at |F| <= max(1e-10*n, 1e-12) with s (the relative error) below
-    sqrt(eps): delta is exact to about half the working precision on any
-    other path, and lo < delta < hi strictly.  iterations counts the
+    Stops once s (the relative error) is below sqrt(eps) and, off the
+    closed form, |F| <= max(1e-10*n, 1e-12).  The closed-form root needs
+    no residual test: there lhs's terms can cancel (A0 < 0, A0^2 >> hm), so
+    |F| carries their rounding, while delta*lhs' = -(h/delta^2 + m) keeps s
+    within a few ulps.  On any other path delta is exact to about half the
+    working precision, and lo < delta < hi strictly.  iterations counts the
     working-precision steps taken (Newton plus bisection), so the loop
     evaluates lhs iterations + 1 times.  A seed or root outside the initial
     bracket raises NoBracketError.
@@ -267,8 +270,8 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
         step = (mpf_div(mpf_neg(fx, prec, rounding), slope, prec, rounding)
                 if slope != fzero else finf)
         size = mpf_abs(step, prec, rounding)  # size = abs(step)
-        # abs(fx) <= tol and size <= step_tol
-        if mpf_le(mpf_abs(fx, prec, rounding), tol) and mpf_le(size, step_tol):
+        # (quadratic or abs(fx) <= tol) and size <= step_tol
+        if (quadratic or mpf_le(mpf_abs(fx, prec, rounding), tol)) and mpf_le(size, step_tol):
             make = mp.make_mpf
             return KhintchineSolution(make(x), make(fx), (make(lo), make(hi)),
                                       newtons, bisections)

@@ -373,7 +373,8 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
     root polished by safeguarded Newton in log delta, whose steps s below
     2^-26 become delta*(1 + s + k s^2), k = rho_r/2 + 1.  One pole at
     rho = 1 seeds instead from the positive root of the quadratic
-    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel."""
+    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel,
+    and stops on the step size alone."""
     n = mpmathify(n)
     if not (n >= 1 and n > sd.d_neg[0]):
         raise ValueError(f"n = {n} is outside the domain")
@@ -382,7 +383,8 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
         rel, floor, step_tol = mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)
     tol = max(rel * n, floor)
     lo, hi = bracket
-    if len(sd.poles) == 1 and sd.poles[0][0] == 1:
+    quadratic = len(sd.poles) == 1 and sd.poles[0][0] == 1
+    if quadratic:
         h, A0 = sd.poles[0][1], sd.A0
         m = n - sd.d_neg[0]
         S = mp.sqrt(A0 * A0 + 4 * h * m)
@@ -402,7 +404,7 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
         lhs, slope = lhs_and_slope_mpf(sd, x)
         fx = lhs - n
         step = -fx / slope if slope else mp.inf
-        if abs(fx) <= tol and abs(step) <= step_tol:
+        if (quadratic or abs(fx) <= tol) and abs(step) <= step_tol:
             return x, fx, (lo, hi), newtons, bisections
         if fx > 0:
             lo = x

@@ -212,6 +212,20 @@ def test_exact_oracle_flag(capsys, monkeypatch):
     assert "oracle mismatch (direct product evaluation) at n = [0, 1, 2" in err
 
 
+def test_exact_oracle_checks_rational_weights(capsys, tmp_path):
+    # "p/q" weights count in Fractions; product_dp multiplies out the same
+    # factors (1 - z^j)^(-b_j) by their binomial weights
+    doc = {"poles": [{"rho": 1, "h": 1}], "A0": 0, "h0": 0, "d_neg": [0],
+           "weights": ["1/2", "2/3", 1, "3/2"] * 8}
+    spec = tmp_path / "rational.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "exact", "--model", "custom", "--spec", str(spec),
+                         "--N", "30", "--oracle")
+    assert code == 0
+    assert "oracle check passed: direct product evaluation, N=30" in err
+    assert out.splitlines()[:3] == ["0 1", "1 1/2", "2 25/24"]
+
+
 def test_exact_congruent(capsys):
     code, out, _ = run(capsys, "exact", "--model", "congruent", "--a", "2",
                        "--b", "1", "--N", "10")

@@ -22,7 +22,6 @@ from subexp.errors import (
     InexactDivisionError,
     InvalidParametersError,
     UndefinedWeightError,
-    UnsupportedModelError,
 )
 from subexp.exact import exact_coefficients, pentagonal_oracle, product_dp
 from subexp.model import (
@@ -165,6 +164,7 @@ def test_exponential_base_rational_coeffs():
     assert series[1] == 1
     assert series[2] == Fraction(3, 2)
     assert series[3] == Fraction(13, 6)
+    assert product_dp(model, 3).coeffs == series.coeffs
 
 
 def test_fractional_weights_rational_path():
@@ -229,6 +229,29 @@ def test_kernel_matches_naive_selection(weights):
     assert exact._recurrence_int(kl, N) == want
     assert list(exact_coefficients(model, N).coeffs) == want
     assert list(product_dp(model, N).coeffs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([MULTISET, SELECTION, EXPONENTIAL]),
+    st.lists(st.sampled_from([0, Fraction(1, 2), 1, Fraction(3, 2), Fraction(2, 3)]),
+             max_size=40),
+)
+@example(SELECTION, [Fraction(1, 2)] + [0] * 39)  # (1+z)^(1/2): c_2 = -1/8 < 0
+@example(EXPONENTIAL, [0, 0, 1, 0, Fraction(1, 2)] * 8)
+@example(EXPONENTIAL, [0] * 39 + [1])
+@example(MULTISET, [Fraction(2, 3)] * 40)  # a binomial pass at every j
+def test_product_dp_matches_the_recurrence_on_every_base(base, weights):
+    # rational b_j and the exponential base run product_dp in Fractions; the
+    # recurrence shares no counting code with it
+    model = custom_model(weights, base=base)
+    N = len(weights)
+    got = product_dp(model, N).coeffs
+    assert got == exact_coefficients(model, N).coeffs
+    # a zero b_j applies no factor, so below the smallest part with b_j > 0
+    # every c_n is still the int it started as
+    low = next((j for j, bj in enumerate(weights, 1) if bj), N + 1)
+    assert all(type(v) is int for v in got[:low])
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,23 +499,13 @@ def test_roots_600_matches_product_dp():
     assert rec.coeffs == product_dp(model, 600).coeffs
 
 
-def test_product_dp_requires_integer_weights_off_the_exponential_base():
-    with pytest.raises(UnsupportedModelError):
-        product_dp(custom_model([Fraction(1, 2)]), 1)
-    with pytest.raises(UnsupportedModelError):
-        product_dp(custom_model([Fraction(1, 2)], base=SELECTION), 1)
-    expo = ModelSpec("exp", EXPONENTIAL, lambda j: Fraction(1))
-    with pytest.raises(UnsupportedModelError, match="has exponential"):
-        product_dp(expo, 5)
-
-
 def test_product_dp_reads_the_whole_weight_table_first():
-    # a fault anywhere in b_1..b_N raises before the integer check, so a
+    # a fault anywhere in b_1..b_N raises before any factor is applied, so a
     # short fractional table names its missing entry
     with pytest.raises(UndefinedWeightError, match=r"\bj=4\b"):
         product_dp(custom_model([1, Fraction(1, 2), 3]), 10)
-    with pytest.raises(UnsupportedModelError, match=r"\bb_2 = 1/2"):
-        product_dp(custom_model([1, Fraction(1, 2), 3]), 3)
+    model = custom_model([1, Fraction(1, 2), 3])
+    assert product_dp(model, 3).coeffs == exact_coefficients(model, 3).coeffs
 
 
 def test_n_zero_and_negative():

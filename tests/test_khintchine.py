@@ -281,6 +281,26 @@ def test_one_pole_delta_is_exact_to_the_working_precision(dps):
             assert abs(got / want - 1) <= bound, (key, n, mp.nstr(got / want - 1, 3))
 
 
+@pytest.mark.parametrize("dps", (15, 38))
+@pytest.mark.parametrize("h, A0, n", [(1, -(2**30), 2), (2**30, -(2**69), 2.1)])
+def test_cancelling_one_pole_spectrum_takes_the_closed_form_root(h, A0, n, dps):
+    # A0 < 0 and A0^2 >> h n: at the root lhs's terms h/delta^2 and A0/delta
+    # are both about A0^2/h, 2^60 and 2^108 here, so F = lhs - n carries
+    # their rounding: at the closed-form root F is -2 at 15 digits on the
+    # first spectrum and -9.5e-8 at 38 digits on the second, far above the
+    # residual bound (at n = 2 the second's F is 0 by luck).  That root is
+    # exact to a few ulps, and solve_delta returns it with no step
+    sd = _one_pole(h, A0, 0)
+    with mp.workdps(dps + 40):
+        want = solve_delta(sd, n).delta
+    with mp.workdps(dps):
+        sol = solve_delta(sd, n)
+        bound = mpf(2) ** (4 - mp.prec)
+    assert (sol.newton_steps, sol.bisection_steps) == (0, 0)
+    with mp.workdps(dps + 40):
+        assert abs(sol.delta / want - 1) <= bound
+
+
 def test_steep_pole_at_low_precision_does_not_converge():
     # rho = 1e8: at 15 digits one ulp of delta moves lhs by about
     # rho * 2^-53 * n, about 1e-8 n, so the residual test max(1e-10 n, 1e-12)

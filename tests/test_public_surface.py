@@ -18,12 +18,12 @@ PUBLIC = {
     "InexactDivisionError", "InvalidParametersError", "NoBracketError",
     "NonConvergenceError", "SpectrumDataError",
     "SpectrumSchemaError", "SubexpError", "TruncationWarning",
-    "UndefinedWeightError", "UnsupportedModelError",
+    "UndefinedWeightError",
 }
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 43
     assert len(subexp.__all__) == len(set(subexp.__all__))
     assert set(subexp.__all__) == PUBLIC
     assert all(hasattr(subexp, name) for name in PUBLIC)
