@@ -45,7 +45,7 @@ from .model import (
     llt_condition_report,
     make_preset,
 )
-from .precision import set_working_precision, to_mpf
+from .precision import to_mpf
 from .spectrum import (
     Pole,
     SpectralData,
@@ -95,7 +95,6 @@ __all__ = [
     "product_dp",
     "q_constant",
     "remainder_delta",
-    "set_working_precision",
     "solve_delta",
     "to_decimal",
     "to_mpf",

@@ -12,7 +12,8 @@ log lhs(e^u) - log n in Python floats from the leading term
 log(delta) at the working precision, safeguarded by bisection (rtsafe,
 Numerical Recipes 9.4), with a log-free step near the root.  When floats
 cannot reach the root, the same safeguarded loop starts instead from that
-leading term, computed at the working precision.
+leading term, computed at the working precision.  Every path stops once
+the step is below sqrt(eps) and |lhs - n| <= 1e-10 max(n, sum of |terms|).
 
 The solver's per-spectrum constants are one record, built once per spectrum
 and working precision (SpectralData.memo): raw values for the left side and
@@ -49,6 +50,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
+    mpf_sum,
     to_float,
 )
 
@@ -87,9 +89,9 @@ class KhintchineSolution(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _stop_constants(prec: int) -> tuple:
-    """1e-10, 1e-12 and sqrt(eps) at a precision of prec bits, raw."""
+    """1e-10 and sqrt(eps) at a precision of prec bits, raw."""
     with mp.workprec(prec):
-        return tuple(v._mpf_ for v in (mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)))
+        return tuple(v._mpf_ for v in (mpf("1e-10"), mp.sqrt(mp.eps)))
 
 
 def _lhs_and_slope(sd: SpectralData, x) -> tuple:
@@ -106,6 +108,15 @@ def _lhs_and_slope(sd: SpectralData, x) -> tuple:
         # slope -= k * t
         slope = mpf_sub(slope, mpf_mul(k, t, prec, rounding), prec, rounding)
     return lhs, slope
+
+
+def _term_size(sd: SpectralData, x):
+    """mp.fsum([D(-1), sd.A0 / x] + [c * x**e per pole], absolute=True) at a raw
+    x > 0, the scale of lhs's rounding error (Higham 2002, 4.2); raw."""
+    prec, rounding = mp._prec_rounding
+    d1, A0, poles, _, _, _ = sd.memo(_solver_constants)
+    terms = [mpf_mul(c, mpf_pow(x, e, prec, rounding), prec, rounding) for c, e, _ in poles]
+    return mpf_sum([d1, mpf_div(A0, x, prec, rounding)] + terms, prec, rounding, True)
 
 
 def khintchine_lhs(sd: SpectralData, delta) -> mpf:
@@ -206,24 +217,20 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
     and 2h/(S - A0) for A0 < 0, S = sqrt(A0^2 + 4hm), at the working
     precision, so delta is exact to a few ulps and the loop below normally
     returns at its first evaluation with no step.  Otherwise the seed is the
-    float-phase root (_float_root) or, when floats cannot reach it, the same
-    leading term (rho_r h_r / n)^(1/(rho_r+1)) in mpmath.
-    Each step evaluates lhs and delta*lhs' together; iterates narrow the
-    bracket [BRACKET_MIN, BRACKET_MAX] by the sign of F = lhs - n, and a
-    step leaving it becomes the geometric bisection.  Where lhs > 0 the
-    step is Newton's on log lhs - log n, which moves as fast far from the
-    root as near it.  Once s = -F/(delta*lhs') is below SERIES_STEP_MAX,
-    the next delta is delta*(1 + s + k s^2), k = rho_r/2 + 1, with no log
-    or exp: the root of a pure power law lhs = c delta^-(rho_r+1) to O(s^3).
-    Stops once s (the relative error) is below sqrt(eps) and, off the
-    closed form, |F| <= max(1e-10*n, 1e-12).  The closed-form root needs
-    no residual test: there lhs's terms can cancel (A0 < 0, A0^2 >> hm), so
-    |F| carries their rounding, while delta*lhs' = -(h/delta^2 + m) keeps s
-    within a few ulps.  On any other path delta is exact to about half the
-    working precision, and lo < delta < hi strictly.  iterations counts the
-    working-precision steps taken (Newton plus bisection), so the loop
-    evaluates lhs iterations + 1 times.  A seed or root outside the initial
-    bracket raises NoBracketError.
+    float-phase root (_float_root), or the leading term in mpmath when
+    floats cannot reach it.  Each step evaluates lhs and delta*lhs'
+    together; iterates narrow the bracket [BRACKET_MIN, BRACKET_MAX] by the
+    sign of F = lhs - n, and a step leaving it becomes the geometric
+    bisection.  Where lhs > 0 the step is Newton's on log lhs - log n, which
+    moves as fast far from the root as near it.  Once s = -F/(delta*lhs')
+    is below SERIES_STEP_MAX, the next delta is delta*(1 + s + k s^2),
+    k = rho_r/2 + 1, with no log or exp: the root of a pure power law
+    lhs = c delta^-(rho_r+1) to O(s^3).  Stops once s (the relative error)
+    is below sqrt(eps) and |F| <= 1e-10 max(n, _term_size); off the closed
+    form delta is then exact to about half the working precision, and
+    lo < delta < hi strictly.  iterations counts the steps taken (Newton
+    plus bisection), so the loop evaluates lhs iterations + 1 times.  A seed
+    or root outside the initial bracket raises NoBracketError.
     """
     # set-up and polish loop on raw values; each comment is the mpf expression
     prec, rounding = mp._prec_rounding
@@ -237,9 +244,8 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
         raise InvalidParametersError(
             f"no positive solution: need n > D(-1) = {sd.d_neg[0]}; got n={n}"
         )
-    rel, floor, step_tol = _stop_constants(prec)
-    tol = mpf_mul(rel, n_, prec, rounding)  # tol = max(1e-10 * n, 1e-12)
-    tol = floor if mpf_gt(floor, tol) else tol
+    rel, step_tol = _stop_constants(prec)
+    tol = mpf_mul(rel, n_, prec, rounding)  # tol = 1e-10 * n
     lo, hi = BRACKET_MIN._mpf_, BRACKET_MAX._mpf_
     d1, A0, _, k, quadratic, _ = sd.memo(_solver_constants)
     if quadratic is not None:  # the positive root of m x^2 - A0 x - h
@@ -270,8 +276,9 @@ def solve_delta(sd: SpectralData, n) -> KhintchineSolution:
         step = (mpf_div(mpf_neg(fx, prec, rounding), slope, prec, rounding)
                 if slope != fzero else finf)
         size = mpf_abs(step, prec, rounding)  # size = abs(step)
-        # (quadratic or abs(fx) <= tol) and size <= step_tol
-        if (quadratic or mpf_le(mpf_abs(fx, prec, rounding), tol)) and mpf_le(size, step_tol):
+        fabs = mpf_abs(fx, prec, rounding)  # fabs <= 1e-10 * max(n, _term_size(sd, x))
+        if mpf_le(size, step_tol) and (mpf_le(fabs, tol) or mpf_le(
+                fabs, mpf_mul(rel, _term_size(sd, x), prec, rounding))):
             make = mp.make_mpf
             return KhintchineSolution(make(x), make(fx), (make(lo), make(hi)),
                                       newtons, bisections)

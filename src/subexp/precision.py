@@ -1,15 +1,15 @@
-"""Global working-precision configuration, and the argument domains every
-entry point reads through: int_arg for an int parameter (N, L, dps, a, b,
-j), as_real for a real one (n, tau, delta), to_mpf where a str is data too,
-and as_rational for a weight value (b_j, or a rule coefficient c); shown
-formats a rejected value for the error message.
+"""The default working precision, and the argument domains every
+entry point reads through: int_arg for an int parameter (N, L, a, b, j),
+as_real for a real one (n, tau, delta), to_mpf where a str is data too, and
+as_rational for a weight value (b_j, or a rule coefficient c); shown formats
+a rejected value for the error message.
 
 All numeric evaluation in this package runs on mpmath's global real
-context.  The default of 38 significant digits leaves ample headroom for
-log-scale comparisons near n = 10**6, where the interesting differences
-between predictions sit many orders of magnitude below the values
-themselves.  Set the precision once, before any parallel use; every
-function here is otherwise pure.
+context.  The default of 38 significant digits, set on import, leaves
+ample headroom for log-scale comparisons near n = 10**6, where the
+interesting differences between predictions sit many orders of magnitude
+below the values themselves.  Set mp.dps, or scope a run with
+mp.workdps, before any parallel use; every function here is otherwise pure.
 """
 
 import sys
@@ -88,9 +88,3 @@ def to_mpf(x):
         raise InvalidParametersError(
             f"need a real number or a numeric str; got {shown(x)}")
     return v
-
-
-def set_working_precision(dps: int) -> None:
-    """Set the global precision to `dps` significant decimal digits, an int
-    from 15 to sys.maxsize; time and memory grow with dps."""
-    mp.dps = int_arg("dps", dps, 15)

@@ -368,23 +368,29 @@ def lhs_and_slope_mpf(sd, x):
     return lhs, slope
 
 
+def term_size_mpf(sd, x):
+    """|D(-1)| + |A0/x| + sum |h rho x^(-rho-1)|: the size of lhs's terms."""
+    terms = [h * rho * x ** (-rho - 1) for rho, h in sd.poles]
+    return mp.fsum([sd.d_neg[0], sd.A0 / x] + terms, absolute=True)
+
+
 def solve_delta_mpf(sd, n, bracket, max_iter=200):
     """(delta, residual, (lo, hi), newton steps, bisection steps): the float
     root polished by safeguarded Newton in log delta, whose steps s below
     2^-26 become delta*(1 + s + k s^2), k = rho_r/2 + 1.  One pole at
     rho = 1 seeds instead from the positive root of the quadratic
-    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel,
-    and stops on the step size alone."""
+    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel.
+    Every path stops once |step| <= sqrt(eps) and |F| <= 1e-10*max(n, S),
+    S the summed sizes of lhs's terms, formed only when |F| > 1e-10*n."""
     n = mpmathify(n)
     if not (n >= 1 and n > sd.d_neg[0]):
         raise ValueError(f"n = {n} is outside the domain")
     prec = mp.prec
     with mp.workprec(prec):
-        rel, floor, step_tol = mpf("1e-10"), mpf("1e-12"), mp.sqrt(mp.eps)
-    tol = max(rel * n, floor)
+        rel, step_tol = mpf("1e-10"), mp.sqrt(mp.eps)
+    tol = rel * n
     lo, hi = bracket
-    quadratic = len(sd.poles) == 1 and sd.poles[0][0] == 1
-    if quadratic:
+    if len(sd.poles) == 1 and sd.poles[0][0] == 1:
         h, A0 = sd.poles[0][1], sd.A0
         m = n - sd.d_neg[0]
         S = mp.sqrt(A0 * A0 + 4 * h * m)
@@ -404,7 +410,7 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
         lhs, slope = lhs_and_slope_mpf(sd, x)
         fx = lhs - n
         step = -fx / slope if slope else mp.inf
-        if (quadratic or abs(fx) <= tol) and abs(step) <= step_tol:
+        if abs(step) <= step_tol and (abs(fx) <= tol or abs(fx) <= rel * term_size_mpf(sd, x)):
             return x, fx, (lo, hi), newtons, bisections
         if fx > 0:
             lo = x

@@ -317,6 +317,27 @@ def test_formula_agreement_shrinks():
         assert gaps[-1] <= mpf("0.05")
 
 
+def test_the_formula_gap_follows_its_leading_term_on_one_pole_presets():
+    # one pole at rho = 1: expanding delta_n about sqrt(h/m), m = n - D(-1),
+    # gives K - E = C/sqrt(n) + O(1/n), C = (3 A0 - A0^2)/(4 sqrt(h))
+    # - D(-1) sqrt(h) (-0.394559 on standard).  The O(1/n) rest is at most
+    # 0.26/n on these presets up to n = 10^16, where the bound 0.3/n is
+    # 3e-17 nats, so shifting either estimate by 1e-15 fails; 38 digits
+    # round log c_n there (about 2.6e8) by about 1e-30
+    one_pole = [("standard",)] + [
+        ("congruent", a, b) for a in range(2, 13) for b in range(1, a) if gcd(a, b) == 1
+    ]
+    with mp.workdps(38):
+        for args in one_pole:
+            sd = derive_spectrum(make_preset(*args))
+            ((_, h),) = sd.poles
+            C = (3 * sd.A0 - sd.A0**2) / (4 * mp.sqrt(h)) - sd.d_neg[0] * mp.sqrt(h)
+            for n in (10**4, 10**8, 10**16):
+                gap = (log_estimate_khintchine(sd, n).log_value
+                       - log_estimate_explicit(sd, n).log_value)
+                assert abs(mp.sqrt(n) * gap - C) <= mpf("0.3") / mp.sqrt(n), (args, n)
+
+
 def test_to_decimal():
     le = log_estimate_explicit(STD, 100)
     zero = type(le)(EXPLICIT, 1, mpf(0), {"prefactor_log": mpf(0),

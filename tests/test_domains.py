@@ -52,7 +52,6 @@ from subexp import (
     product_dp,
     q_constant,
     remainder_delta,
-    set_working_precision,
     solve_delta,
     to_decimal,
     to_mpf,
@@ -166,8 +165,6 @@ CALLS = {
     "log_estimate_explicit": (log_estimate_explicit, [SD, param(WHOLE_N, not_real)]),
     "remainder_delta": (remainder_delta, [SD, param(st.floats(0, 1), not_real)]),
     "to_decimal": (to_decimal, [fixed(ESTIMATES)]),
-    "set_working_precision": (set_working_precision,
-                              [param(st.integers(0, 60), not_int)]),
     "to_mpf": (to_mpf, [param(st.floats(allow_nan=True), not_datum)]),
     **{name: (record, [param(st.none(), never)])
        for name, record in [("Pole", lambda v: Pole(v, v)),
@@ -291,7 +288,6 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
     lambda: khintchine_lhs(SPECTRA[0], True),
     lambda: khintchine_lhs(SPECTRA[0], "x"),
     lambda: SpectralData("x", ((1, 1),), True, 0, (0,)),
-    lambda: set_working_precision(BIG),
     lambda: BaseFunction("x"),
     lambda: lambda_coeffs(MODELS[0], BIG),
     lambda: MODELS[0].weights(BIG),
@@ -329,7 +325,7 @@ def test_each_bad_spec_file_exits_3_with_no_output(specs):
                                       params=5)),
 ],
     ids=["lambda-True", "lambda-float", "llt-float", "llt-bool", "b-float",
-         "weights-negative", "lhs-bool", "lhs-str", "spectral-bool", "dps-huge",
+         "weights-negative", "lhs-bool", "lhs-str", "spectral-bool",
          "base-unknown", "lambda-huge", "weights-huge", "llt-huge"] + [f"{f}-{v}" for f in ("solve", "series", "khintchine",
                                                  "explicit")
                             for v in ("None", "complex")] + [

@@ -36,8 +36,9 @@ ALL_PRESETS = [("standard",), ("roots",)] + [
 
 
 def residual_tolerance(n):
-    """The residual bound solve_delta meets, max(1e-10 n, 1e-12)."""
-    return max(mpf("1e-10") * n, mpf("1e-12"))
+    """The residual bound solve_delta meets where lhs's terms do not cancel,
+    1e-10 n."""
+    return mpf("1e-10") * n
 
 
 def test_lhs_standard_at_one():
@@ -287,9 +288,10 @@ def test_cancelling_one_pole_spectrum_takes_the_closed_form_root(h, A0, n, dps):
     # A0 < 0 and A0^2 >> h n: at the root lhs's terms h/delta^2 and A0/delta
     # are both about A0^2/h, 2^60 and 2^108 here, so F = lhs - n carries
     # their rounding: at the closed-form root F is -2 at 15 digits on the
-    # first spectrum and -9.5e-8 at 38 digits on the second, far above the
-    # residual bound (at n = 2 the second's F is 0 by luck).  That root is
-    # exact to a few ulps, and solve_delta returns it with no step
+    # first spectrum and -9.5e-8 at 38 digits on the second, far above
+    # 1e-10 n but within 1e-10 of the terms' summed size (at n = 2 the
+    # second's F is 0 by luck).  That root is exact to a few ulps, and
+    # solve_delta returns it with no step
     sd = _one_pole(h, A0, 0)
     with mp.workdps(dps + 40):
         want = solve_delta(sd, n).delta
@@ -301,11 +303,28 @@ def test_cancelling_one_pole_spectrum_takes_the_closed_form_root(h, A0, n, dps):
         assert abs(sol.delta / want - 1) <= bound
 
 
+@pytest.mark.parametrize("dps", (15, 38))
+def test_cancelling_two_pole_spectrum_meets_the_scaled_residual_test(dps):
+    # A0 = -2^30 against poles of residue 1: at the root (delta near 2^-30)
+    # the terms A0/delta and h/delta^2 are both about 2^60 and cancel to
+    # n = 2, so |F| carries their rounding, far above 1e-10 n at 15 digits,
+    # but within 1e-10 of the terms' summed size
+    sd = SpectralData("x", ((0.5, 1), (1, 1)), -(2**30), 0, (0,))
+    with mp.workdps(dps + 40):
+        want = solve_delta(sd, 2).delta
+    with mp.workdps(dps):
+        got = solve_delta(sd, 2).delta
+        bound = mpf(2) ** (-mp.prec / 2)
+    with mp.workdps(dps + 40):
+        assert abs(got / want - 1) <= bound
+
+
 def test_steep_pole_at_low_precision_does_not_converge():
     # rho = 1e8: at 15 digits one ulp of delta moves lhs by about
-    # rho * 2^-53 * n, about 1e-8 n, so the residual test max(1e-10 n, 1e-12)
-    # cannot be met, and the polish loop stops after MAX_ITER steps with
-    # the root bracketed.  At 38 digits one Newton step meets it
+    # rho * 2^-53 * n, about 1e-8 n, so the residual test 1e-10 max(n, S)
+    # cannot be met (lhs has one term, so S = n: the fault is conditioning,
+    # not cancellation), and the polish loop stops after MAX_ITER steps
+    # with the root bracketed.  At 38 digits one Newton step meets it
     sd = _one_pole(1, 0, 0, rho="1e8")
     with mp.workdps(15), pytest.raises(
         NonConvergenceError, match=rf"after {khintchine.MAX_ITER} iterations for n=10"

@@ -12,7 +12,7 @@ PUBLIC = {
     "KhintchineSolution", "khintchine_lhs", "solve_delta",
     "LogEstimate", "kappa", "log_estimate_explicit", "log_estimate_khintchine",
     "q_constant", "remainder_delta", "to_decimal",
-    "set_working_precision", "to_mpf",
+    "to_mpf",
     # errors and warnings
     "CustomModelError", "DomainError", "IneligibleSpectrumError",
     "InexactDivisionError", "InvalidParametersError", "NoBracketError",
@@ -23,7 +23,7 @@ PUBLIC = {
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 42
     assert len(subexp.__all__) == len(set(subexp.__all__))
     assert set(subexp.__all__) == PUBLIC
     assert all(hasattr(subexp, name) for name in PUBLIC)

@@ -51,6 +51,12 @@ ONE_POLE_CASES = (
     ((1, -6, 0, 2), 2),
 )
 
+# A0 = -2^30 against residues of 1: at the root lhs's terms are about 2^60
+# and cancel to n = 2, so at 15 digits |F| passes 1e-10 n and the stop test
+# forms the terms' summed size; two poles, then the one-pole closed form
+CANCELLING = (SpectralData("x", ((0.5, 1), (1, 1)), -(2**30), 0, (0,)),
+              _one_pole(1, -(2**30), 0))
+
 
 def _outcome(f, *args):
     """f(*args), or the fact that it raised."""
@@ -125,6 +131,15 @@ def test_the_float_fallback_and_bisection_equal_the_mpf_formulas(dps):
             assert khintchine._float_root(sd, mpf(n)) is None
             assert float_root_mpf(sd, mpf(n), BRACKET) is None
             assert _library_solution(sd, n) == _outcome(solve_delta_mpf, sd, n, BRACKET)
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_cancelling_spectra_equal_the_mpf_formulas(dps):
+    with mp.workdps(dps):
+        for sd in CANCELLING:
+            _assert_pair_matches(sd, 2)
+            if dps == 15:
+                assert abs(_library_solution(sd, 2)[1]) > mpf("1e-10") * 2
 
 
 @pytest.mark.parametrize("dps", DPS)
