@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=DEFAULT_DPS, metavar="DIGITS",
                         help="working precision in significant decimal digits "
-                        "(default 38)")
+                        "(default %(default)s)")
     selector = argparse.ArgumentParser(add_help=False)
     selector.add_argument("--model", required=True,
                           choices=["standard", "roots", "congruent", "custom"],

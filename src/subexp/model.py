@@ -86,17 +86,13 @@ class ModelSpec:
     def weights(self, N: int) -> list:
         """b_1..b_N: all ints when every b_j is whole, else all Fractions.
 
-        A QuasiPolynomial fills the list in bulk; any other rule, a
-        custom_model table included, is read through b once per j.  Either
-        way the error is the one b raises at the first j where b fails.
+        A QuasiPolynomial fills the list in bulk, and holds no negative b_j;
+        any other rule, a custom_model table included, is read through b once
+        per j, so the error is the one b raises at the first j where b fails.
         """
         int_arg("N", N, 0)
-        if isinstance(self.weight, QuasiPolynomial):
-            vals = self.weight.table(N)
-            if vals and min(vals) < 0:  # raise b's error at the first negative b_j
-                self.b(next(j for j, v in enumerate(vals, 1) if v < 0))
-        else:
-            vals = [self.b(j) for j in range(1, N + 1)]
+        vals = (self.weight.table(N) if isinstance(self.weight, QuasiPolynomial)
+                else [self.b(j) for j in range(1, N + 1)])
         if any(type(v) is not int for v in vals):
             vals = [Fraction(v) for v in vals]
             if all(v.denominator == 1 for v in vals):
@@ -109,8 +105,9 @@ class QuasiPolynomial:
     """Weight rule: b_j sums c*j^i over the terms (r, i, c) with j = r mod a.
 
     a, r and i are ints with residues r in 1..a and degrees i >= 0; each c
-    is kept exact as as_rational reads it.  Callable as b_j, so it serves as
-    a ModelSpec weight; derive_spectrum reads the spectrum off its terms.
+    is kept exact as as_rational reads it, and a rule with a negative b_j is
+    refused, named by its first j.  Callable as b_j, so it serves as a
+    ModelSpec weight; derive_spectrum reads the spectrum off its terms.
     """
 
     a: int
@@ -129,6 +126,12 @@ class QuasiPolynomial:
             raise InvalidParametersError("need int a >= 1, int 0 < r <= a, int i >= 0, "
                                          f"rational c; got {shown(self)}")
         object.__setattr__(self, "terms", terms)
+        if any(c < 0 for _, _, c in terms):  # no preset has a negative c
+            degree = max(i for _, i, _ in terms)
+            j = min(filter(None, (_first_negative(self.a, terms, r, degree)
+                                  for r in {r for r, _, _ in terms})), default=None)
+            if j is not None:
+                raise InvalidParametersError(f"b_j = {shown(self(j))} < 0 at j = {shown(j)}")
 
     def __call__(self, j: int) -> Fraction:
         return sum(c * j**i for r, i, c in self.terms if not (j - r) % self.a)
@@ -140,6 +143,33 @@ class QuasiPolynomial:
             t[r - 1 :: self.a] = map(add, t[r - 1 :: self.a],
                                      [c * j**i for j in range(r, N + 1, self.a)])
         return t
+
+
+def _first_negative(a: int, terms: tuple, r: int, degree: int):
+    """The least j = r (mod a) with b_j < 0 under the rule (a, terms), or
+    None.  There b_j is a polynomial f(k) of degree <= degree in k = (j-r)/a.
+    Each forward difference of f is monotone between the sign changes of the
+    next, and the last is constant; so once all are >= 0 at hi, f stays >= 0
+    past hi, and bisection finds each one's sign changes on [0, hi]."""
+    def neg(m, k):  # the m-th forward difference of f is negative at k
+        return sum((-1) ** (m - t) * math.comb(m, t) * c * (r + a * (k + t)) ** i
+                   for t in range(m + 1) for s, i, c in terms if s == r) < 0
+
+    def changes(m, hi):  # the k in (0, hi] where neg(m, k) != neg(m, k - 1)
+        ends, out = [0, *(changes(m + 1, hi - 1) if m < degree else ()), hi], []
+        for u, v in zip(ends, ends[1:]):  # where the m-th difference is monotone
+            if neg(m, u) != neg(m, v):
+                while v - u > 1:
+                    w = (u + v) // 2
+                    u, v = (w, v) if neg(m, w) == neg(m, u) else (u, w)
+                out.append(v)
+        return out
+
+    hi = degree + 1  # each level m of changes needs hi - m >= 1
+    while not neg(0, hi) and any(neg(m, hi) for m in range(1, degree + 1)):
+        hi *= 2
+    k = 0 if neg(0, 0) else next(iter(changes(0, hi)), None)
+    return None if k is None else r + a * k
 
 
 _PRESET_TERMS = {"standard": ((1, 0, 1),), "roots": ((1, 0, 1), (1, 1, 2))}

@@ -15,14 +15,15 @@ A_0 = D_b(0); h_0 = D_b'(0) = sum c*a^i*zeta'(-i, r/a) - log(a)*A_0;
 D(-l) = zeta(1-l)*D_b(-l).  As zeta(-m, q) = -B_{m+1}(q)/(m+1), A_0 and
 every D(-l) are rationals, computed exactly and rounded once, to nearest.
 The Bernoulli table behind them ends at specfun.BERNOULLI_MAX, so a weight
-of degree i derives with L <= BERNOULLI_MAX - 1 - i.  Other models must
-supply their data, as a document (load_custom_spectrum) or as SpectralData
-built directly, which reads plain numbers and checks them when it is made.
+of degree i derives with L <= BERNOULLI_MAX - 1 - i.  SpectralData refuses
+a negative residue (a degree whose c sum below 0) and a rule with no pole.
+Other models must supply their data, as a document (load_custom_spectrum)
+or as SpectralData built directly, which reads plain numbers and checks
+them when it is made.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -170,83 +171,41 @@ def validate_spectrum(sd: SpectralData) -> str:
     return INELIGIBLE
 
 
-def _first_negative(rule: QuasiPolynomial, r: int, degree: int):
-    """The least j = r (mod a) with b_j < 0, or None.  There b_j is a
-    polynomial f(k) of degree <= degree in k = (j - r) / a.  Each forward
-    difference of f is monotone between the sign changes of the next, and
-    the last is constant; so once all are >= 0 at hi, f stays >= 0 past hi,
-    and bisection finds each one's sign changes on [0, hi]."""
-    def neg(m, k):  # the m-th forward difference of f is negative at k
-        return sum((-1) ** (m - t) * comb(m, t) * rule(r + rule.a * (k + t))
-                   for t in range(m + 1)) < 0
-
-    def changes(m, hi):  # the k in (0, hi] where neg(m, k) != neg(m, k - 1)
-        ends, out = [0, *(changes(m + 1, hi - 1) if m < degree else ()), hi], []
-        for u, v in zip(ends, ends[1:]):  # where the m-th difference is monotone
-            if neg(m, u) != neg(m, v):
-                while v - u > 1:
-                    w = (u + v) // 2
-                    u, v = (w, v) if neg(m, w) == neg(m, u) else (u, w)
-                out.append(v)
-        return out
-
-    hi = degree + 1  # each level m of changes needs hi - m >= 1
-    while not neg(0, hi) and any(neg(m, hi) for m in range(1, degree + 1)):
-        hi *= 2
-    k = 0 if neg(0, 0) else next(iter(changes(0, hi)), None)
-    return None if k is None else r + rule.a * k
-
-
 def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     """Spectral data for a quasi-polynomial model, with d_neg up to D(-L).
 
     A0 and D(-l) are exact rationals (Bernoulli polynomial values) rounded
     once, to nearest; the residues and h0 are evaluated in mpmath.
-    L is an int and defaults to 8.  Over standard, roots and the coprime congruent(a, b)
+    L is an int >= 1 and defaults to 8.  Over standard, roots and the coprime congruent(a, b)
     with a <= 12, the largest Delta-series term beyond l=8 at the solved
     tau (derived with L=20) is 2.6e-9 at n=10 (congruent(12,1); roots
     1.4e-11), 6.7e-15 at n=100, 2e-18 at n=1000 and 8.4e-22 at n=10^4
     (both roots), so below n of about 100 the default leaves terms above
     the series' 1e-12 tolerance unsummed.  D(-L) reads zeta(-L-i, q) for
-    each degree i, so degree + L must stay below BERNOULLI_MAX (21 at most;
-    InvalidParametersError otherwise), and a rule with a negative b_j has
-    no spectrum (InvalidParametersError naming the first such j), nor one
-    whose coefficients of some degree sum below 0, which would give that
-    degree's pole a negative residue.  Other models have no derivable data;
-    supply it via load_custom_spectrum.
+    each degree i of a term with c != 0, so degree + L must stay below
+    BERNOULLI_MAX (21 at most; InvalidParametersError otherwise).  A degree
+    whose coefficients sum below 0 gives its pole a negative residue, and a
+    rule whose sums are all 0 has no pole: SpectralData refuses both
+    (SpectrumDataError).  Other models have no derivable data; supply it via
+    load_custom_spectrum.
     """
-    int_arg("L", L, 1, 20)
+    int_arg("L", L, 1)
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
         raise CustomModelError(
             f"no derivable spectral data for model kind {shown(model.kind)}; "
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"
         )
-    a, terms = model.weight.a, model.weight.terms
+    a, terms = model.weight.a, [t for t in model.weight.terms if t[2]]
     degree = max((i for _, i, _ in terms), default=0)
     if degree + L >= BERNOULLI_MAX:  # D(-L) reads B_(L+degree+1), by zeta(-L-degree, q)
         raise InvalidParametersError(
             f"{model.kind}: degree {degree} + L={L} is {degree + L}; the Bernoulli "
             f"table allows degree + L <= {BERNOULLI_MAX - 1}")
-    if any(c < 0 for _, _, c in terms):  # no preset has a negative c
-        residues = {r for r, _, _ in terms}
-        bad = [_first_negative(model.weight, r, degree) for r in residues]
-        if any(bad):
-            j = min(filter(None, bad))
-            raise InvalidParametersError(
-                f"{model.kind}: b_j = {shown(model.weight(j))} < 0 at j = {shown(j)}")
     csum = {}  # degree i -> sum of its c over all residues
     for _, i, c in terms:
         csum[i] = csum.get(i, 0) + c
-    for i, c in sorted(csum.items()):
-        if c < 0:  # its pole's residue c*zeta(i+2)*i!/a would be negative
-            raise InvalidParametersError(
-                f"{model.kind}: degree {i} has coefficient sum {shown(c)} < 0, so a "
-                "negative residue; no supported spectrum exists")
     poles = tuple(Pole(mpf(i + 1), c * riemann_zeta(i + 2) * mp.factorial(i) / a)
                   for i, c in sorted(csum.items()) if c)
-    if not poles:
-        raise InvalidParametersError(
-            f"{model.kind}: no degree has a nonzero coefficient sum, so no pole")
     # every Hurwitz value zeta(s-i, r/a) that D_b(0), ..., D_b(-L) need, once
     keys = {(s - i, r) for r, i, _ in terms for s in range(-L, 1)}
     hz = {(m, r): hurwitz_zeta_exact(m, Fraction(r, a)) for m, r in keys}

@@ -282,8 +282,6 @@ def _boom(j):
 @pytest.mark.parametrize(
     "model, j, error",
     [
-        (ModelSpec("q", MULTISET, QuasiPolynomial(4, ((1, 0, 1), (3, 1, -1)))),
-         3, InvalidParametersError),
         (ModelSpec("l", MULTISET, lambda j: 3 - j), 4, InvalidParametersError),
         (custom_model([1, 2, 3]), 4, UndefinedWeightError),
         (custom_model([Fraction(1, 2), 2, 3]), 4, UndefinedWeightError),
@@ -291,7 +289,7 @@ def _boom(j):
         (ModelSpec("l", MULTISET, lambda j: None if j == 6 else 1), 6,
          UndefinedWeightError),
     ],
-    ids=("negative-quasi-polynomial", "negative-rule",
+    ids=("negative-rule",
          "past-table", "past-fraction-table", "rule-raises", "rule-returns-none"),
 )
 def test_weights_raise_what_b_raises_at_the_first_fault(model, j, error):

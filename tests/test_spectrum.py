@@ -18,7 +18,7 @@ from oracles import (
     preset_spectrum_closed_form,
     zeta_neg_bernoulli,
 )
-from subexp import spectrum as spectrum_module
+from subexp import model as model_module
 from subexp.asymptotics import (
     kappa,
     log_estimate_explicit,
@@ -341,16 +341,16 @@ def test_derive_spectrum_L():
     assert len(sd.d_neg) == 12
     with pytest.raises(InvalidParametersError):
         derive_spectrum(make_preset("standard"), L=0)
-    with pytest.raises(InvalidParametersError):
-        derive_spectrum(make_preset("standard"), L=21)
     for L in (2.5, 8.0, "8", True):
-        with pytest.raises(InvalidParametersError, match="need an int 1 <= L <= 20"):
+        with pytest.raises(InvalidParametersError, match="need an int L >= 1"):
             derive_spectrum(make_preset("standard"), L=L)
-    # D(-L) reads B_(degree+L+1), and the Bernoulli table ends at B_22
+    # D(-L) reads B_(degree+L+1), and the Bernoulli table ends at B_22, so
+    # the depth is the one bound on L: degree 0 reaches D(-21) = 0
     degree = lambda i: ModelSpec(f"degree {i}", MULTISET, QuasiPolynomial(1, ((1, i, 1),)))
     assert len(derive_spectrum(degree(13), L=8).d_neg) == 8
     assert len(derive_spectrum(make_preset("roots"), L=20).d_neg) == 20
-    for i, L in ((14, 8), (2, 20)):
+    assert derive_spectrum(make_preset("standard"), L=21).d_neg[20] == 0
+    for i, L in ((14, 8), (2, 20), (0, 22)):
         with pytest.raises(InvalidParametersError,
                            match=f"degree {i} \\+ L={L} is {i + L}"):
             derive_spectrum(degree(i), L=L)
@@ -364,64 +364,80 @@ def test_derive_spectrum_rejects_custom():
 
 
 def test_derive_spectrum_rejects_weights_without_a_pole():
-    # b_j = 0: no degree has a nonzero coefficient sum.  b_j = (-1)^(j+1) has
-    # none either, and its b_2 = -1 is refused before the poles are summed
-    for weight in (QuasiPolynomial(1, ((1, 0, 0),)),
-                   QuasiPolynomial(2, ((1, 0, 1), (2, 0, -1)))):
-        with pytest.raises(InvalidParametersError):
-            derive_spectrum(ModelSpec("no pole", MULTISET, weight))
+    # b_j = 0: no degree has a nonzero coefficient sum, and SpectralData
+    # refuses the empty poles.  b_j = (-1)^(j+1) has none either, and its
+    # b_2 = -1 is refused when the rule is built
+    with pytest.raises(SpectrumDataError, match="no poles"):
+        derive_spectrum(ModelSpec("no pole", MULTISET, QuasiPolynomial(1, ((1, 0, 0),))))
+    with pytest.raises(InvalidParametersError, match="^b_j = -1 < 0 at j = 2$"):
+        QuasiPolynomial(2, ((1, 0, 1), (2, 0, -1)))
 
 
 def test_derive_spectrum_rejects_a_negative_weight():
     # b_j = 2 at odd j and -1 at even j has a pole (coefficient sum 1), but
-    # exact_coefficients refuses its b_2; so must derive_spectrum.  The other
-    # two rules are negative only far out: 10^20 - j from j = 10^20 + 1, and
-    # (j - 10^15)^2 - 1 at j = 10^15 alone
-    cases = [(QuasiPolynomial(2, ((1, 0, 2), (2, 0, -1))), "b_j = -1 < 0 at j = 2$"),
-             (QuasiPolynomial(1, ((1, 0, 10**20), (1, 1, -1))),
-              "b_j = -1 < 0 at j = an int of 67 bits$"),
-             (QuasiPolynomial(1, ((1, 2, 1), (1, 1, -2 * 10**15), (1, 0, 10**30 - 1))),
-              "b_j = -1 < 0 at j = 1000000000000000$")]
-    for rule, named in cases:
+    # exact_coefficients cannot count it; so the rule is refused when built,
+    # before any model, table or spectrum holds it.  The next, -j on
+    # j = 3 (mod 4), is negative on one class of four, and the last two only
+    # far out: 10^20 - j from j = 10^20 + 1, and (j - 10^15)^2 - 1 at
+    # j = 10^15 alone
+    cases = [(2, ((1, 0, 2), (2, 0, -1)), "^b_j = -1 < 0 at j = 2$"),
+             (4, ((1, 0, 1), (3, 1, -1)), "^b_j = -3 < 0 at j = 3$"),
+             (1, ((1, 0, 10**20), (1, 1, -1)), "^b_j = -1 < 0 at j = an int of 67 bits$"),
+             (1, ((1, 2, 1), (1, 1, -2 * 10**15), (1, 0, 10**30 - 1)),
+              "^b_j = -1 < 0 at j = 1000000000000000$")]
+    for a, terms, named in cases:
         with pytest.raises(InvalidParametersError, match=named):
-            derive_spectrum(ModelSpec("signed", MULTISET, rule))
+            QuasiPolynomial(a, terms)
 
 
 def test_derive_spectrum_refuses_a_negative_degree_sum(monkeypatch):
     # b_j = 2j - 1 is positive at every j and counts exactly, but its degree-0
-    # coefficients sum to -1, which would give the pole at rho = 1 the residue
-    # -zeta(2).  Its one residue class is searched for a negative b_j once
+    # coefficients sum to -1, which gives the pole at rho = 1 the residue
+    # -zeta(2): SpectralData refuses it.  Its one residue class is searched
+    # for a negative b_j once, when the rule is built
     calls = []
-    first_negative = spectrum_module._first_negative
-    monkeypatch.setattr(spectrum_module, "_first_negative",
+    first_negative = model_module._first_negative
+    monkeypatch.setattr(model_module, "_first_negative",
                         lambda *args: calls.append(args) or first_negative(*args))
     model = ModelSpec("odd", MULTISET, QuasiPolynomial(1, ((1, 1, 2), (1, 0, -1))))
+    assert len(calls) == 1
     assert model.weights(5) == [1, 3, 5, 7, 9]
-    with pytest.raises(InvalidParametersError, match=(
-            "^odd: degree 0 has coefficient sum -1 < 0, so a negative residue; "
-            "no supported spectrum exists$")):
+    with pytest.raises(SpectrumDataError, match=r"^pole 1: residue h=-1\.64\d* not positive$"):
         derive_spectrum(model)
     assert len(calls) == 1
 
 
-signed_rules = st.integers(1, 4).flatmap(lambda a: st.builds(
-    QuasiPolynomial, st.just(a), st.lists(st.tuples(
+def test_derive_spectrum_reads_no_zero_term():
+    # c = 0 adds nothing to b_j, so b_j = 1 + 0*j^20 derives standard's
+    # data; its degree 20 used to count toward the Bernoulli depth
+    # (degree 20 + L=8 was refused) and cost a zeta'(-20, 1)
+    rule = ModelSpec("zero term", MULTISET, QuasiPolynomial(1, ((1, 0, 1), (1, 20, 0))))
+    for L in (8, 20):
+        got, want = derive_spectrum(rule, L), derive_spectrum(make_preset("standard"), L)
+        assert (got.poles, got.A0, got.h0, got.d_neg) == (
+            want.poles, want.A0, want.h0, want.d_neg)
+
+
+signed_rules = st.integers(1, 4).flatmap(lambda a: st.tuples(
+    st.just(a), st.lists(st.tuples(
         st.integers(1, a), st.integers(0, 3), st.integers(-40, 40)),
         min_size=1, max_size=4).map(tuple)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(signed_rules)
-@example(QuasiPolynomial(1, ((1, 2, 1), (1, 1, -20), (1, 0, 99))))  # (j-10)^2 - 1
-@example(QuasiPolynomial(3, ((2, 3, 1), (2, 2, -40), (2, 1, 300), (2, 0, -40))))
+@example((1, ((1, 2, 1), (1, 1, -20), (1, 0, 99))))  # (j-10)^2 - 1
+@example((3, ((2, 3, 1), (2, 2, -40), (2, 1, 300), (2, 0, -40))))
 def test_first_negative_weight_matches_a_scan(rule):
     # a class sums at most four c of |c| <= 40, so each real root of its b_j
     # lies below Cauchy's bound 1 + 160; a scan of j < 200 finds the first
     # b_j < 0, and past 161 b_j has the sign of its lead coefficient
-    degree = max(i for _, i, _ in rule.terms)
-    for r in {r for r, _, _ in rule.terms}:
-        want = next((j for j in range(r, 200, rule.a) if rule(j) < 0), None)
-        assert spectrum_module._first_negative(rule, r, degree) == want
+    a, terms = rule
+    degree = max(i for _, i, _ in terms)
+    for r in {r for r, _, _ in terms}:
+        b = lambda j: sum(c * j**i for s, i, c in terms if s == r)
+        want = next((j for j in range(r, 200, a) if b(j) < 0), None)
+        assert model_module._first_negative(a, terms, r, degree) == want
 
 
 def _spectrum(poles=((1, 1), (3, 1)), A0=0, h0=0, d_neg=(0, 0)):
