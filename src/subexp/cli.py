@@ -257,7 +257,7 @@ def cmd_compare(args, parser):
 
     rows = [CSV_HEADER]
     for n in grid:
-        # mp.log(to_mpf(series[n])): an int enters exact, a Fraction rounded once
+        # mp.log(to_mpf(series[n])): an int enters exact, a Fraction rounded once, to nearest
         exact_log = mpf_log(to_mpf(series[n])._mpf_, prec, rounding)
         kh = log_estimate_khintchine(sd, n).log_value._mpf_
         ex = log_estimate_explicit(sd, n).log_value._mpf_

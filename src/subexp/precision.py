@@ -65,10 +65,12 @@ def as_rational(x):
 
 def as_real(x):
     """x as an mpf when it is a real number: an int, float, Fraction or mpf,
-    never a bool, str, None or complex.  None otherwise, so that each caller
-    raises its own error."""
+    never a bool, str, None or complex; a Fraction is rounded once, to
+    nearest.  None otherwise, so that each caller raises its own error."""
     if isinstance(x, (bool, str)):
         return None
+    if not isinstance(x, int) and isinstance(x, Rational):  # mpmathify rounds down
+        return mp.fdiv(x.numerator, x.denominator)
     try:
         x = mpmathify(x)
     except (TypeError, ValueError):
@@ -78,8 +80,8 @@ def as_real(x):
 
 def to_mpf(x):
     """x as an mpf: a real number as as_real reads it, or a numeric str such
-    as "0.1" or "1/3", which is rounded once at the working precision, as a
-    Fraction is; InvalidParametersError for anything else."""
+    as "0.1" or "1/3", which is rounded once, to nearest, at the working
+    precision, as a Fraction is; InvalidParametersError for anything else."""
     try:
         v = mpmathify(x) if isinstance(x, str) else as_real(x)
     except (TypeError, ValueError, ZeroDivisionError):  # a str mpmath cannot read

@@ -6,28 +6,26 @@ derivations and the self-checks need.  Numerical evaluation is delegated
 to mpmath at the global working precision.
 
 No function checks its domain: derive_spectrum chooses every point it
-evaluates, and bounds its degree + L below BERNOULLI_MAX, the depth of
-the Bernoulli table behind hurwitz_zeta_exact (an int m in
-[1 - BERNOULLI_MAX, 0] and a rational 0 < q <= 1).
+evaluates (for hurwitz_zeta_exact an int m <= 0 and a rational
+0 < q <= 1, whose Bernoulli row is built on first use).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 
 from mpmath import mp, mpf
 
 from .precision import to_mpf
 
-BERNOULLI_MAX = 22
 
-# B_n(x) = sum C(n, k) B_k x^(n-k), n = 1..BERNOULLI_MAX, times _DEN, the
-# lcm of the denominators of B_0..B_22, has integer coefficients; listed
-# from x^n to x^0
-_B = [mp.bernfrac(k) for k in range(BERNOULLI_MAX + 1)]
-_DEN = lcm(*(q for _, q in _B))
-_BERNOULLI = {n: tuple(comb(n, k) * p * (_DEN // q)
-                       for k, (p, q) in enumerate(_B[:n + 1]))
-              for n in range(1, BERNOULLI_MAX + 1)}
+@cache
+def _bernoulli_row(n: int) -> tuple:
+    """(den, the int coefficients of den*B_n(x) from x^n to x^0), den the
+    lcm of the denominators of B_0..B_n; B_n(x) = sum C(n, k) B_k x^(n-k)."""
+    b = [mp.bernfrac(k) for k in range(n + 1)]
+    den = lcm(*(q for _, q in b))
+    return den, tuple(comb(n, k) * p * (den // q) for k, (p, q) in enumerate(b))
 
 
 def riemann_zeta(s) -> mpf:
@@ -41,13 +39,14 @@ def riemann_zeta_deriv(s) -> mpf:
 
 
 def hurwitz_zeta_exact(m: int, q) -> Fraction:
-    """zeta(m, q) = -B_{1-m}(q)/(1-m), exactly, for an int m in [-21, 0] and
-    a rational 0 < q <= 1 (an int or a Fraction); q = 1 gives zeta(m)."""
+    """zeta(m, q) = -B_{1-m}(q)/(1-m), exactly, for an int m <= 0 and a
+    rational 0 < q <= 1 (an int or a Fraction); q = 1 gives zeta(m)."""
     n, (p, d) = 1 - m, Fraction(q).as_integer_ratio()
-    total = 0  # _DEN * d^n * B_n(p/d), by Horner in p
-    for k, c in enumerate(_BERNOULLI[n]):
+    den, row = _bernoulli_row(n)
+    total = 0  # den * d^n * B_n(p/d), by Horner in p
+    for k, c in enumerate(row):
         total = total * p + c * d**k
-    return Fraction(-total, n * _DEN * d**n)
+    return Fraction(-total, n * den * d**n)
 
 
 def hurwitz_zeta_deriv(s, q) -> mpf:

@@ -13,10 +13,10 @@ and one rule gives all the data: degree i is the pole rho = i+1 with
 h = A*zeta(rho+1)*Gamma(rho), A = (sum of its c)/a (Meinardus);
 A_0 = D_b(0); h_0 = D_b'(0) = sum c*a^i*zeta'(-i, r/a) - log(a)*A_0;
 D(-l) = zeta(1-l)*D_b(-l).  As zeta(-m, q) = -B_{m+1}(q)/(m+1), A_0 and
-every D(-l) are rationals, computed exactly and rounded once, to nearest.
-The Bernoulli table behind them ends at specfun.BERNOULLI_MAX, so a weight
-of degree i derives with L <= BERNOULLI_MAX - 1 - i.  SpectralData refuses
-a negative residue (a degree whose c sum below 0) and a rule with no pole.
+every D(-l) are rationals, computed exactly and rounded once, to nearest,
+to any depth L: each Bernoulli polynomial is built on first use.
+SpectralData refuses a negative residue (a degree whose c sum below 0)
+and a rule with no pole.
 Other models must supply their data, as a document (load_custom_spectrum)
 or as SpectralData built directly, which reads plain numbers and checks
 them when it is made.
@@ -24,6 +24,7 @@ them when it is made.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .model import MULTISET, ModelSpec, QuasiPolynomial
 from .precision import int_arg, shown, to_mpf
-from .specfun import BERNOULLI_MAX, hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
+from .specfun import hurwitz_zeta_deriv, hurwitz_zeta_exact, riemann_zeta
 
 # classification tolerance on 2*rho_{r-1} - rho_r; preset poles are exact
 # small integers, so this only guards custom input
@@ -175,19 +176,17 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
     """Spectral data for a quasi-polynomial model, with d_neg up to D(-L).
 
     A0 and D(-l) are exact rationals (Bernoulli polynomial values) rounded
-    once, to nearest; the residues and h0 are evaluated in mpmath.
-    L is an int >= 1 and defaults to 8.  Over standard, roots and the coprime congruent(a, b)
-    with a <= 12, the largest Delta-series term beyond l=8 at the solved
-    tau (derived with L=20) is 2.6e-9 at n=10 (congruent(12,1); roots
-    1.4e-11), 6.7e-15 at n=100, 2e-18 at n=1000 and 8.4e-22 at n=10^4
-    (both roots), so below n of about 100 the default leaves terms above
-    the series' 1e-12 tolerance unsummed.  D(-L) reads zeta(-L-i, q) for
-    each degree i of a term with c != 0, so degree + L must stay below
-    BERNOULLI_MAX (21 at most; InvalidParametersError otherwise).  A degree
-    whose coefficients sum below 0 gives its pole a negative residue, and a
-    rule whose sums are all 0 has no pole: SpectralData refuses both
-    (SpectrumDataError).  Other models have no derivable data; supply it via
-    load_custom_spectrum.
+    once, to nearest; the residues and h0 are evaluated in mpmath.  L is an
+    int >= 1 (time and memory grow with it) and defaults to 8.  Over
+    standard, roots and the coprime congruent(a, b) with a <= 12, the
+    largest Delta-series term beyond l=8 at the solved tau (derived with
+    L=20) is 2.6e-9 at n=10 (congruent(12,1); roots 1.4e-11), 6.7e-15 at
+    n=100, 2e-18 at n=1000 and 8.4e-22 at n=10^4 (both roots), so below n
+    of about 100 the default leaves terms above the series' 1e-12
+    tolerance unsummed.  A degree whose coefficients sum below 0 gives its
+    pole a negative residue, and a rule whose sums are all 0 has no pole:
+    SpectralData refuses both (SpectrumDataError).  Other models have no
+    derivable data; supply it via load_custom_spectrum.
     """
     int_arg("L", L, 1)
     if not (isinstance(model.weight, QuasiPolynomial) and model.base is MULTISET):
@@ -196,25 +195,16 @@ def derive_spectrum(model: ModelSpec, L: int = 8) -> SpectralData:
             "supply poles/A0/h0/d_neg explicitly (load_custom_spectrum)"
         )
     a, terms = model.weight.a, [t for t in model.weight.terms if t[2]]
-    degree = max((i for _, i, _ in terms), default=0)
-    if degree + L >= BERNOULLI_MAX:  # D(-L) reads B_(L+degree+1), by zeta(-L-degree, q)
-        raise InvalidParametersError(
-            f"{model.kind}: degree {degree} + L={L} is {degree + L}; the Bernoulli "
-            f"table allows degree + L <= {BERNOULLI_MAX - 1}")
-    csum = {}  # degree i -> sum of its c over all residues
-    for _, i, c in terms:
-        csum[i] = csum.get(i, 0) + c
-    poles = tuple(Pole(mpf(i + 1), c * riemann_zeta(i + 2) * mp.factorial(i) / a)
+    csum = {i: sum(c for _, j, c in terms if j == i) for _, i, _ in terms}  # per degree
+    poles = tuple(Pole(mpf(i + 1), to_mpf(c) * riemann_zeta(i + 2) * factorial(i) / a)
                   for i, c in sorted(csum.items()) if c)
     # every Hurwitz value zeta(s-i, r/a) that D_b(0), ..., D_b(-L) need, once
     keys = {(s - i, r) for r, i, _ in terms for s in range(-L, 1)}
     hz = {(m, r): hurwitz_zeta_exact(m, Fraction(r, a)) for m, r in keys}
     db = lambda s: sum(c * a ** (i - s) * hz[s - i, r] for r, i, c in terms)
     exact = [db(0)] + [hurwitz_zeta_exact(1 - l, 1) * db(-l) for l in range(1, L + 1)]
-    # each rounded once, to nearest (mpf(Fraction) rounds toward zero, and
-    # mpf(p)/q twice once p outgrows mp.prec)
-    A0, *d_neg = (mp.fdiv(x.numerator, x.denominator) for x in exact)
-    h0 = sum(c * a**i * hurwitz_zeta_deriv(-i, mpf(r) / a) for r, i, c in terms)
+    A0, *d_neg = map(to_mpf, exact)
+    h0 = sum(to_mpf(c * a**i) * hurwitz_zeta_deriv(-i, mpf(r) / a) for r, i, c in terms)
     h0 -= mp.log(a) * A0
     params = ",".join(map(shown, model.params))
     label = f"{model.kind}({params})" if params else model.kind

@@ -520,8 +520,9 @@ def explicit_estimate_mpf(sd, n, Q):
 def compare_row_mpf(n, c, kh, ex, log_scale):
     """One `compare` CSV row from c_n and the two predicted log values: logs
     divided by log_scale (log 10, or 1 for natural logs), then each ratio
-    exp(exact_log - prediction), every cell at 15 significant digits."""
-    exact_log = mp.log(mpmathify(c))
+    exp(exact_log - prediction), every cell at 15 significant digits.  An
+    int c_n enters exact, a Fraction rounded once, to nearest."""
+    exact_log = mp.log(c if isinstance(c, int) else mp.fdiv(c.numerator, c.denominator))
     cells = [mp.nstr(x / log_scale, 15) for x in (exact_log, kh, ex)]
     cells += [mp.nstr(mp.exp(exact_log - pred), 15) for pred in (kh, ex)]
     return ",".join([str(n)] + cells)

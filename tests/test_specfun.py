@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from oracles import zeta_direct, zeta_fd_deriv
+from oracles import zeta_direct, zeta_fd_deriv, zeta_neg_exact
 from subexp.specfun import (
     hurwitz_zeta_exact,
     hurwitz_zeta_deriv,
@@ -63,6 +63,15 @@ def test_exact_hurwitz_matches_mpmath():
                     assert abs(err) <= mpf("1e-35") * abs(want)
     assert hurwitz_zeta_exact(-1, 1) == Fraction(-1, 12)
     assert hurwitz_zeta_exact(0, Fraction(1, 3)) == Fraction(1, 6)
+
+
+def test_exact_hurwitz_to_depth_60_matches_the_bernoulli_oracle():
+    # each Bernoulli row is built on first use, so any m <= 0 is served;
+    # the oracle builds B_n from its recurrence, not from mp.bernfrac
+    qs = {Fraction(r, a) for a in range(1, 13) for r in range(1, a + 1)}
+    for m in range(0, -61, -1):
+        for q in qs:
+            assert hurwitz_zeta_exact(m, q) == zeta_neg_exact(-m, q)
 
 
 def test_hurwitz_deriv0_lerch():

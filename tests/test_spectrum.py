@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from oracles import (
     preset_exact_constants,
     preset_spectrum_closed_form,
     zeta_neg_bernoulli,
+    zeta_neg_exact,
 )
 from subexp import model as model_module
 from subexp.asymptotics import (
@@ -133,8 +134,7 @@ def test_d_neg_identity():
 
 
 def test_d_neg_at_L20_matches_bernoulli():
-    # d_neg[l-1] = zeta(1-l) * D_b(-l) up to L = 20, the deepest zeta and
-    # Hurwitz zeta arguments derive_spectrum accepts, against
+    # d_neg[l-1] = zeta(1-l) * D_b(-l) up to L = 20, against
     # zeta(-n, q) = -B_{n+1}(q)/(n+1)
     z = zeta_neg_bernoulli
     cases = [
@@ -180,9 +180,8 @@ def test_mellin_expansion_and_exact_counts_on_random_rules(rule):
     # reach degree 2 and up to three classes.  Each is about 0.1 s, mostly
     # mpmath's numerical zeta'(-i, q) for q < 1
     model = ModelSpec("random", MULTISET, rule)
-    degree = max(i for _, i, _ in rule.terms)
     with mp.workdps(38):
-        sd, tau = derive_spectrum(model, L=min(20, 21 - degree)), mpf("0.05")
+        sd, tau = derive_spectrum(model, L=20), mpf("0.05")
         series = mp.fsum((-1) ** l * d * tau**l / mp.factorial(l)
                          for l, d in enumerate(sd.d_neg, start=1))
         assert abs(delta_direct(sd, rule, tau) - series) < mpf("1e-18")
@@ -201,6 +200,11 @@ def test_derive_spectrum_matches_closed_forms(args):
     assert len(sd.d_neg) == 20
     for got, want in zip(sd.d_neg, d_neg):
         assert close(got, want)
+
+
+def _rounded_once(x):
+    """The Fraction x rounded once, to nearest, at mp.prec."""
+    return mp.fdiv(x.numerator, x.denominator)
 
 
 def _rounded_to_nearest(got, x):
@@ -237,6 +241,21 @@ def test_float_and_fraction_coefficients_derive_exactly():
     for terms in (((1, 0, 1.0),), ((1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))):
         sd = derive_spectrum(ModelSpec("qp", MULTISET, QuasiPolynomial(1, terms)), L=20)
         assert (sd.A0, sd.d_neg) == (standard.A0, standard.d_neg)
+
+
+@pytest.mark.parametrize("dps", (15, 38))
+def test_a_fraction_coefficient_enters_rounded_once(dps):
+    # b_j = 5/9, and 2/11 at odd j: each c enters the residue and h0 as
+    # to_mpf rounds it, to nearest, not as mpmath reads a Fraction (toward
+    # zero, which differs for these c at both dps)
+    rule = lambda a, c: ModelSpec("qp", MULTISET, QuasiPolynomial(a, ((1, 0, c),)))
+    with mp.workdps(dps):
+        c = mp.fdiv(5, 9)
+        sd = derive_spectrum(rule(1, Fraction(5, 9)))
+        assert sd.poles == (Pole(1, c * riemann_zeta(2)),)
+        assert sd.h0 == c * (-mp.log(2 * mp.pi) / 2)
+        sd = derive_spectrum(rule(2, Fraction(2, 11)))
+        assert sd.poles == (Pole(1, mp.fdiv(2, 11) * riemann_zeta(2) / 2),)
 
 
 def test_whole_float_coefficient_derives_bit_for_bit():
@@ -344,16 +363,34 @@ def test_derive_spectrum_L():
     for L in (2.5, 8.0, "8", True):
         with pytest.raises(InvalidParametersError, match="need an int L >= 1"):
             derive_spectrum(make_preset("standard"), L=L)
-    # D(-L) reads B_(degree+L+1), and the Bernoulli table ends at B_22, so
-    # the depth is the one bound on L: degree 0 reaches D(-21) = 0
-    degree = lambda i: ModelSpec(f"degree {i}", MULTISET, QuasiPolynomial(1, ((1, i, 1),)))
-    assert len(derive_spectrum(degree(13), L=8).d_neg) == 8
-    assert len(derive_spectrum(make_preset("roots"), L=20).d_neg) == 20
-    assert derive_spectrum(make_preset("standard"), L=21).d_neg[20] == 0
-    for i, L in ((14, 8), (2, 20), (0, 22)):
-        with pytest.raises(InvalidParametersError,
-                           match=f"degree {i} \\+ L={L} is {i + L}"):
-            derive_spectrum(degree(i), L=L)
+
+
+@pytest.mark.parametrize("dps", (15, 38))
+@pytest.mark.parametrize("args", [("standard",), ("roots",), ("congruent", 7, 3)],
+                         ids=lambda args: "-".join(map(str, args)))
+def test_constants_to_depth_60_are_exact_rationals_rounded_once(args, dps):
+    A0, d_neg = preset_exact_constants(args[0], 60, *args[1:])
+    with mp.workdps(dps):
+        sd = derive_spectrum(make_preset(*args), L=60)
+        assert (sd.A0,) + sd.d_neg == tuple(map(_rounded_once, [A0] + d_neg))
+
+
+@pytest.mark.parametrize("degree", (21, 25))
+def test_a_weight_of_high_degree_derives(degree):
+    # b_j = j^degree: D_b(s) = zeta(s - degree), one pole at rho = degree + 1
+    # with h = zeta(rho + 1)*(rho - 1)!, A0 = zeta(-degree) and
+    # D(-l) = zeta(1 - l)*zeta(-l - degree).  Its estimates need n past
+    # about 5e19 to apply, so none is checked here
+    model = ModelSpec("power", MULTISET, QuasiPolynomial(1, ((1, degree, 1),)))
+    sd = derive_spectrum(model, L=8)
+    (rho, h), = sd.poles
+    assert rho == degree + 1
+    with mp.workdps(mp.dps + 20):
+        want = mp.zeta(degree + 2) * factorial(degree)
+    assert abs(h - want) <= 2 * mp.eps * want
+    assert sd.A0 == _rounded_once(zeta_neg_exact(degree))
+    assert sd.d_neg == tuple(_rounded_once(zeta_neg_exact(l - 1) * zeta_neg_exact(l + degree))
+                             for l in range(1, 9))
 
 
 def test_derive_spectrum_rejects_custom():
@@ -485,8 +522,10 @@ def test_spectral_data_reads_plain_numbers():
     poles, A0, h0 = ((1, 1.64), (3, Fraction(1, 3))), Fraction(-1, 2), -0.92
     d_neg = (Fraction(1, 24), 0, 0.5)
     plain = SpectralData("x", poles, A0, h0, d_neg)
-    ref = SpectralData("x", tuple(Pole(mpf(rho), mp.mpmathify(h)) for rho, h in poles),
-                       mp.mpmathify(A0), mpf(h0), tuple(map(mp.mpmathify, d_neg)))
+    # each Fraction rounded once, to nearest
+    near = lambda x: _rounded_once(x) if isinstance(x, Fraction) else mpf(x)
+    ref = SpectralData("x", tuple(Pole(mpf(rho), near(h)) for rho, h in poles),
+                       near(A0), mpf(h0), tuple(map(near, d_neg)))
     assert plain == ref and all(type(p) is Pole for p in plain.poles)
     assert solve_delta(plain, 1000) == solve_delta(ref, 1000)
     for n in (10, 1000, 10**6):
