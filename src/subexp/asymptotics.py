@@ -30,6 +30,7 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_cbrt,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -41,10 +42,11 @@ from mpmath.libmp import (
     mpf_pow,
     mpf_pow_int,
     mpf_sub,
+    to_int,
 )
 
 from .errors import DomainError, IneligibleSpectrumError, TruncationWarning
-from .khintchine import khintchine_lhs, solve_delta
+from .khintchine import _power, khintchine_lhs, solve_delta
 from .precision import as_real, shown
 from .spectrum import CRITICAL, INELIGIBLE, SpectralData, validate_spectrum
 
@@ -179,13 +181,14 @@ def _log_estimate(formula: str, n, terms: tuple) -> LogEstimate:
 def _khintchine_constants(sd: SpectralData) -> tuple:
     """Everything in the Khintchine estimate but n and delta_n, as raw values:
     rho_r/2 + 1, the half log variance (1/2) log(2 pi rho_r h_r (rho_r+1)),
-    -A0, h0, (-rho, h) per pole and the correction series' tau-free factors
-    (-1)^l D(-l) / l!, l = 1, 2, ...; then rho_r + 1 and rho_r h_r, which
-    the explicit formula reads too."""
+    -A0, h0, (power, rho, h) per pole (_power), so that power(y, rho, ...)
+    is y**rho, and the correction series' tau-free factors (-1)^l D(-l) / l!,
+    l = 1, 2, ...; then rho_r + 1 and rho_r h_r, which the explicit formula
+    reads too."""
     prec, rounding = mp._prec_rounding
     rho_r, h_r = sd.rho_r._mpf_, sd.poles[-1].h._mpf_
     half_rho = mpf_div(rho_r, ftwo, prec, rounding)  # sd.rho_r / 2 + 1
-    poles = tuple((mpf_neg(rho._mpf_, prec, rounding), h._mpf_) for rho, h in sd.poles)
+    poles = tuple((*_power(rho._mpf_), h._mpf_) for rho, h in sd.poles)
     rho_1 = mpf_add(rho_r, fone, prec, rounding)  # rho_r + 1
     v = mpf_mul_int(mpf_pi(prec, rounding), 2, prec, rounding)  # 2 * mp.pi
     for x in (rho_r, h_r, rho_1):  # * rho_r * h_r * (rho_r + 1)
@@ -204,8 +207,10 @@ def _khintchine_constants(sd: SpectralData) -> tuple:
 def _explicit_constants(sd: SpectralData) -> tuple:
     """The explicit formula but n as raw values: the prefactor, kappa, Q, and
     the coefficients c_l and exponents e_l = rho_l/(rho_r+1) of its terms
-    c_l n^e_l, l = r, 1, ..., r-1.  Raises IneligibleSpectrumError when the
-    formula does not apply, before it reads the Khintchine record."""
+    c_l n^e_l, l = r, 1, ..., r-1; then whether n^e_l = cbrt(n)^rho_l, at
+    rho_r = 2 with integer poles, whose exponents are then the ints rho_l.
+    Raises IneligibleSpectrumError when the formula does not apply, before
+    it reads the Khintchine record."""
     classification = validate_spectrum(sd)
     if classification == INELIGIBLE:
         raise IneligibleSpectrumError(f"2*rho_{{r-1}} - rho_r = {sd.gap} > 0: "
@@ -236,9 +241,11 @@ def _explicit_constants(sd: SpectralData) -> tuple:
     hs = [mpf_mul(rho_1, sd.poles[-1].h._mpf_, prec, rounding)]
     hs += [h._mpf_ for _, h in sd.poles[:-1]]
     terms = zip(hs, _powers(rh, negs, prec, rounding))
+    cbrt = [rho._mpf_ for rho, _ in sd.poles] in ([ftwo], [fone, ftwo])
+    exponents = tuple(to_int(rho) if cbrt else mpf_div(rho, rho_1, prec, rounding)
+                      for rho in rhos)
     return (prefactor, kappa(sd)._mpf_, Q,
-            tuple(mpf_mul(h, p, prec, rounding) for h, p in terms),
-            tuple(mpf_div(rho, rho_1, prec, rounding) for rho in rhos))
+            tuple(mpf_mul(h, p, prec, rounding) for h, p in terms), exponents, cbrt)
 
 
 def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
@@ -248,7 +255,9 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
 
         (rho_r/2 + 1) log delta - (1/2) log(2 pi rho_r h_r (rho_r+1))
         - A_0 log delta + h_0 + sum_l h_l delta^(-rho_l)
-        + Delta(delta) + n delta.
+        + Delta(delta) + n delta,
+
+    each delta^(-rho_l) a power of one reciprocal 1/delta.
 
     The Gaussian prefactor carries the local variance rho_r h_r (rho_r+1)
     of the tilted distribution; with it, the estimate and the explicit
@@ -271,9 +280,10 @@ def log_estimate_khintchine(sd: SpectralData, n: int) -> LogEstimate:
                         half_log_variance, prec, rounding)
     power = mpf_mul(neg_A0, log_delta, prec, rounding)  # -sd.A0 * log_delta
     exponent = mpf_mul_int(d, n, prec, rounding)  # n * delta
-    for neg_rho, h in poles:
-        # exponent += h * delta ** (-rho)
-        t = mpf_mul(h, mpf_pow(d, neg_rho, prec, rounding), prec, rounding)
+    y = mpf_div(fone, d, prec, rounding)  # y = 1 / delta
+    for pow_, rho, h in poles:
+        # exponent += h * y**rho
+        t = mpf_mul(h, pow_(y, rho, prec, rounding), prec, rounding)
         exponent = mpf_add(exponent, t, prec, rounding)
     # sd.h0 + remainder_delta(sd, delta)
     q_or_delta = mpf_add(h0, remainder_delta(sd, delta)._mpf_, prec, rounding)
@@ -303,16 +313,22 @@ def log_estimate_explicit(sd: SpectralData, n: int) -> LogEstimate:
         + (1+rho_r) h_r (rho_r h_r)^(-rho_r/(rho_r+1)) n^(rho_r/(rho_r+1))
         + sum_{l=1}^{r-1} h_l (rho_r h_r)^(-rho_l/(rho_r+1)) n^(rho_l/(rho_r+1))
 
+    At rho_r = 2 with integer poles each n^(rho_l/3) is a power of one
+    cube root cbrt(n); otherwise the powers share one log n (_powers).
     Needs a whole n >= 1 and a subcritical or critical spectrum
     (IneligibleSpectrumError otherwise).
     """
     n = _whole_n(n)
-    prefactor, kappa, Q, coefficients, exponents = sd.memo(_explicit_constants)
+    prefactor, kappa, Q, coefficients, exponents, cbrt = sd.memo(_explicit_constants)
     prec, rounding = mp._prec_rounding
     nn = from_int(n)  # exact
     power = mpf_mul(kappa, mpf_log(nn, prec, rounding), prec, rounding)  # kappa log n
-    # sum(coef * nn**e for coef, e in powers)
-    pows = _powers(nn, exponents, prec, rounding)
+    if cbrt:  # [mp.cbrt(nn) ** e for e in exponents]
+        root = mpf_cbrt(nn, prec, rounding)
+        pows = [mpf_pow_int(root, e, prec, rounding) for e in exponents]
+    else:
+        pows = _powers(nn, exponents, prec, rounding)
+    # sum(coef * p for coef, p in zip(coefficients, pows))
     exponent = _raw_sum(mpf_mul(coef, p, prec, rounding)
                         for coef, p in zip(coefficients, pows))
     return _log_estimate(EXPLICIT, n, (prefactor, power, exponent, Q))

@@ -20,10 +20,16 @@ from .precision import to_mpf
 
 
 @cache
+def _bernoulli(k: int) -> tuple:
+    """B_k as mp.bernfrac's (p, q), so that rows 0..n take n + 1 calls."""
+    return mp.bernfrac(k)
+
+
+@cache
 def _bernoulli_row(n: int) -> tuple:
     """(den, the int coefficients of den*B_n(x) from x^n to x^0), den the
     lcm of the denominators of B_0..B_n; B_n(x) = sum C(n, k) B_k x^(n-k)."""
-    b = [mp.bernfrac(k) for k in range(n + 1)]
+    b = [_bernoulli(k) for k in range(n + 1)]
     den = lcm(*(q for _, q in b))
     return den, tuple(comb(n, k) * p * (den // q) for k, (p, q) in enumerate(b))
 

@@ -356,22 +356,51 @@ def float_root_mpf(sd, n, bracket, max_iter=16, step_tol=1e-12):
     return None
 
 
-def lhs_and_slope_mpf(sd, x):
-    """lhs(x) and x*lhs'(x) of the tilting equation."""
-    a0 = sd.A0 / x
+def lhs_and_slope_mpf(sd, x, y=None):
+    """lhs(x) and x*lhs'(x) of the tilting equation, in y = 1/x (formed
+    here unless given)."""
+    if y is None:
+        y = 1 / x
+    a0 = sd.A0 * y
     lhs = sd.d_neg[0] + a0
     slope = -a0
-    for c, e, k in [(h * rho, -rho - 1, rho + 1) for rho, h in sd.poles]:
-        t = c * x**e
+    for c, e in [(h * rho, rho + 1) for rho, h in sd.poles]:
+        t = c * y**e
         lhs += t
-        slope -= k * t
+        slope -= e * t
     return lhs, slope
 
 
-def term_size_mpf(sd, x):
-    """|D(-1)| + |A0/x| + sum |h rho x^(-rho-1)|: the size of lhs's terms."""
-    terms = [h * rho * x ** (-rho - 1) for rho, h in sd.poles]
-    return mp.fsum([sd.d_neg[0], sd.A0 / x] + terms, absolute=True)
+def term_size_mpf(sd, y):
+    """|D(-1)| + |A0 y| + sum |h rho y^(rho+1)| at y = 1/x: the size of
+    lhs's terms."""
+    terms = [h * rho * y ** (rho + 1) for rho, h in sd.poles]
+    return mp.fsum([sd.d_neg[0], sd.A0 * y] + terms, absolute=True)
+
+
+def _cubic_poles(sd):
+    """Whether the poles are at rho = 2, or at 1 and 2: the tilt equation is
+    then a cubic in 1/delta."""
+    return [rho for rho, _ in sd.poles] in ([2], [1, 2])
+
+
+def cubic_root_mpf(sd, n):
+    """The real root y of 2 h_2 y^3 + h_1 y^2 + A0 y + D(-1) - n = 0 by
+    Cardano, y = t - a/3 with t^3 + 3 p3 t + 2 hq = 0 after dividing by
+    2 h_2; None unless hq < 0 and the discriminant hq^2 + p3^3 is positive,
+    or when y <= 0."""
+    inv = 1 / (2 * sd.poles[-1][1])
+    a = sd.poles[0][1] * inv if len(sd.poles) == 2 else mpf(0)
+    b = sd.A0 * inv
+    shift = a / 3
+    p3 = (b - a * shift) / 3
+    hq = (2 * shift**3 - shift * b + sd.d_neg[0] * inv) / 2 - n * (inv / 2)
+    disc = hq * hq + p3**3
+    if not (hq < 0 and disc > 0):
+        return None
+    u = mp.cbrt(mp.sqrt(disc) - hq)
+    y = u - p3 / u - shift
+    return y if y > 0 else None
 
 
 def solve_delta_mpf(sd, n, bracket, max_iter=200):
@@ -379,9 +408,12 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
     root polished by safeguarded Newton in log delta, whose steps s below
     2^-26 become delta*(1 + s + k s^2), k = rho_r/2 + 1.  One pole at
     rho = 1 seeds instead from the positive root of the quadratic
-    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel.
-    Every path stops once |step| <= sqrt(eps) and |F| <= 1e-10*max(n, S),
-    S the summed sizes of lhs's terms, formed only when |F| > 1e-10*n."""
+    h/delta^2 + A0/delta = n - D(-1), in the form whose sum does not cancel;
+    poles at rho = 2, or at 1 and 2, from 1/y for the cubic's root y
+    (cubic_root_mpf), where it has one, and the first evaluation reads that
+    y.  Each other evaluation forms y = 1/delta.  Every path stops once
+    |step| <= sqrt(eps) and |F| <= 1e-10*max(n, S), S the summed sizes of
+    lhs's terms, formed only when |F| > 1e-10*n."""
     n = mpmathify(n)
     if not (n >= 1 and n > sd.d_neg[0]):
         raise ValueError(f"n = {n} is outside the domain")
@@ -390,27 +422,35 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
         rel, step_tol = mpf("1e-10"), mp.sqrt(mp.eps)
     tol = rel * n
     lo, hi = bracket
+    y = None
     if len(sd.poles) == 1 and sd.poles[0][0] == 1:
         h, A0 = sd.poles[0][1], sd.A0
         m = n - sd.d_neg[0]
         S = mp.sqrt(A0 * A0 + 4 * h * m)
         x = (A0 + S) / (2 * m) if A0 >= 0 else 2 * h / (S - A0)
     else:
-        x = float_root_mpf(sd, n, bracket)
-        if x is None:
-            rho_r, h_r = sd.poles[-1]
-            x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
-        x = mpf(x)
+        if _cubic_poles(sd):
+            y = cubic_root_mpf(sd, n)
+        if y is not None:
+            x = 1 / y
+        else:
+            x = float_root_mpf(sd, n, bracket)
+            if x is None:
+                rho_r, h_r = sd.poles[-1]
+                x = (rho_r * h_r / n) ** (1 / (rho_r + 1))
+            x = mpf(x)
     if not lo < x < hi:
         raise ValueError(f"seed delta = {x} is outside the bracket")
     k = sd.poles[-1][0] / 2 + 1
     newtons = 0
     bisections = 0
     for _ in range(max_iter + 1):
-        lhs, slope = lhs_and_slope_mpf(sd, x)
+        if y is None:
+            y = 1 / x
+        lhs, slope = lhs_and_slope_mpf(sd, x, y)
         fx = lhs - n
         step = -fx / slope if slope else mp.inf
-        if abs(step) <= step_tol and (abs(fx) <= tol or abs(fx) <= rel * term_size_mpf(sd, x)):
+        if abs(step) <= step_tol and (abs(fx) <= tol or abs(fx) <= rel * term_size_mpf(sd, y)):
             return x, fx, (lo, hi), newtons, bisections
         if fx > 0:
             lo = x
@@ -428,6 +468,7 @@ def solve_delta_mpf(sd, n, bracket, max_iter=200):
         else:
             bisections += 1
             x = mp.sqrt(lo * hi)
+        y = None
     raise ValueError(f"no root found for n = {n}")
 
 
@@ -465,8 +506,9 @@ def khintchine_estimate_mpf(sd, n, bracket, series_tol):
     prefactor = (rho_r / 2 + 1) * log_delta - _half_log_variance_mpf(sd)
     power = -sd.A0 * log_delta
     exponent = n * delta
+    y = 1 / delta
     for rho, h in sd.poles:
-        exponent += h * delta ** (-rho)
+        exponent += h * y**rho
     q_or_delta = sd.h0 + remainder_delta_mpf(sd, delta, series_tol)[0]
     terms = {
         "prefactor_log": prefactor,
@@ -497,21 +539,27 @@ def q_constant_mpf(sd, gap_tol=mpf("1e-12")):
 
 def explicit_estimate_mpf(sd, n, Q):
     """(log value, terms) of the explicit estimate at a whole n >= 1, given
-    the constant Q."""
+    the constant Q; at poles 2, or 1 and 2, n^(rho/3) = cbrt(n)^rho."""
     rho_r, h_r = sd.poles[-1]
     rh = rho_r * h_r
     prefactor = -_half_log_variance_mpf(sd) + (
         (rho_r + 2 - 2 * sd.A0) / (2 * (rho_r + 1))
     ) * mp.log(rh)
     kappa = (-rho_r / 2 - 1 + sd.A0) / (rho_r + 1)
-    powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r / (rho_r + 1))]
+    # the terms' coefficients and the rho_l, in the order l = r, 1, ..., r-1
+    powers = [((1 + rho_r) * h_r * rh ** (-rho_r / (rho_r + 1)), rho_r)]
     for rho, h in sd.poles[:-1]:
-        powers.append((h * rh ** (-rho / (rho_r + 1)), rho / (rho_r + 1)))
+        powers.append((h * rh ** (-rho / (rho_r + 1)), rho))
     nn = mpmathify(n)
+    if _cubic_poles(sd):
+        root = mp.cbrt(nn)
+        pows = [root**rho for _, rho in powers]
+    else:
+        pows = [nn ** (rho / (rho_r + 1)) for _, rho in powers]
     terms = {
         "prefactor_log": prefactor,
         "power_log": kappa * mp.log(nn),
-        "exponent_sum": sum(coef * nn**e for coef, e in powers),
+        "exponent_sum": sum(coef * p for (coef, _), p in zip(powers, pows)),
         "Q_or_delta": Q,
     }
     return sum(terms.values()), terms

@@ -21,7 +21,7 @@ from subexp.errors import (
     NonConvergenceError,
 )
 from subexp.khintchine import _float_root, khintchine_lhs, solve_delta
-from subexp.model import make_preset
+from subexp.model import MULTISET, ModelSpec, QuasiPolynomial, make_preset
 from subexp.precision import to_mpf
 from subexp.spectrum import INELIGIBLE, Pole, SpectralData, derive_spectrum, validate_spectrum
 
@@ -282,6 +282,62 @@ def test_one_pole_delta_is_exact_to_the_working_precision(dps):
             assert abs(got / want - 1) <= bound, (key, n, mp.nstr(got / want - 1, 3))
 
 
+# degree-1 weight rules: poles at rho = 2, or at 1 and 2, so that the tilt
+# equation is a cubic in 1/delta
+DEGREE_ONE = {"roots": make_preset("roots")} | {
+    name: ModelSpec(name, MULTISET, rule) for name, rule in (
+        ("b_j = j", QuasiPolynomial(1, ((1, 1, 1),))),
+        ("b_j = 3j + 2", QuasiPolynomial(1, ((1, 1, 3), (1, 0, 2)))),
+        ("b_j = j on odd j", QuasiPolynomial(2, ((1, 1, 1),))))}
+
+
+@pytest.mark.parametrize("dps", (15, 38, 60, 100))
+def test_degree_one_rules_take_the_cubic_root_with_no_step(dps):
+    # against a solve 40 digits higher on a spectrum derived there; a seed
+    # polished by Newton from floats left roots off by up to 5e-34 at 38
+    # and at 60 digits
+    ns = (2, 10, 37, 100, 1000, 12345, 10**5, 10**8)
+    cases = []
+    for name, model in DEGREE_ONE.items():
+        with mp.workdps(dps + 40):
+            want = [solve_delta(derive_spectrum(model), n).delta for n in ns]
+        with mp.workdps(dps):
+            sd = derive_spectrum(model)
+            assert sd.poles[-1].rho == 2, name
+            cases += [(name, n, solve_delta(sd, n), w) for n, w in zip(ns, want)]
+    with mp.workdps(dps):
+        bound = mpf(2) ** (4 - mp.prec)
+    for name, n, sol, want in cases:
+        assert (sol.newton_steps, sol.bisection_steps) == (0, 0), (name, n)
+    with mp.workdps(dps + 40):
+        for name, n, sol, want in cases:
+            assert abs(sol.delta / want - 1) <= bound, (name, n, mp.nstr(sol.delta / want - 1, 3))
+
+
+def test_cubic_with_three_real_roots_falls_back(monkeypatch):
+    # 2y^3 + y^2 - 100y = n in y = 1/delta has three real roots up to about
+    # n = 270 (one positive), so there the seed comes from the float phase,
+    # which gives up, and the loop solves from the leading term; at n = 1000
+    # the discriminant is positive and the cubic's root needs no step
+    sd = SpectralData("three real roots", ((1, 1), (2, 1)), -100, 0, (0,))
+    calls = []
+
+    def spy(sd, n):
+        calls.append(n)
+        return _float_root(sd, n)
+
+    monkeypatch.setattr(khintchine, "_float_root", spy)
+    for n in (2, 100, 1000):
+        calls.clear()
+        sol = solve_delta(sd, n)
+        want = bisect_delta(sd.poles, sd.A0, sd.d_neg[0], n, lo=mpf("0.01"), hi=mpf(1))
+        assert abs(sol.delta / want - 1) < mpf("1e-18"), n
+        assert abs(sol.residual) <= residual_tolerance(n), n
+        assert (calls == [n]) == (n < 1000), n
+        if n == 1000:
+            assert sol.iterations == 0
+
+
 @pytest.mark.parametrize("dps", (15, 38))
 @pytest.mark.parametrize("h, A0, n", [(1, -(2**30), 2), (2**30, -(2**69), 2.1)])
 def test_cancelling_one_pole_spectrum_takes_the_closed_form_root(h, A0, n, dps):
@@ -386,9 +442,12 @@ def test_float_phase_hands_over_on_overflow(monkeypatch):
 
 
 def test_float_phase_hands_over_when_it_does_not_converge(monkeypatch):
-    want = solve_delta(ROOTS, 1000).delta
+    # b_j = j^2 + 1: poles at rho = 1 and 3, outside the closed forms
+    rule = QuasiPolynomial(1, ((1, 2, 1), (1, 0, 1)))
+    sd = derive_spectrum(ModelSpec("squares", MULTISET, rule))
+    want = solve_delta(sd, 1000).delta
     monkeypatch.setattr(khintchine, "FLOAT_MAX_ITER", 1)
-    sol = _solve_via_fallback(monkeypatch, ROOTS, 1000)
+    sol = _solve_via_fallback(monkeypatch, sd, 1000)
     assert abs(sol.delta / want - 1) < mpf("1e-18")
 
 
@@ -396,14 +455,16 @@ def test_root_outside_the_bracket_raises(monkeypatch):
     # root and seed at delta = 1e-15
     with pytest.raises(NoBracketError):
         _solve_via_fallback(monkeypatch, _one_pole("1e-30", 0, 0), 1)
-    # root near A0/(n - D(-1)) = 1e13: at rho = 1 the seed is that root; at
-    # rho = 2 the float iterates leave the bracket, and the loop from the
-    # seed 2^(1/3) finds no sign change in it
+    # root near A0/(n - D(-1)) = 1e13: at rho = 1 the quadratic's seed and at
+    # rho = 2 the cubic's are that root; at rho = 3 the float iterates leave
+    # the bracket, and the loop from the seed 3^(1/4) finds no sign change in it
     one_pole = lambda rho: _one_pole(1, "1e-7", 1 - mpf("1e-20"), rho)
     with pytest.raises(NoBracketError, match="^seed delta=1000000999999"):
         _solve_via_fallback(monkeypatch, one_pole(1), 1)
+    with pytest.raises(NoBracketError, match="^seed delta=10000000000000.00000"):
+        solve_delta(one_pole(2), 1)
     with pytest.raises(NoBracketError, match=r"^no root in \[1.0e-12, "):
-        _solve_via_fallback(monkeypatch, one_pole(2), 1)
+        _solve_via_fallback(monkeypatch, one_pole(3), 1)
 
 
 def test_flat_seed_falls_back_to_bisection(monkeypatch):

@@ -142,6 +142,21 @@ def test_cancelling_spectra_equal_the_mpf_formulas(dps):
                 assert abs(_library_solution(sd, 2)[1]) > mpf("1e-10") * 2
 
 
+# poles at rho = 2 alone, whose cubic has no y^2 term, and at 1 and 2 with
+# A0 = -100, whose cubic has three real roots below about n = 270, where
+# the seed falls back to the float phase and then to the leading term
+CUBIC_SPECTRA = (SpectralData("rho = 2", ((2, "1.2"),), "-0.3", "-0.5", ("0.04", "-0.01")),
+                 SpectralData("three real roots", ((1, 1), (2, 1)), -100, 0, (0,)))
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_cubic_seeds_and_their_fallback_equal_the_mpf_formulas(dps):
+    with mp.workdps(dps):
+        for sd in CUBIC_SPECTRA:
+            for n in NS:
+                _assert_pair_matches(sd, n)
+
+
 @pytest.mark.parametrize("dps", DPS)
 def test_float_roots_equal_the_float_formulas(dps):
     with mp.workdps(dps):

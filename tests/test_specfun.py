@@ -4,6 +4,9 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import zeta_direct, zeta_fd_deriv, zeta_neg_exact
+from subexp import specfun
+from subexp.model import make_preset
+from subexp.spectrum import derive_spectrum
 from subexp.specfun import (
     hurwitz_zeta_exact,
     hurwitz_zeta_deriv,
@@ -72,6 +75,23 @@ def test_exact_hurwitz_to_depth_60_matches_the_bernoulli_oracle():
     for m in range(0, -61, -1):
         for q in qs:
             assert hurwitz_zeta_exact(m, q) == zeta_neg_exact(-m, q)
+
+
+def test_each_bernoulli_number_is_built_once(monkeypatch):
+    # the rows up to 61 that a derivation to depth 60 reads share one B_k
+    # each; a row that built its own B_0..B_n asked mp.bernfrac 1952 times
+    calls = []
+    bernfrac = mp.bernfrac
+
+    def spy(k):
+        calls.append(k)
+        return bernfrac(k)
+
+    specfun._bernoulli.cache_clear()
+    specfun._bernoulli_row.cache_clear()
+    monkeypatch.setattr(mp, "bernfrac", spy)
+    derive_spectrum(make_preset("standard"), L=60)
+    assert len(calls) <= 62
 
 
 def test_hurwitz_deriv0_lerch():
